@@ -7,14 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    InvariantViolation,
-    NotACocycle,
-    ParseError,
-    PrimitiveMismatch,
-    SchemaError,
-    UnknownFormat,
-)
+from .errors import FoliavgError
 from .scenarios import (
     STAGE_NAMES,
     averaged_scenario,
@@ -24,16 +17,6 @@ from .scenarios import (
     render_report,
     run_checks,
 )
-
-_INPUT_ERRORS = (
-    SchemaError,
-    ParseError,
-    InvariantViolation,
-    UnknownFormat,
-    NotACocycle,
-    PrimitiveMismatch,
-)
-
 
 def _cmd_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
@@ -120,7 +103,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except FoliavgError as exc:
         print(f"foliavg: error: {exc}", file=sys.stderr)
         return 2
 

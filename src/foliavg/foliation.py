@@ -188,10 +188,6 @@ class Connection:
             total = total + _tensor(eta, VectorField.basis(chart, vert))
         return total
 
-    @property
-    def horizontal_projection(self) -> VecValuedForm:
-        return VecValuedForm.identity(self.chart) - self.projection
-
     def vertical_part(self, field: VectorField) -> VectorField:
         return self.projection.apply(field)
 

@@ -646,9 +646,13 @@ class ChartMap:
     unmapped coordinates stay fixed.  Angles never move, they may only
     appear as parameters of the images.  Pulling back vector fields and
     multivectors requires ``inverse_mapping``.
+
+    The pullback matrices depend only on the map, so each is built on
+    first use and kept: a flow pulls back many tensors, and building them
+    when the map is made would charge that work to loading a scenario.
     """
 
-    __slots__ = ("chart", "mapping", "inverse_mapping")
+    __slots__ = ("chart", "mapping", "inverse_mapping", "_vector_matrix", "_differentials")
 
     def __init__(
         self,
@@ -670,6 +674,8 @@ class ChartMap:
             for name in chart.coords:
                 inv[name] = inverse_mapping.get(name, Scalar.var(chart, name))
             object.__setattr__(self, "inverse_mapping", inv)
+        object.__setattr__(self, "_vector_matrix", None)
+        object.__setattr__(self, "_differentials", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChartMap is immutable")
@@ -693,8 +699,25 @@ class ChartMap:
         """Matrix M[c][e] = (d(inverse)^c / d e) composed with the map."""
         if self.inverse_mapping is None:
             raise MissingInverse("pulling back vector fields needs the inverse map")
-        jac = self._jacobian_of(self.inverse_mapping)
-        return [[entry.substitute(self.mapping) for entry in row] for row in jac]
+        if self._vector_matrix is None:
+            jac = self._jacobian_of(self.inverse_mapping)
+            matrix = [[entry.substitute(self.mapping) for entry in row] for row in jac]
+            object.__setattr__(self, "_vector_matrix", matrix)
+        return self._vector_matrix
+
+    def _pulled_differentials(self) -> list[DiffForm]:
+        """The pulled-back coordinate differentials d(mapping^c), one per coordinate."""
+        if self._differentials is None:
+            chart = self.chart
+            jac = self._jacobian_of(self.mapping)
+            differentials = [
+                DiffForm(chart, 1, {
+                    (e,): jac[c][e] for e in range(chart.dim) if not jac[c][e].is_zero
+                })
+                for c in range(chart.dim)
+            ]
+            object.__setattr__(self, "_differentials", differentials)
+        return self._differentials
 
     def pull_vector(self, field: VectorField) -> VectorField:
         matrix = self._pull_vector_matrix()
@@ -715,13 +738,7 @@ class ChartMap:
         if a.degree == 0:
             value = a.comps.get((), Scalar.zero(chart))
             return DiffForm.function(chart, self.pull_scalar(value))
-        jac = self._jacobian_of(self.mapping)
-        differentials = [
-            DiffForm(chart, 1, {
-                (e,): jac[c][e] for e in range(chart.dim) if not jac[c][e].is_zero
-            })
-            for c in range(chart.dim)
-        ]
+        differentials = self._pulled_differentials()
         result = DiffForm.zero(chart, a.degree)
         for idx, value in a.comps.items():
             piece = DiffForm.function(chart, self.pull_scalar(value))

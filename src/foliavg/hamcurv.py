@@ -154,9 +154,21 @@ def averaged_curvature_check(
     """On frame pairs, the averaged curvature must equal the curvature
     plus the Hamiltonian field of the averaging correction."""
     potential = hamiltonian_potential(action, conn, moments)
+    return curvature_transition_witness(conn, P, hannay_berry(action, conn), potential)
+
+
+def curvature_transition_witness(
+    conn: Connection,
+    P: PoissonBivector,
+    averaged: Connection,
+    potential: DiffForm,
+) -> str | None:
+    """The check of :func:`averaged_curvature_check`, given the averaged
+    connection ``averaged`` of ``conn`` and the Hamiltonian potential
+    ``potential`` of the averaging difference."""
     correction = averaging_correction(conn, P, potential)
     curv = curvature(conn)
-    curv_avg = curvature(hannay_berry(action, conn))
+    curv_avg = curvature(averaged)
     frame = conn.frame
     for a, b in combinations(conn.chart.horizontal, 2):
         z1, z2 = frame[a], frame[b]
@@ -219,8 +231,20 @@ def adiabatic_check(
     The defect is also recomputed as the base-degree part taken with
     respect to the averaged connection; the two routes must agree.
     """
-    averaged = hannay_berry(action, conn)
+    return adiabatic_witness(action, conn, hannay_berry(action, conn), moments)
+
+
+def adiabatic_witness(
+    action: TorusAction,
+    conn: Connection,
+    averaged: Connection,
+    moments: Sequence[DiffForm],
+) -> str | None:
+    """The check of :func:`adiabatic_check`, given the averaged connection
+    ``averaged`` of ``conn``."""
     for factor, mu in zip(action.factors, moments):
+        # Two independent routes: the defect averages the base-degree part
+        # itself and must never read ``averaged``, or agreement proves nothing.
         defect = adiabatic_defect(action, conn, mu)
         cross = horizontal_momentum(averaged, mu)
         if cross != defect:

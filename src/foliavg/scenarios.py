@@ -199,7 +199,10 @@ def scenario_from_dict(raw) -> Scenario:
     _expect(not unknown, f"scenario: unknown keys {sorted(unknown)}")
     for key in _REQUIRED:
         _expect(key in raw, f"scenario: missing required key {key!r}")
-    _expect(raw["schema"] == SCHEMA_VERSION, "scenario: unsupported schema version")
+    _expect(
+        type(raw["schema"]) is int and raw["schema"] == SCHEMA_VERSION,
+        "scenario: unsupported schema version",
+    )
     _expect(isinstance(raw["name"], str), "name: expected a string")
 
     chart = _chart(raw["chart"])
@@ -264,7 +267,20 @@ def scenario_from_dict(raw) -> Scenario:
 
 
 class _Pipeline:
-    """Caches the averaged objects shared between stages."""
+    """The objects that several stages share, each computed once per run.
+
+    - ``averaged``: the averaged connection, one ``hannay_berry`` call;
+    - ``potential``: the Hamiltonian potential, one ``hamiltonian_potential``
+      call;
+    - ``sigma_bar``: the averaged pairing form, from the potential;
+    - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
+    - ``fixed_momenta``: the momenta repaired by the primitives when that
+      witness fails;
+    - ``coupling``: the coupling Dirac structure of the averaged data.
+
+    Each is built on first use, so a run charges it to the first stage that
+    needs it.
+    """
 
     def __init__(self, s: Scenario) -> None:
         self.s = s
@@ -292,14 +308,15 @@ class _Pipeline:
         )
 
     @cached_property
+    def adiabatic(self) -> str | None:
+        return hamcurv.adiabatic_witness(self.s.action, self.s.conn, self.averaged, self.s.momenta)
+
+    @cached_property
     def fixed_momenta(self) -> tuple[DiffForm, ...]:
         s = self.s
         if s.momenta is None:
             raise SchemaError("scenario has no momentum one-forms")
-        if (
-            hamcurv.adiabatic_check(s.action, s.conn, s.momenta) is not None
-            and s.primitives is not None
-        ):
+        if self.adiabatic is not None and s.primitives is not None:
             return tuple(
                 hamcurv.adiabatic_fix(s.action, s.conn, s.P, s.momenta, s.primitives)
             )
@@ -338,7 +355,11 @@ def _stage_premomentum(p: _Pipeline) -> list[Check]:
 
 def _stage_averaging(p: _Pipeline) -> list[Check]:
     s = p.s
-    direct = action_mod.connection_difference(s.action, s.conn)
+    # The routes of each two-route check are computed independently:
+    # p.averaged by hannay_berry, p.potential by its own per-factor averaging,
+    # and the flow integral on its own shifted frames.  No route may reuse
+    # another's result, or their agreement would prove nothing.
+    direct = s.conn.difference(p.averaged)
     via_flows = action_mod.difference_via_flow_integral(s.action, s.conn)
     checks = [(
         "difference_two_routes",
@@ -353,7 +374,7 @@ def _stage_averaging(p: _Pipeline) -> list[Check]:
         ))
         checks.append((
             "averaged_curvature_transition",
-            hamcurv.averaged_curvature_check(s.action, s.conn, s.P, s.momenta),
+            hamcurv.curvature_transition_witness(s.conn, s.P, p.averaged, p.potential),
         ))
     return checks
 
@@ -391,7 +412,7 @@ def _stage_averaged_form(p: _Pipeline) -> list[Check]:
 
 def _stage_adiabatic(p: _Pipeline) -> list[Check]:
     s = p.s
-    witness = hamcurv.adiabatic_check(s.action, s.conn, s.momenta)
+    witness = p.adiabatic
     checks = [("horizontal_momentum_average", witness)]
     if witness is not None and s.primitives is not None:
         try:
@@ -401,7 +422,7 @@ def _stage_adiabatic(p: _Pipeline) -> list[Check]:
         else:
             checks.append((
                 "primitive_fix",
-                hamcurv.adiabatic_check(s.action, s.conn, fixed),
+                hamcurv.adiabatic_witness(s.action, s.conn, p.averaged, fixed),
             ))
     return checks
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from foliavg.cli import main
-from foliavg.scenarios import load_scenario, run_checks
+from foliavg.errors import NotComplementary, NotHorizontal, NotVertical, UnknownSymbol
+from foliavg.scenarios import load_scenario, run_checks, scenario_from_dict
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +75,28 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["check", str(path)]) == 2
     assert "poisson.q^p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("error", "key", "value"),
+    [
+        pytest.param(UnknownSymbol, "poisson", {"q^p": "zz*1"}, id="UnknownSymbol"),
+        pytest.param(
+            NotComplementary, "connection", {"frame": {"q": {"p": "1"}}}, id="NotComplementary"
+        ),
+        pytest.param(NotVertical, "poisson", {"x1^p": "1"}, id="NotVertical"),
+        pytest.param(NotHorizontal, "pairing_form", {"q^p": "1"}, id="NotHorizontal"),
+    ],
+)
+def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):
+    raw = dict(load_scenario("triv").raw)
+    raw[key] = value
+    with pytest.raises(error):
+        run_checks(scenario_from_dict(raw))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("foliavg: error:")
 
 
 # ----------------------------------------------------------------------

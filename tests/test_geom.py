@@ -262,8 +262,23 @@ def test_pull_vector_round_trip():
 
 def test_pull_vector_needs_inverse():
     phi = ChartMap(CHART, {"q": sc("q + x1")})
-    with pytest.raises(MissingInverse):
-        pullback(phi, vf("q"))
+    for _ in range(2):
+        with pytest.raises(MissingInverse):
+            pullback(phi, vf("q"))
+
+
+def test_repeated_pullbacks_along_one_flow_agree(rotation):
+    flow = rotation.factors[0].flow()
+    targets = [
+        vf("q"),
+        VectorField.from_dict(CHART, {"p": sc("q*x1"), "x2": sc("p^2")}),
+        d("q"),
+        wedge(d("q"), d("p")) * sc("x1*p"),
+    ]
+    for _ in range(2):
+        for target in targets:
+            fresh = ChartMap(CHART, flow.mapping, flow.inverse_mapping)
+            assert pullback(flow, target) == pullback(fresh, target)
 
 
 @given(forms(1), vector_fields())

@@ -1,9 +1,11 @@
 """Scenario files: schema, verification pipeline, reports, emission."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from foliavg import action, hamcurv
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
@@ -45,6 +47,44 @@ def test_bundled_scenario_verdicts(name):
     assert failed == EXPECTED_FAILURES[name]
     assert report.failures == len(EXPECTED_FAILURES[name])
     assert report.all_passed == (not EXPECTED_FAILURES[name])
+
+
+# Reports of the bundled scenarios, stage, check, verdict and witness,
+# as computed before the pipeline shared its averaged objects.
+REFERENCE_REPORTS = json.loads((Path(__file__).parent / "bundled_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_reports_match_reference(name):
+    report = run_checks(load_scenario(name))
+    got = [[c.stage, c.check, c.passed, c.witness] for c in report.checks]
+    assert got == REFERENCE_REPORTS[name]
+
+
+@pytest.fixture
+def hannay_berry_calls(monkeypatch):
+    """Count hannay_berry calls through both of its bindings."""
+    calls = []
+    original = action.hannay_berry
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(action, "hannay_berry", counted)
+    monkeypatch.setattr(hamcurv, "hannay_berry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_connection_is_averaged_once_per_run(name, hannay_berry_calls):
+    scenario = load_scenario(name)
+    assert scenario.momenta is not None
+    run_checks(scenario)
+    assert len(hannay_berry_calls) == 1
+    hannay_berry_calls.clear()
+    averaged_scenario(scenario)
+    assert len(hannay_berry_calls) == 1
 
 
 def test_stage_names_are_canonical():
@@ -236,6 +276,13 @@ def test_unknown_top_level_key_rejected():
 def test_schema_version_checked():
     bad = dict(load_scenario("triv").raw)
     bad["schema"] = 2
+    with pytest.raises(SchemaError):
+        scenario_from_dict(bad)
+
+
+def test_schema_version_must_be_an_integer():
+    bad = dict(load_scenario("triv").raw)
+    bad["schema"] = True
     with pytest.raises(SchemaError):
         scenario_from_dict(bad)
 
