@@ -58,7 +58,7 @@ from .hamcurv import (
 )
 from .poisson import PoissonBivector, hamiltonian_vf, poisson_bracket, sharp, verify_jacobi
 from .scenarios import Report, load_scenario, render_report, run_checks
-from .symcalc import Chart, Scalar, parse, render
+from .symcalc import Chart, Scalar, Substitution, parse, render
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,7 @@ __all__ = [
     "Report",
     "Scalar",
     "Section",
+    "Substitution",
     "TorusAction",
     "VecValuedForm",
     "VectorField",

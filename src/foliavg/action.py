@@ -119,6 +119,13 @@ class FlowFactor:
                 raise InvariantViolation(
                     f"flow in {angle!r} depends on unrelated angles {foreign}"
                 )
+            # the monomials th^k * trig(m*th) are linearly independent, so a
+            # bare power of the angle keeps the image from being 2pi-periodic
+            if _has_bare_angle(value, angle):
+                raise InvariantViolation(
+                    f"flow in {angle!r} is not periodic: the image of {name!r} "
+                    f"has a bare power of {angle!r}"
+                )
             if value != Scalar.var(chart, name):
                 clean[name] = value
         object.__setattr__(self, "chart", chart)
@@ -294,11 +301,6 @@ def _average_factor(factor: FlowFactor, target):
                 f"input already depends on the action angle {angle!r}"
             )
     moved = pullback(factor.flow(), target)
-    for coef in _coefficients(moved):
-        if _has_bare_angle(coef, angle):
-            raise NonClosedOrbitCoefficients(
-                f"orbit coefficients leave the trigonometric ring in {angle!r}"
-            )
     return _map_coefficients(moved, lambda f: haar_average(f, angle))
 
 
@@ -306,8 +308,9 @@ def average_tensor(action: TorusAction, target):
     """Exact group average, one circle factor at a time.
 
     Connections are averaged through their projection and revalidated.
-    Coefficients must stay trigonometric polynomials along every orbit;
-    bare angle powers mean the orbit does not close and are rejected.
+    Inputs must not depend on the action angles; since every flow is
+    periodic in its angle, the pulled-back coefficients are then
+    trigonometric polynomials in it.
     """
     result = target
     for factor in action.factors:

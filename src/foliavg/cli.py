@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import FoliavgError
+from .errors import FoliavgError, UnknownFormat
 from .scenarios import (
     STAGE_NAMES,
     averaged_scenario,

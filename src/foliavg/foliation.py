@@ -25,6 +25,7 @@ from .geom import (
     VecValuedForm,
     VectorField,
     _tensor,
+    _wedge0,
     exterior_derivative,
     fn_bracket,
     wedge,
@@ -373,19 +374,13 @@ def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
                     continue
                 basis = DiffForm.function(chart, coef)
                 for b in bases:
-                    basis = _wedge_any(basis, DiffForm.d_coord(chart, b))
+                    basis = _wedge0(basis, DiffForm.d_coord(chart, b))
                 for v in verts:
-                    basis = _wedge_any(basis, coframe[v])
+                    basis = _wedge0(basis, coframe[v])
                 piece = piece + basis
         if not piece.is_zero:
             comps[(p, q)] = piece
     return BigradedForm(chart, k, comps)
-
-
-def _wedge_any(a: DiffForm, b: DiffForm) -> DiffForm:
-    if a.degree == 0:
-        return b * a.comps.get((), Scalar.zero(a.chart))
-    return wedge(a, b)
 
 
 def graded_derivative(conn: Connection, form: DiffForm, shift: tuple[int, int]) -> DiffForm:

@@ -19,7 +19,7 @@ from .errors import (
     MissingInverse,
     UnsupportedDegree,
 )
-from .symcalc import Chart, Scalar
+from .symcalc import Chart, Scalar, Substitution
 
 Number = Union[int, Fraction]
 Index = tuple[int, ...]
@@ -57,7 +57,7 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
 
 
 def _check_chart(a, b) -> None:
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatch(f"{a.chart} vs {b.chart}")
 
 
@@ -98,11 +98,11 @@ class VectorField:
 
     def apply(self, f: Scalar) -> Scalar:
         """Directional derivative of a scalar."""
-        total = Scalar.zero(self.chart)
-        for i, name in enumerate(self.chart.coords):
-            if not self.comps[i].is_zero:
-                total = total + self.comps[i] * f.diff(name)
-        return total
+        items = []
+        for comp, name in zip(self.comps, self.chart.coords):
+            if not comp.is_zero:
+                items.extend((comp * f.diff(name)).terms.items())
+        return Scalar._new(self.chart, items)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         _check_chart(self, other)
@@ -642,14 +642,18 @@ def _wedge0(a: DiffForm, b: DiffForm) -> DiffForm:
 class ChartMap:
     """A polynomial coordinate map of the chart into itself.
 
-    ``mapping`` sends each manifold coordinate to its image expression;
-    unmapped coordinates stay fixed.  Angles never move, they may only
-    appear as parameters of the images.  Pulling back vector fields and
-    multivectors requires ``inverse_mapping``.
+    ``mapping`` is a :class:`~foliavg.symcalc.Substitution` sending each
+    manifold coordinate to its image expression; unmapped coordinates stay
+    fixed.  Angles never move, they may only appear as parameters of the
+    images.  Pulling back vector fields and multivectors requires
+    ``inverse_mapping``.
 
-    The pullback matrices depend only on the map, so each is built on
-    first use and kept: a flow pulls back many tensors, and building them
-    when the map is made would charge that work to loading a scenario.
+    Everything a pullback reuses depends only on the map, so the map keeps
+    it: ``mapping`` keeps the powers of each moved coordinate's image, and
+    the pull-vector matrix and the pulled differentials are kept too.  All
+    of it is built on first use: a flow pulls back many tensors, and
+    building it when the map is made would charge that work to loading a
+    scenario.
     """
 
     __slots__ = ("chart", "mapping", "inverse_mapping", "_vector_matrix", "_differentials")
@@ -660,13 +664,8 @@ class ChartMap:
         mapping: Mapping[str, Scalar],
         inverse_mapping: Mapping[str, Scalar] | None = None,
     ) -> None:
-        full = {}
-        for name in chart.coords:
-            full[name] = mapping.get(name, Scalar.var(chart, name))
-        for name in mapping:
-            chart.require_coord(name)
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "mapping", full)
+        object.__setattr__(self, "mapping", Substitution(chart, mapping))
         if inverse_mapping is None:
             object.__setattr__(self, "inverse_mapping", None)
         else:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Mapping as MappingABC
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ChartMismatch,
@@ -196,6 +197,20 @@ def _mul_keys(k1: Key, k2: Key) -> list[tuple[Key, Fraction]]:
     return out
 
 
+def _product_items(
+    left: Iterable[tuple[Key, Fraction]], right: Iterable[tuple[Key, Fraction]]
+) -> list[tuple[Key, Fraction]]:
+    """Uncollected terms of the product of two sums of terms."""
+    right = list(right)
+    items: list[tuple[Key, Fraction]] = []
+    for k1, c1 in left:
+        for k2, c2 in right:
+            c = c1 * c2
+            for key, factor in _mul_keys(k1, k2):
+                items.append((key, c * factor))
+    return items
+
+
 class Scalar:
     """An exact scalar function on a chart, kept in canonical form."""
 
@@ -274,7 +289,7 @@ class Scalar:
     # ring structure
 
     def _check(self, other: "Scalar") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"{self.chart} vs {other.chart}")
 
     def _coerce(self, value: object) -> "Scalar | None":
@@ -289,6 +304,10 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if not rhs.terms:
+            return self
+        if not self.terms:
+            return rhs
         return Scalar._new(self.chart, list(self.terms.items()) + list(rhs.terms.items()))
 
     __radd__ = __add__
@@ -312,22 +331,28 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        items: list[tuple[Key, Fraction]] = []
-        for k1, c1 in self.terms.items():
-            for k2, c2 in rhs.terms.items():
-                c = c1 * c2
-                for key, factor in _mul_keys(k1, k2):
-                    items.append((key, c * factor))
-        return Scalar._new(self.chart, items)
+        if not self.terms:
+            return self
+        if not rhs.terms:
+            return rhs
+        return Scalar._new(
+            self.chart, _product_items(self.terms.items(), rhs.terms.items())
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int) or exponent < 0:
             raise ParseError("exponents must be non-negative integers")
+        # binary exponentiation: one squaring per bit of the exponent
         result = Scalar.one(self.chart)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -335,7 +360,9 @@ class Scalar:
             other = Scalar.const(self.chart, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self.chart is other.chart or self.chart == other.chart
+        ) and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -390,23 +417,15 @@ class Scalar:
         return Scalar._new(self.chart, items)
 
     def substitute(self, rules: Mapping[str, "Scalar | Number"]) -> "Scalar":
-        """Simultaneous substitution of coordinates by scalars."""
-        values: dict[str, Scalar] = {}
-        for name, value in rules.items():
-            self.chart.require_coord(name)
-            coerced = self._coerce(value)
-            if coerced is None:
-                raise ChartMismatch(f"substitution value for {name!r} is not a Scalar")
-            values[name] = coerced
-        total = Scalar.zero(self.chart)
-        for (powers, trig), coef in self.terms.items():
-            kept = tuple((n, e) for n, e in powers if n not in values)
-            piece = Scalar._new(self.chart, [(((kept), trig), coef)])
-            for name, e in powers:
-                if name in values:
-                    piece = piece * values[name] ** e
-            total = total + piece
-        return total
+        """Simultaneous substitution of coordinates by scalars.
+
+        A :class:`Substitution` is used as given, so the image powers it
+        keeps serve every scalar it is applied to; any other mapping is
+        validated into a throwaway one.
+        """
+        if not isinstance(rules, Substitution):
+            rules = Substitution(self.chart, rules)
+        return rules.apply(self)
 
     def substitute_angle(
         self, angle: str, combo: Sequence[tuple[str, int]]
@@ -535,6 +554,91 @@ class Scalar:
         return render(self)
 
     __repr__ = __str__
+
+
+class Substitution(MappingABC):
+    """A simultaneous substitution of chart coordinates, validated once.
+
+    As a mapping it sends every coordinate of the chart to its image, the
+    coordinate itself where no rule moves it.  Only the moved coordinates
+    take part in :meth:`apply`.  For each of them it keeps the powers of
+    the image built so far (a ladder grown on first use), so one
+    substitution applied to many scalars builds each power once.
+    """
+
+    __slots__ = ("chart", "_moved", "_ladders")
+
+    def __init__(self, chart: Chart, rules: Mapping[str, "Scalar | Number"]) -> None:
+        moved: dict[str, Scalar] = {}
+        for name, value in rules.items():
+            chart.require_coord(name)
+            if isinstance(value, Scalar):
+                if value.chart is not chart and value.chart != chart:
+                    raise ChartMismatch(f"{chart} vs {value.chart}")
+            elif isinstance(value, (int, Fraction)):
+                value = Scalar.const(chart, value)
+            else:
+                raise ChartMismatch(f"substitution value for {name!r} is not a Scalar")
+            if value.terms != {(((name, 1),), ()): 1}:
+                moved[name] = value
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "_moved", moved)
+        object.__setattr__(self, "_ladders", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Substitution is immutable")
+
+    def __getitem__(self, name: str) -> Scalar:
+        image = self._moved.get(name)
+        if image is not None:
+            return image
+        if self.chart.is_coord(name):
+            return Scalar.var(self.chart, name)
+        raise KeyError(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.chart.coords)
+
+    def __len__(self) -> int:
+        return self.chart.dim
+
+    def _power(self, name: str, exponent: int) -> Scalar:
+        """The image of ``name`` to a positive power, from the kept ladder."""
+        ladder = self._ladders.get(name)
+        if ladder is None:
+            ladder = self._ladders[name] = [self._moved[name]]
+        while len(ladder) < exponent:
+            ladder.append(ladder[-1] * ladder[0])
+        return ladder[exponent - 1]
+
+    def apply(self, f: Scalar) -> Scalar:
+        """Substitute into ``f``.
+
+        Terms are grouped by their monomial in the moved coordinates; each
+        group's remaining part is multiplied once by that monomial's image.
+        """
+        chart = self.chart
+        if f.chart is not chart and f.chart != chart:
+            raise ChartMismatch(f"{f.chart} vs {chart}")
+        moved = self._moved
+        if not moved:
+            return f
+        groups: dict[tuple[tuple[str, int], ...], list[tuple[Key, Fraction]]] = {}
+        for (powers, trig), coef in f.terms.items():
+            hit = tuple((n, e) for n, e in powers if n in moved)
+            if hit:
+                powers = tuple((n, e) for n, e in powers if n not in moved)
+            groups.setdefault(hit, []).append(((powers, trig), coef))
+        items: list[tuple[Key, Fraction]] = []
+        for hit, kept in groups.items():
+            if not hit:
+                items.extend(kept)
+                continue
+            image = self._power(*hit[0])
+            for name, e in hit[1:]:
+                image = image * self._power(name, e)
+            items.extend(_product_items(kept, image.terms.items()))
+        return Scalar._new(chart, items)
 
 
 def _harmonic_of_combo(
@@ -784,36 +888,3 @@ def _as_rational(f: Scalar) -> Fraction | None:
 def parse(chart: Chart, text: str) -> Scalar:
     """Parse an expression string into a canonical Scalar."""
     return _Parser(chart, text).parse()
-
-
-# ----------------------------------------------------------------------
-# string-facing convenience wrappers
-
-
-def normalize(chart: Chart, expression: "str | Scalar") -> Scalar:
-    """Bring an expression (string or Scalar) into canonical form."""
-    if isinstance(expression, Scalar):
-        if expression.chart != chart:
-            raise ChartMismatch(f"{expression.chart} vs {chart}")
-        return expression
-    return parse(chart, expression)
-
-
-def partial_derivative(f: Scalar, name: str) -> Scalar:
-    return f.diff(name)
-
-
-def substitute(f: Scalar, rules: Mapping[str, Scalar | Number]) -> Scalar:
-    return f.substitute(rules)
-
-
-def average_over_angle(f: Scalar, angle: str) -> Scalar:
-    return f.average_over_angle(angle)
-
-
-def integrate_unit_interval(f: Scalar, name: str) -> Scalar:
-    return f.integrate_unit_interval(name)
-
-
-def is_identically_zero(f: Scalar) -> bool:
-    return f.is_zero

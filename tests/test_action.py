@@ -85,11 +85,19 @@ def test_flow_validation_rejects_non_flows():
         FlowFactor(WIDE, "th", {"q": scw("q*cos(ph)")})
 
 
+def test_flow_validation_rejects_non_periodic_flows():
+    for image in ("q + th", "q + x1*th^2", "q*cos(th) + th*sin(th)"):
+        with pytest.raises(InvariantViolation, match="not periodic"):
+            FlowFactor(CHART, "th", {"q": sc(image)})
+    with pytest.raises(InvariantViolation, match="not periodic"):
+        FlowFactor(WIDE, "ph", {"q": scw("q + x1*ph")})
+
+
 def test_factors_must_commute():
     rot = rotation_factor(WIDE, "th", "q", "p")
-    shift = FlowFactor(WIDE, "ph", {"q": scw("q + x1*ph")})
+    tilt = rotation_factor(WIDE, "ph", "q", "x1")
     with pytest.raises(InvariantViolation):
-        TorusAction(WIDE, (rot, shift))
+        TorusAction(WIDE, (rot, tilt))
     independent = TorusAction(
         PAIRS,
         (
@@ -110,7 +118,7 @@ def test_verify_action(rotation, bivector):
 
 
 def test_verify_action_flags_base_motion(bivector):
-    tilt = FlowFactor(CHART, "th", {"x1": sc("x1 + th")})
+    tilt = rotation_factor(CHART, "th", "x1", "x2")
     verdict = verify_action(TorusAction(CHART, (tilt,)), bivector)
     assert verdict["leaf_tangent"] is not None
 
@@ -130,9 +138,9 @@ def test_average_examples(rotation):
 
 
 def test_average_rejects_open_orbits():
-    drift = TorusAction(CHART, (FlowFactor(CHART, "th", {"q": sc("q + th")}),))
-    with pytest.raises(NonClosedOrbitCoefficients):
-        average_tensor(drift, sc("q"))
+    # a drift never closes its orbits, so no action made of it can be averaged
+    with pytest.raises(InvariantViolation, match="not periodic"):
+        TorusAction(CHART, (FlowFactor(CHART, "th", {"q": sc("q + th")}),))
 
 
 def test_average_rejects_angle_dependent_input(rotation):

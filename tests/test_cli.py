@@ -1,11 +1,18 @@
 """Command-line entry point: verbs, formats, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from foliavg.cli import main
-from foliavg.errors import NotComplementary, NotHorizontal, NotVertical, UnknownSymbol
+from foliavg.cli import _cmd_dirac, main
+from foliavg.errors import (
+    NotComplementary,
+    NotHorizontal,
+    NotVertical,
+    UnknownFormat,
+    UnknownSymbol,
+)
 from foliavg.scenarios import load_scenario, run_checks, scenario_from_dict
 
 
@@ -99,6 +106,17 @@ def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, val
     assert capsys.readouterr().err.startswith("foliavg: error:")
 
 
+def test_non_periodic_flow_is_an_input_error(tmp_path, capsys):
+    raw = dict(load_scenario("triv").raw)
+    raw["action"] = [{"angle": "th", "flow": {"q": "q + th"}}]
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("foliavg: error:")
+    assert "not periodic" in err
+
+
 # ----------------------------------------------------------------------
 # average
 
@@ -145,6 +163,11 @@ def test_dirac_json_table(capsys):
         "field": {"x2": "1"},
         "form": {"x1": "1/2*p^2 + 1/2*q^2"},
     }
+
+
+def test_dirac_unknown_format_is_an_input_error():
+    with pytest.raises(UnknownFormat):
+        _cmd_dirac(argparse.Namespace(scenario="triv", format="xml"))
 
 
 # ----------------------------------------------------------------------

@@ -270,15 +270,33 @@ def test_pull_vector_needs_inverse():
 def test_repeated_pullbacks_along_one_flow_agree(rotation):
     flow = rotation.factors[0].flow()
     targets = [
+        sc("q^3*p + x1"),
+        sc("q*p^5 - x2*q^2"),
         vf("q"),
         VectorField.from_dict(CHART, {"p": sc("q*x1"), "x2": sc("p^2")}),
+        VectorField.from_dict(CHART, {"q": sc("p^3"), "x1": sc("q^2*p")}),
         d("q"),
+        d("q") * sc("q^2*p^2"),
         wedge(d("q"), d("p")) * sc("x1*p"),
     ]
     for _ in range(2):
         for target in targets:
             fresh = ChartMap(CHART, flow.mapping, flow.inverse_mapping)
             assert pullback(flow, target) == pullback(fresh, target)
+
+
+def test_chart_map_lists_every_image(rotation):
+    flow = rotation.factors[0].flow()
+    assert list(flow.mapping) == list(CHART.coords)
+    assert flow.mapping["q"] == sc("q*cos(th) - p*sin(th)")
+    assert flow.mapping["p"] == sc("q*sin(th) + p*cos(th)")
+    assert flow.mapping["x1"] == sc("x1")
+    assert flow.mapping["x2"] == sc("x2")
+    fixed = ChartMap(CHART, {"q": sc("q")})
+    assert {c: fixed.mapping[c] for c in CHART.coords} == {
+        c: Scalar.var(CHART, c) for c in CHART.coords
+    }
+    assert flow.inverse() is not flow.inverse()
 
 
 @given(forms(1), vector_fields())

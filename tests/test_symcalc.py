@@ -13,9 +13,9 @@ from foliavg.errors import (
     ParseError,
     UnknownSymbol,
 )
-from foliavg.symcalc import Chart, Scalar, parse, render
+from foliavg.symcalc import Chart, Scalar, Substitution, parse, render
 
-from conftest import CHART, sc, scalars
+from conftest import CHART, polynomials, sc, scalars
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +192,111 @@ def test_substitute_coordinates():
     f = sc("q^2 + p")
     g = f.substitute({"q": sc("q + x1"), "p": sc("-p")})
     assert g == sc("q^2 + 2*q*x1 + x1^2 - p")
+
+
+def naive_substitute(f, rules):
+    """Reference substitution: term by term, powers by repeated products."""
+    total = Scalar.zero(f.chart)
+    for (powers, trig), coef in f.terms.items():
+        piece = Scalar(f.chart, {((), trig): coef})
+        for name, e in powers:
+            image = rules.get(name, Scalar.var(f.chart, name))
+            for _ in range(e):
+                piece = piece * image
+        total = total + piece
+    return total
+
+
+@st.composite
+def scalars_with_bare_angles(draw):
+    """Ring elements with harmonics and bare powers of the angle."""
+    f = draw(scalars())
+    g = draw(scalars(max_terms=2))
+    return f + g * Scalar.var(CHART, "th") ** draw(st.integers(1, 3))
+
+
+@st.composite
+def substitution_rules(draw):
+    """Rules mixing identity images, constants and moved coordinates."""
+    rules = {}
+    for name in CHART.coords:
+        kind = draw(st.sampled_from(("absent", "identity", "constant", "polynomial", "trig")))
+        if kind == "identity":
+            rules[name] = Scalar.var(CHART, name)
+        elif kind == "constant":
+            rules[name] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        elif kind == "polynomial":
+            rules[name] = draw(polynomials(coord_degree=1, max_terms=2))
+        elif kind == "trig":
+            rules[name] = draw(scalars(coord_degree=1, max_terms=2))
+    return rules
+
+
+def _as_scalars(rules):
+    return {
+        name: value if isinstance(value, Scalar) else Scalar.const(CHART, value)
+        for name, value in rules.items()
+    }
+
+
+@given(scalars_with_bare_angles(), substitution_rules())
+def test_substitute_matches_naive_reference(f, rules):
+    assert f.substitute(rules) == naive_substitute(f, _as_scalars(rules))
+
+
+@given(st.lists(scalars_with_bare_angles(), min_size=1, max_size=4), substitution_rules())
+def test_one_substitution_serves_many_scalars(fs, rules):
+    shared = Substitution(CHART, rules)
+    for f in fs + fs[::-1]:
+        assert f.substitute(shared) == f.substitute(Substitution(CHART, rules))
+        assert shared.apply(f) == f.substitute(dict(rules))
+
+
+def test_substitution_is_a_mapping_of_every_coordinate():
+    sub = Substitution(CHART, {"q": sc("p"), "p": sc("p"), "x1": 2})
+    assert list(sub) == list(CHART.coords)
+    assert len(sub) == CHART.dim
+    assert sub["q"] == sc("p")
+    assert sub["p"] == sc("p")
+    assert sub["x1"] == sc("2")
+    assert sub["x2"] == sc("x2")
+    assert "th" not in sub
+    with pytest.raises(KeyError):
+        sub["th"]
+    with pytest.raises(UnknownSymbol):
+        Substitution(CHART, {"th": sc("q")})
+    with pytest.raises(ChartMismatch):
+        Substitution(CHART, {"q": "p"})
+
+
+def test_zero_on_another_chart_still_mismatches():
+    other = Chart(("y",), ("u",), ("s",))
+    zero = Scalar.zero(other)
+    f = sc("q + 1")
+    for a, b in ((zero, f), (f, zero), (zero, Scalar.zero(CHART))):
+        with pytest.raises(ChartMismatch):
+            a + b
+        with pytest.raises(ChartMismatch):
+            a * b
+    with pytest.raises(ChartMismatch):
+        zero.substitute({"u": sc("q")})
+    with pytest.raises(ChartMismatch):
+        zero.substitute(Substitution(CHART, {"q": sc("p")}))
+    assert zero != Scalar.zero(CHART)
+
+
+def test_power_by_squaring_keeps_one_term():
+    power = Scalar.var(CHART, "q") ** 20000
+    assert power.terms == {((("q", 20000),), ()): 1}
+
+
+def test_power_matches_repeated_product():
+    two = Chart(("x1",), ("q", "p"), ("th", "ph"))
+    f = parse(two, "q*cos(th) - p*sin(2*ph) + 1/3")
+    product = Scalar.one(two)
+    for e in range(10):
+        assert f**e == product
+        product = product * f
 
 
 # ----------------------------------------------------------------------
