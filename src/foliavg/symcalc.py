@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Mapping as MappingABC
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import (
     ChartMismatch,
@@ -556,7 +556,7 @@ class Scalar:
     __repr__ = __str__
 
 
-class Substitution(MappingABC):
+class Substitution(Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
     As a mapping it sends every coordinate of the chart to its image, the
