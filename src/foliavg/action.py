@@ -34,7 +34,7 @@ from .geom import (
     pullback,
 )
 from .poisson import PoissonBivector
-from .symcalc import Chart, Scalar
+from .symcalc import Chart, Scalar, Substitution
 
 Tensor = "Scalar | VectorField | DiffForm | Multivector | VecValuedForm"
 
@@ -90,13 +90,8 @@ def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
 # the action
 
 
-def _complete(chart: Chart, mapping: Mapping[str, Scalar]) -> dict[str, Scalar]:
-    return {
-        name: mapping.get(name, Scalar.var(chart, name)) for name in chart.coords
-    }
-
-
-def _compose(outer: Mapping[str, Scalar], inner: Mapping[str, Scalar]) -> dict[str, Scalar]:
+def _compose(outer: Substitution, inner: Substitution) -> dict[str, Scalar]:
+    """Substitute inner into the image of every coordinate under outer."""
     return {name: value.substitute(inner) for name, value in outer.items()}
 
 
@@ -168,7 +163,7 @@ class FlowFactor:
             aux = aux + "_s"
         ext = self.chart.with_extra_angles((aux,))
         lifted = {n: v.on_chart(ext) for n, v in self.mapping.items()}
-        inner = _complete(
+        inner = Substitution(
             ext,
             {n: v.substitute_angle(self.angle, [(aux, 1)]) for n, v in lifted.items()},
         )
@@ -204,8 +199,7 @@ class TorusAction:
                 )
             seen.add(factor.angle)
         for a, b in combinations(factors, 2):
-            ma = _complete(chart, a.mapping)
-            mb = _complete(chart, b.mapping)
+            ma, mb = a.flow().mapping, b.flow().mapping
             if _compose(ma, mb) != _compose(mb, ma):
                 raise InvariantViolation(
                     f"factors {a.angle!r} and {b.angle!r} do not commute"

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     InvariantViolation,
@@ -22,10 +23,11 @@ from .errors import (
 )
 from .geom import (
     DiffForm,
+    Index,
     VecValuedForm,
     VectorField,
+    _sort_index,
     _tensor,
-    _wedge0,
     exterior_derivative,
     fn_bracket,
     wedge,
@@ -85,9 +87,14 @@ def is_basic_form(form: DiffForm) -> bool:
 
 
 class Connection:
-    """An Ehresmann connection stored by its lift coefficients A_i^v."""
+    """An Ehresmann connection stored by its lift coefficients A_i^v.
 
-    __slots__ = ("chart", "coeffs")
+    The frame, coframe, projection and curvature depend only on the
+    coefficients, so each is built from them on first use and kept; the
+    frame and coframe are handed out as read-only mappings.
+    """
+
+    __slots__ = ("chart", "coeffs", "_frame", "_coframe", "_projection", "_curvature")
 
     def __init__(self, chart: Chart, coeffs: Mapping[tuple[str, str], Scalar]) -> None:
         clean: dict[tuple[str, str], Scalar] = {}
@@ -100,6 +107,8 @@ class Connection:
                 clean[(base, vert)] = value
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coeffs", clean)
+        for name in ("_frame", "_coframe", "_projection", "_curvature"):
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
@@ -145,6 +154,8 @@ class Connection:
             for vert in chart.vertical:
                 coeffs[(base, vert)] = -image.component(vert)
         conn = Connection(chart, coeffs)
+        # conn.projection is rebuilt from the coefficients, never seeded
+        # with gamma, or this test would compare gamma with itself
         if conn.projection != gamma:
             raise InvariantViolation("input is not an adapted vertical projection")
         return conn
@@ -155,39 +166,45 @@ class Connection:
         return self.coeffs.get((base, vert), Scalar.zero(self.chart))
 
     @property
-    def frame(self) -> dict[str, VectorField]:
-        chart = self.chart
-        out = {}
-        for base in chart.horizontal:
-            field = VectorField.basis(chart, base)
-            for vert in chart.vertical:
-                value = self.coeffs.get((base, vert))
-                if value is not None:
-                    field = field + VectorField.basis(chart, vert) * value
-            out[base] = field
-        return out
+    def frame(self) -> Mapping[str, VectorField]:
+        if self._frame is None:
+            chart = self.chart
+            out = {}
+            for base in chart.horizontal:
+                field = VectorField.basis(chart, base)
+                for vert in chart.vertical:
+                    value = self.coeffs.get((base, vert))
+                    if value is not None:
+                        field = field + VectorField.basis(chart, vert) * value
+                out[base] = field
+            object.__setattr__(self, "_frame", MappingProxyType(out))
+        return self._frame
 
     @property
-    def coframe(self) -> dict[str, DiffForm]:
+    def coframe(self) -> Mapping[str, DiffForm]:
         """Vertical coframe eta_v = dv - sum_i A_i^v dx_i, dual to d/dv."""
-        chart = self.chart
-        out = {}
-        for vert in chart.vertical:
-            form = DiffForm.d_coord(chart, vert)
-            for base in chart.horizontal:
-                value = self.coeffs.get((base, vert))
-                if value is not None:
-                    form = form - DiffForm.from_dict(chart, 1, {(base,): value})
-            out[vert] = form
-        return out
+        if self._coframe is None:
+            chart = self.chart
+            out = {}
+            for vert in chart.vertical:
+                form = DiffForm.d_coord(chart, vert)
+                for base in chart.horizontal:
+                    value = self.coeffs.get((base, vert))
+                    if value is not None:
+                        form = form - DiffForm.from_dict(chart, 1, {(base,): value})
+                out[vert] = form
+            object.__setattr__(self, "_coframe", MappingProxyType(out))
+        return self._coframe
 
     @property
     def projection(self) -> VecValuedForm:
-        chart = self.chart
-        total = VecValuedForm.zero(chart, 1)
-        for vert, eta in self.coframe.items():
-            total = total + _tensor(eta, VectorField.basis(chart, vert))
-        return total
+        if self._projection is None:
+            chart = self.chart
+            total = VecValuedForm.zero(chart, 1)
+            for vert, eta in self.coframe.items():
+                total = total + _tensor(eta, VectorField.basis(chart, vert))
+            object.__setattr__(self, "_projection", total)
+        return self._projection
 
     def vertical_part(self, field: VectorField) -> VectorField:
         return self.projection.apply(field)
@@ -265,9 +282,14 @@ def verify_connection(gamma: VecValuedForm | Connection) -> str | None:
 
 
 def curvature(conn: Connection) -> VecValuedForm:
-    """Curvature as half the Nijenhuis self-bracket of the projection."""
-    gamma = conn.projection
-    return fn_bracket(gamma, gamma) * _HALF
+    """Curvature as half the Nijenhuis self-bracket of the projection.
+
+    Computed once per connection object and kept on it.
+    """
+    if conn._curvature is None:
+        gamma = conn.projection
+        object.__setattr__(conn, "_curvature", fn_bracket(gamma, gamma) * _HALF)
+    return conn._curvature
 
 
 def curvature_from_frame(conn: Connection) -> VecValuedForm:
@@ -353,34 +375,60 @@ class BigradedForm:
         ) + ")"
 
 
+def _shear(
+    chart: Chart,
+    degree: int,
+    items: Iterable[tuple[Index, Scalar]],
+    rules: Mapping[int, list[tuple[int, Scalar]]],
+) -> DiffForm:
+    """Rewrite each index i of every component as i + sum of a * j over
+    rules[i], expand the wedge, and collect the terms by sorted index.
+
+    Every j in rules[i] must be below i (fiber indices are rewritten by base
+    indices), so only a rewritten index can repeat an earlier one.
+    """
+    out = []
+    for idx, value in items:
+        partial = [((), value)]
+        for i in idx:
+            grown = [(head + (i,), coef) for head, coef in partial]
+            for j, a in rules.get(i, ()):
+                grown += [
+                    (head + (j,), coef * a) for head, coef in partial if j not in head
+                ]
+            partial = grown
+        for new, coef in partial:
+            sidx, sign = _sort_index(new)
+            out.append((sidx, coef if sign > 0 else -coef))
+    return DiffForm._make(chart, degree, out)
+
+
 def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
-    """Split a form by base and fiber degree in the adapted coframe."""
+    """Split a form by base and fiber degree in the adapted coframe.
+
+    The adapted coframe is (dx_b, eta_v) with eta_v = dv - sum_b A_b^v dx_b.
+    Substituting dv = eta_v + sum_b A_b^v dx_b writes the form in that
+    coframe; the fiber degree of a component is its number of eta indices.
+    Each group is mapped back to coordinate differentials by the inverse
+    substitution.
+    """
     chart = conn.chart
     k = form.degree
-    frame = conn.frame
-    coframe = conn.coframe
-    base_names = chart.horizontal
-    vert_names = chart.vertical
-    comps: dict[tuple[int, int], DiffForm] = {}
-    for p in range(max(0, k - len(vert_names)), min(k, len(base_names)) + 1):
-        q = k - p
-        piece = DiffForm.zero(chart, k)
-        for bases in combinations(base_names, p):
-            for verts in combinations(vert_names, q):
-                args = [frame[b] for b in bases]
-                args += [VectorField.basis(chart, v) for v in verts]
-                coef = form.evaluate(*args)
-                if coef.is_zero:
-                    continue
-                basis = DiffForm.function(chart, coef)
-                for b in bases:
-                    basis = _wedge0(basis, DiffForm.d_coord(chart, b))
-                for v in verts:
-                    basis = _wedge0(basis, coframe[v])
-                piece = piece + basis
-        if not piece.is_zero:
-            comps[(p, q)] = piece
-    return BigradedForm(chart, k, comps)
+    forward: dict[int, list[tuple[int, Scalar]]] = {}
+    backward: dict[int, list[tuple[int, Scalar]]] = {}
+    for (base, vert), value in conn.coeffs.items():
+        v, b = chart.coord_index(vert), chart.coord_index(base)
+        forward.setdefault(v, []).append((b, value))
+        backward.setdefault(v, []).append((b, -value))
+    first_vertical = len(chart.horizontal)
+    groups: dict[tuple[int, int], list[tuple[Index, Scalar]]] = {}
+    for idx, value in _shear(chart, k, form.comps.items(), forward).comps.items():
+        q = sum(1 for i in idx if i >= first_vertical)
+        groups.setdefault((k - q, q), []).append((idx, value))
+    return BigradedForm(
+        chart, k,
+        {pq: _shear(chart, k, items, backward) for pq, items in groups.items()},
+    )
 
 
 def graded_derivative(conn: Connection, form: DiffForm, shift: tuple[int, int]) -> DiffForm:

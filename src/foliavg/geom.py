@@ -152,7 +152,8 @@ class _Graded:
     """Shared container behaviour of forms, multivectors and valued forms."""
 
     __slots__ = ("chart", "degree", "comps")
-    _zero_value = None
+    # makes the value of an absent component on a chart
+    _zero_value = staticmethod(Scalar.zero)
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, object]) -> None:
         if degree < 0:
@@ -181,6 +182,31 @@ class _Graded:
             else:
                 acc[idx] = value
         return cls(chart, degree, acc)
+
+    @classmethod
+    def from_dict(cls, chart: Chart, degree: int, comps: Mapping[Sequence[str], object]):
+        """Build from components keyed by coordinate names in any order."""
+        items = []
+        for names, value in comps.items():
+            idx = tuple(chart.coord_index(n) for n in names)
+            sorted_sign = _sort_index(idx)
+            if sorted_sign is None:
+                raise ValueError(f"repeated coordinate in {names}")
+            sidx, sign = sorted_sign
+            items.append((sidx, value if sign > 0 else -value))
+        return cls._make(chart, degree, items)
+
+    def coefficient(self, *names: str):
+        """The component on the named coordinates, signed by their order."""
+        idx = tuple(self.chart.coord_index(n) for n in names)
+        sorted_sign = _sort_index(idx)
+        if sorted_sign is None:
+            return self._zero_value(self.chart)
+        sidx, sign = sorted_sign
+        value = self.comps.get(sidx)
+        if value is None:
+            return self._zero_value(self.chart)
+        return value if sign > 0 else -value
 
     @property
     def is_zero(self) -> bool:
@@ -250,27 +276,6 @@ class DiffForm(_Graded):
     def d_coord(chart: Chart, name: str) -> "DiffForm":
         return DiffForm(chart, 1, {(chart.coord_index(name),): Scalar.one(chart)})
 
-    @staticmethod
-    def from_dict(chart: Chart, degree: int, comps: Mapping[Sequence[str], Scalar]) -> "DiffForm":
-        items = []
-        for names, value in comps.items():
-            idx = tuple(chart.coord_index(n) for n in names)
-            sorted_sign = _sort_index(idx)
-            if sorted_sign is None:
-                raise ValueError(f"repeated coordinate in {names}")
-            sidx, sign = sorted_sign
-            items.append((sidx, value if sign > 0 else -value))
-        return DiffForm._make(chart, degree, items)
-
-    def coefficient(self, *names: str) -> Scalar:
-        idx = tuple(self.chart.coord_index(n) for n in names)
-        sorted_sign = _sort_index(idx)
-        if sorted_sign is None:
-            return Scalar.zero(self.chart)
-        sidx, sign = sorted_sign
-        value = self.comps.get(sidx, Scalar.zero(self.chart))
-        return value if sign > 0 else -value
-
     def evaluate(self, *fields: VectorField) -> Scalar:
         if len(fields) != self.degree:
             raise UnsupportedDegree(
@@ -291,27 +296,6 @@ class Multivector(_Graded):
     @staticmethod
     def zero(chart: Chart, degree: int) -> "Multivector":
         return Multivector(chart, degree, {})
-
-    @staticmethod
-    def from_dict(chart: Chart, degree: int, comps: Mapping[Sequence[str], Scalar]) -> "Multivector":
-        items = []
-        for names, value in comps.items():
-            idx = tuple(chart.coord_index(n) for n in names)
-            sorted_sign = _sort_index(idx)
-            if sorted_sign is None:
-                raise ValueError(f"repeated coordinate in {names}")
-            sidx, sign = sorted_sign
-            items.append((sidx, value if sign > 0 else -value))
-        return Multivector._make(chart, degree, items)
-
-    def coefficient(self, *names: str) -> Scalar:
-        idx = tuple(self.chart.coord_index(n) for n in names)
-        sorted_sign = _sort_index(idx)
-        if sorted_sign is None:
-            return Scalar.zero(self.chart)
-        sidx, sign = sorted_sign
-        value = self.comps.get(sidx, Scalar.zero(self.chart))
-        return value if sign > 0 else -value
 
     def __repr__(self) -> str:
         if not self.comps:
@@ -344,23 +328,11 @@ class Multivector(_Graded):
 class VecValuedForm(_Graded):
     """A k-form with vector-field values, stored per coordinate wedge."""
 
+    _zero_value = staticmethod(VectorField.zero)
+
     @staticmethod
     def zero(chart: Chart, degree: int) -> "VecValuedForm":
         return VecValuedForm(chart, degree, {})
-
-    @staticmethod
-    def from_dict(
-        chart: Chart, degree: int, comps: Mapping[Sequence[str], VectorField]
-    ) -> "VecValuedForm":
-        items = []
-        for names, value in comps.items():
-            idx = tuple(chart.coord_index(n) for n in names)
-            sorted_sign = _sort_index(idx)
-            if sorted_sign is None:
-                raise ValueError(f"repeated coordinate in {names}")
-            sidx, sign = sorted_sign
-            items.append((sidx, value if sign > 0 else -value))
-        return VecValuedForm._make(chart, degree, items)
 
     @staticmethod
     def identity(chart: Chart) -> "VecValuedForm":

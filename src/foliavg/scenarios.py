@@ -23,12 +23,13 @@ from .errors import (
     FoliavgError,
     InvariantViolation,
     NotACocycle,
+    NotHorizontal,
     ParseError,
     PrimitiveMismatch,
     SchemaError,
     UnknownFormat,
 )
-from .foliation import Connection, verify_connection
+from .foliation import Connection, is_horizontal_form, verify_connection
 from .geom import DiffForm, VecValuedForm, VectorField
 from .poisson import PoissonBivector, verify_jacobi, verify_poisson_connection
 from .symcalc import Chart, Scalar, parse, render
@@ -233,6 +234,8 @@ def scenario_from_dict(raw) -> Scenario:
     sigma = _form(chart, 2, raw["pairing_form"], "pairing_form") if "pairing_form" in raw else None
     casimir = _form(chart, 2, raw["casimir_form"], "casimir_form") if "casimir_form" in raw else None
     potential = _form(chart, 1, raw["potential"], "potential") if "potential" in raw else None
+    if potential is not None and not is_horizontal_form(potential):
+        raise NotHorizontal("potential: expected a horizontal one-form")
 
     primitives = None
     if "primitives" in raw:
@@ -273,6 +276,7 @@ class _Pipeline:
     - ``potential``: the Hamiltonian potential, one ``hamiltonian_potential``
       call;
     - ``sigma_bar``: the averaged pairing form, from the potential;
+    - ``admissible``: the admissibility witness of the pairing form;
     - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
     - ``fixed_momenta``: the momenta repaired by the primitives when that
       witness fails;
@@ -306,6 +310,10 @@ class _Pipeline:
         return hamcurv.averaged_hamiltonian_form(
             self.s.conn, self.s.P, self.sigma, self.potential
         )
+
+    @cached_property
+    def admissible(self) -> str | None:
+        return hamcurv.verify_admissible(self.s.conn, self.sigma)
 
     @cached_property
     def adiabatic(self) -> str | None:
@@ -383,7 +391,7 @@ def _stage_curvature_form(p: _Pipeline) -> list[Check]:
     s = p.s
     return [
         ("hamiltonian_curvature", hamcurv.verify_hamiltonian_curvature(s.conn, s.P, p.sigma)),
-        ("admissible", hamcurv.verify_admissible(s.conn, p.sigma)),
+        ("admissible", p.admissible),
     ]
 
 
@@ -396,7 +404,7 @@ def _stage_averaged_form(p: _Pipeline) -> list[Check]:
             hamcurv.verify_hamiltonian_curvature(p.averaged, s.P, p.sigma_bar),
         ),
     ]
-    if hamcurv.verify_admissible(s.conn, p.sigma) is None:
+    if p.admissible is None:
         checks.append((
             "admissibility_preserved",
             hamcurv.verify_admissible(p.averaged, p.sigma_bar),

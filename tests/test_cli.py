@@ -1,7 +1,10 @@
 """Command-line entry point: verbs, formats, exit codes."""
 
 import argparse
+import errno
 import json
+import os
+import sys
 
 import pytest
 
@@ -93,6 +96,7 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
         ),
         pytest.param(NotVertical, "poisson", {"x1^p": "1"}, id="NotVertical"),
         pytest.param(NotHorizontal, "pairing_form", {"q^p": "1"}, id="NotHorizontal"),
+        pytest.param(NotHorizontal, "potential", {"q": "x1"}, id="NotHorizontal-potential"),
     ],
 )
 def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):
@@ -184,3 +188,34 @@ def test_bad_stage_name_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["check", "triv", "--stage", "bogus"])
     assert info.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# closed stdout
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away; its descriptor is a real file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path, capsys, monkeypatch):
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        assert main(["check", "triv"]) == 141
+        # the descriptor now points at devnull, so a late flush cannot fail
+        os.write(handle.fileno(), b"late flush")
+    assert sink.read_bytes() == b""
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,10 +1,18 @@
 """Adapted connections, curvature and the bigraded calculus."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foliavg.errors import NotComplementary, NotVertical, UnsupportedDegree
+from foliavg import foliation
+from foliavg.errors import (
+    InvariantViolation,
+    NotComplementary,
+    NotVertical,
+    UnsupportedDegree,
+)
 from foliavg.foliation import (
     BigradedForm,
     Connection,
@@ -20,11 +28,12 @@ from foliavg.foliation import (
     is_vertical_field,
     verify_connection,
 )
-from foliavg.geom import DiffForm, VecValuedForm, VectorField, exterior_derivative
+from foliavg.geom import DiffForm, VecValuedForm, VectorField, _wedge0, exterior_derivative
 from foliavg.poisson import differential
+from foliavg.scenarios import bundled_names, load_scenario
 from foliavg.symcalc import Chart, Scalar, parse
 
-from conftest import CHART, polynomials, sc
+from conftest import CHART, polynomials, sc, scalars
 
 
 def d(name):
@@ -92,6 +101,24 @@ def test_projection_shape(shear_conn):
 def test_connection_round_trips(shear_conn):
     assert Connection.from_frame(CHART, shear_conn.frame) == shear_conn
     assert Connection.from_projection(shear_conn.projection) == shear_conn
+
+
+def test_frame_and_coframe_are_read_only(shear_conn):
+    with pytest.raises(TypeError):
+        shear_conn.frame["x1"] = vf("x2")
+    with pytest.raises(TypeError):
+        shear_conn.coframe["q"] = d("p")
+    assert shear_conn.frame["x1"] == vf("x1") + vf("p") * sc("x2")
+
+
+def test_from_projection_checks_against_a_rebuilt_projection(shear_conn, monkeypatch):
+    # The final check compares the input with a projection rebuilt from the
+    # coefficients.  A fault in that rebuild must surface, which it could not
+    # if the new connection kept the input as its projection.
+    gamma = shear_conn.projection
+    monkeypatch.setattr(foliation, "_tensor", lambda form, vec: VecValuedForm.zero(CHART, 1))
+    with pytest.raises(InvariantViolation):
+        Connection.from_projection(gamma)
 
 
 def test_from_projection_rejects_bad_input():
@@ -185,6 +212,75 @@ def test_bigrade_of_momentum_form(shear_conn):
         d("x1") * sc("-p*x2") + d("q") * sc("q") + d("p") * sc("p")
     )
     assert pieces.total() == mu
+
+
+def bigrade_by_determinants(conn, form):
+    """The definition: evaluate on (frame, d/dv) tuples, rebuild in the coframe."""
+    chart = conn.chart
+    k = form.degree
+    frame = conn.frame
+    coframe = conn.coframe
+    comps = {}
+    for p in range(max(0, k - len(chart.vertical)), min(k, len(chart.horizontal)) + 1):
+        q = k - p
+        piece = DiffForm.zero(chart, k)
+        for bases in combinations(chart.horizontal, p):
+            for verts in combinations(chart.vertical, q):
+                args = [frame[b] for b in bases]
+                args += [VectorField.basis(chart, v) for v in verts]
+                coef = form.evaluate(*args)
+                if coef.is_zero:
+                    continue
+                basis = DiffForm.function(chart, coef)
+                for b in bases:
+                    basis = _wedge0(basis, DiffForm.d_coord(chart, b))
+                for v in verts:
+                    basis = _wedge0(basis, coframe[v])
+                piece = piece + basis
+        if not piece.is_zero:
+            comps[(p, q)] = piece
+    return BigradedForm(chart, k, comps)
+
+
+FIBER3 = Chart(("x1", "x2"), ("q", "p", "r"), ("th",))
+FIBER3_SCALARS = scalars(FIBER3, coord_degree=1, freq=2, max_terms=2)
+
+
+@st.composite
+def fiber3_connections(draw):
+    coeffs = {
+        (base, vert): draw(FIBER3_SCALARS)
+        for base in FIBER3.horizontal
+        for vert in FIBER3.vertical
+    }
+    return Connection(FIBER3, coeffs)
+
+
+@st.composite
+def fiber3_forms(draw):
+    degree = draw(st.integers(0, 3))
+    comps = {
+        index: draw(FIBER3_SCALARS) for index in combinations(FIBER3.coords, degree)
+    }
+    return DiffForm.from_dict(FIBER3, degree, comps)
+
+
+@given(fiber3_connections(), fiber3_forms())
+def test_bigrade_matches_the_determinant_definition(conn, form):
+    pieces = bigrade(conn, form)
+    assert pieces.comps == bigrade_by_determinants(conn, form).comps
+    assert pieces.total() == form
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_bigrade_matches_the_determinant_definition_on_bundled_data(name):
+    s = load_scenario(name)
+    forms = [s.sigma] + list(s.momenta)
+    forms += [exterior_derivative(form) for form in forms]
+    for form in forms:
+        pieces = bigrade(s.conn, form)
+        assert pieces.comps == bigrade_by_determinants(s.conn, form).comps
+        assert pieces.total() == form
 
 
 def test_bigrade_rejects_mismatched_degrees():

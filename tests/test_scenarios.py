@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foliavg import action, hamcurv
+from foliavg import action, foliation, geom, hamcurv
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
@@ -85,6 +85,43 @@ def test_connection_is_averaged_once_per_run(name, hannay_berry_calls):
     hannay_berry_calls.clear()
     averaged_scenario(scenario)
     assert len(hannay_berry_calls) == 1
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_curvature_is_bracketed_once_per_connection(name, monkeypatch):
+    calls = []
+    original = geom.fn_bracket
+
+    def counted(k, l):
+        calls.append(k)
+        return original(k, l)
+
+    for module in (geom, foliation, action):
+        monkeypatch.setattr(module, "fn_bracket", counted)
+    run_checks(load_scenario(name))
+    # the pipeline needs the curvature of the connection and of its average
+    assert 1 <= len(calls) <= 2
+    assert len({id(gamma) for gamma in calls}) == len(calls)
+
+
+@pytest.mark.parametrize(("name", "verdicts"), [("ext3", 1), ("ext3adm", 2)])
+def test_admissibility_is_decided_once_per_run(name, verdicts, monkeypatch):
+    calls = []
+    original = hamcurv.verify_admissible
+
+    def counted(conn, sigma):
+        calls.append(conn)
+        return original(conn, sigma)
+
+    monkeypatch.setattr(hamcurv, "verify_admissible", counted)
+    scenario = load_scenario(name)
+    full = run_checks(scenario)
+    # once for the scenario's connection, and once for the averaged one
+    # only when the first verdict passes (ext3 is not admissible)
+    assert len(calls) == verdicts
+    assert calls[0] is scenario.conn
+    alone = run_checks(scenario, ["averaged_form"])
+    assert alone.checks == tuple(c for c in full.checks if c.stage == "averaged_form")
 
 
 def test_stage_names_are_canonical():
@@ -200,6 +237,12 @@ def test_averaged_emission_round_trip():
     assert out["pairing_form"] == {}
     report = run_checks(scenario_from_dict(out))
     assert report.all_passed
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_averaged_emission_reloads(name):
+    out = averaged_scenario(load_scenario(name))
+    assert scenario_from_dict(out).potential is not None
 
 
 def test_averaged_emission_carries_fixed_momenta():
