@@ -77,16 +77,21 @@ def _expr(chart: Chart, text, where: str) -> Scalar:
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _wedge_key(key: str, degree: int, where: str) -> tuple[str, ...]:
+    names = tuple(key.split("^"))
+    _expect(
+        len(names) == degree,
+        f"{where}: key {key!r} does not name {degree} coordinate(s)",
+    )
+    _expect(len(set(names)) == degree, f"{where}: key {key!r} repeats a coordinate")
+    return names
+
+
 def _form(chart: Chart, degree: int, obj, where: str) -> DiffForm:
     _expect(isinstance(obj, dict), f"{where}: expected a coefficient table")
     comps = {}
     for key, text in obj.items():
-        names = tuple(key.split("^"))
-        _expect(
-            len(names) == degree,
-            f"{where}: key {key!r} does not name {degree} coordinate(s)",
-        )
-        comps[names] = _expr(chart, text, f"{where}.{key}")
+        comps[_wedge_key(key, degree, where)] = _expr(chart, text, f"{where}.{key}")
     return DiffForm.from_dict(chart, degree, comps)
 
 
@@ -205,15 +210,14 @@ def scenario_from_dict(raw) -> Scenario:
         "scenario: unsupported schema version",
     )
     _expect(isinstance(raw["name"], str), "name: expected a string")
+    _expect(isinstance(raw.get("description", ""), str), "description: expected a string")
 
     chart = _chart(raw["chart"])
 
     _expect(isinstance(raw["poisson"], dict), "poisson: expected an object")
     pair_comps = {}
     for key, text in raw["poisson"].items():
-        names = tuple(key.split("^"))
-        _expect(len(names) == 2, f"poisson: key {key!r} does not name a wedge pair")
-        pair_comps[names] = _expr(chart, text, f"poisson.{key}")
+        pair_comps[_wedge_key(key, 2, "poisson")] = _expr(chart, text, f"poisson.{key}")
     P = PoissonBivector.from_dict(chart, pair_comps)
 
     conn = _connection(chart, raw["connection"])

@@ -510,22 +510,6 @@ class Scalar:
                 items.append(((powers, newtrig), -coef / m))
         return Scalar._new(self.chart, items)
 
-    def integrate_unit_interval(self, name: str) -> "Scalar":
-        """Integral over [0, 1] of a polynomial dependence on one symbol."""
-        if not (self.chart.is_coord(name) or self.chart.is_angle(name)):
-            raise UnknownSymbol(f"{name!r} is not a symbol of {self.chart}")
-        items: list[tuple[Key, Fraction]] = []
-        for (powers, trig), coef in self.terms.items():
-            if any(t[0] == name for t in trig):
-                raise NonPolynomialIntegrand(
-                    f"harmonic dependence on {name!r} is not polynomial"
-                )
-            power_map = dict(powers)
-            k = power_map.pop(name, 0)
-            key = (tuple(sorted(power_map.items())), trig)
-            items.append((key, coef / (k + 1)))
-        return Scalar._new(self.chart, items)
-
     def on_chart(self, chart: Chart) -> "Scalar":
         """Rebind to a chart declaring a superset of the used symbols."""
         for name in self.free_symbols():

@@ -13,6 +13,7 @@ from foliavg.errors import (
     NotComplementary,
     NotHorizontal,
     NotVertical,
+    SchemaError,
     UnknownFormat,
     UnknownSymbol,
 )
@@ -97,6 +98,10 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
         pytest.param(NotVertical, "poisson", {"x1^p": "1"}, id="NotVertical"),
         pytest.param(NotHorizontal, "pairing_form", {"q^p": "1"}, id="NotHorizontal"),
         pytest.param(NotHorizontal, "potential", {"q": "x1"}, id="NotHorizontal-potential"),
+        pytest.param(SchemaError, "pairing_form", {"x1^x1": "1"}, id="SchemaError-pairing_form"),
+        pytest.param(SchemaError, "casimir_form", {"x1^x1": "1"}, id="SchemaError-casimir_form"),
+        pytest.param(SchemaError, "poisson", {"q^q": "1"}, id="SchemaError-poisson"),
+        pytest.param(SchemaError, "description", 5, id="SchemaError-description"),
     ],
 )
 def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):
@@ -106,8 +111,9 @@ def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, val
         run_checks(scenario_from_dict(raw))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("foliavg: error:")
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("foliavg: error:")
 
 
 def test_non_periodic_flow_is_an_input_error(tmp_path, capsys):

@@ -143,6 +143,8 @@ def test_antiderivative_examples():
     F = sc("q*cos(th)").antiderivative_from_zero("th")
     assert render(F) == "q*sin(th)"
     assert sc("1 - cos(th)").antiderivative_from_zero("th") == sc("th - sin(th)")
+    with pytest.raises(NonPolynomialIntegrand):
+        sc("th*cos(th)").antiderivative_from_zero("th")
 
 
 @given(scalars())
@@ -300,14 +302,7 @@ def test_power_matches_repeated_product():
 
 
 # ----------------------------------------------------------------------
-# definite integrals and evaluation
-
-
-def test_integrate_unit_interval():
-    assert render(sc("q").integrate_unit_interval("q")) == "1/2"
-    assert render(sc("pi*q^2").integrate_unit_interval("q")) == "1/3*pi"
-    with pytest.raises(NonPolynomialIntegrand):
-        sc("cos(th)").integrate_unit_interval("th")
+# evaluation
 
 
 def test_evaluate_mixed_point():
