@@ -56,7 +56,7 @@ from .hamcurv import (
     verify_admissible,
     verify_hamiltonian_curvature,
 )
-from .poisson import PoissonBivector, hamiltonian_vf, poisson_bracket, sharp, verify_jacobi
+from .poisson import PoissonBivector, verify_jacobi
 from .scenarios import Report, load_scenario, render_report, run_checks
 from .symcalc import Chart, Scalar, Substitution, parse, render
 
@@ -97,7 +97,6 @@ __all__ = [
     "haar_average",
     "hamiltonian_generator_check",
     "hamiltonian_potential",
-    "hamiltonian_vf",
     "hannay_berry",
     "interior_product",
     "invariance_criteria",
@@ -105,14 +104,12 @@ __all__ = [
     "lie_derivative",
     "load_scenario",
     "parse",
-    "poisson_bracket",
     "pullback",
     "record_averages",
     "render",
     "render_report",
     "run_checks",
     "schouten_bracket",
-    "sharp",
     "verify_action",
     "verify_admissible",
     "verify_connection",

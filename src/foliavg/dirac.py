@@ -9,7 +9,6 @@ involutivity, gauge shifts and group invariance are all decided exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -17,7 +16,6 @@ from .action import TorusAction
 from .errors import (
     ChartMismatch,
     InvariantViolation,
-    MissingInverse,
     NotHorizontal,
     UnsupportedDegree,
 )
@@ -25,14 +23,12 @@ from .foliation import Connection, is_horizontal_form
 from .geom import (
     DiffForm,
     VectorField,
-    _det,
-    exterior_derivative,
     interior_product,
     lie_derivative,
     pullback,
 )
 from .poisson import PoissonBivector, differential
-from .symcalc import Scalar, _as_rational
+from .symcalc import Scalar
 
 
 class Section:
@@ -102,11 +98,6 @@ def courant_bracket(s: Section, t: Section) -> Section:
         + differential(cross * half)
     )
     return Section(s.X.bracket(t.X), form)
-
-
-def presymplectic_value(s: Section, t: Section) -> Scalar:
-    """Leafwise two-form value: minus the first coform on the second field."""
-    return -s.alpha.evaluate(t.X)
 
 
 # ----------------------------------------------------------------------
@@ -275,43 +266,3 @@ def hamiltonian_generator_check(
             return f"({factor.angle} generator, its one-form) is no section: {witness}"
     return None
 
-
-# ----------------------------------------------------------------------
-# sections over prescribed tangents
-
-
-def section_with_tangent(D: DiracData, field: VectorField) -> Section:
-    """The unique section whose field part is the given one.
-
-    The vertical part must sharpen from the coframe span; the linear
-    system is solved by Cramer's rule and needs a constant determinant.
-    """
-    conn = D.conn
-    chart = D.chart
-    if field.chart != chart:
-        raise ChartMismatch("field lives on another chart")
-    horizontal = conn.horizontal_part(field)
-    vertical = conn.vertical_part(field)
-    columns = {
-        vert: D.P.sharp(eta) for vert, eta in conn.coframe.items()
-    }
-    names = list(chart.vertical)
-    matrix = [
-        [columns[v].component(w) for v in names] for w in names
-    ]
-    target = [vertical.component(w) for w in names]
-    det = _det(matrix)
-    value = _as_rational(det)
-    if value is None or value == 0:
-        raise MissingInverse("coframe sharps do not span the vertical part")
-    coeffs = []
-    for k in range(len(names)):
-        replaced = [row[:k] + [target[i]] + row[k + 1:] for i, row in enumerate(matrix)]
-        coeffs.append(_det(replaced) * (Fraction(1) / value))
-    alpha = DiffForm.zero(chart, 1)
-    for name, coef in zip(names, coeffs):
-        alpha = alpha + conn.coframe[name] * coef
-    residue = field - horizontal - D.P.sharp(alpha)
-    if not residue.is_zero:
-        raise MissingInverse("vertical part is not in the image of the sharp map")
-    return Section(field, alpha - interior_product(horizontal, D.sigma))

@@ -59,14 +59,6 @@ class NonClosedOrbitCoefficients(FoliavgError):
     """Averaging input already depends on the averaging angle."""
 
 
-class NotCasimir(FoliavgError):
-    """An input expected to be Casimir-valued is not."""
-
-
-class NotCasimirResidue(FoliavgError):
-    """A covariant-derivative residue is not Casimir-valued (inconsistent input)."""
-
-
 class NotACocycle(FoliavgError):
     """A horizontal form expected to be covariantly closed is not."""
 

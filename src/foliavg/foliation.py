@@ -3,8 +3,7 @@
 A chart fixes the splitting into base and fiber coordinates; a connection
 is the vertical projection whose kernel is spanned by the lifted frame
 ``h_i = d/dx_i + sum_v A_i^v d/dv``.  Everything here is exact: curvature,
-bigrading of forms, the covariant exterior derivative, and the transition
-law between two connections.
+bigrading of forms and the graded pieces of the exterior derivative.
 """
 
 from __future__ import annotations
@@ -54,31 +53,6 @@ def is_horizontal_form(form: DiffForm | VecValuedForm) -> bool:
     return all(not (set(idx) & vertical) for idx in form.comps)
 
 
-def is_projectable(field: VectorField) -> bool:
-    """True when brackets with vertical basis fields stay vertical."""
-    chart = field.chart
-    for vert in chart.vertical:
-        moved = VectorField.basis(chart, vert).bracket(field)
-        if not is_vertical_field(moved):
-            return False
-    return True
-
-
-def is_basic_form(form: DiffForm) -> bool:
-    """True when the form is the lift of a form on the base.
-
-    Requires horizontal components whose coefficients involve neither
-    fiber coordinates nor angle parameters.
-    """
-    if not is_horizontal_form(form):
-        return False
-    chart = form.chart
-    banned = set(chart.vertical) | set(chart.angles)
-    return all(
-        not value.free_symbols() & banned for value in form.comps.values()
-    )
-
-
 class Connection:
     """An Ehresmann connection stored by its lift coefficients A_i^v.
 
@@ -107,41 +81,21 @@ class Connection:
         raise AttributeError("Connection is immutable")
 
     @staticmethod
-    def flat(chart: Chart) -> "Connection":
-        return Connection(chart, {})
-
-    @staticmethod
-    def from_frame(chart: Chart, frame: Mapping[str, VectorField]) -> "Connection":
-        """Build from lifted frame fields keyed by base coordinate."""
-        if set(frame) != set(chart.horizontal):
-            raise NotComplementary("frame must provide one lift per base coordinate")
-        coeffs = {}
-        one = Scalar.one(chart)
-        for base, field in frame.items():
-            for other in chart.horizontal:
-                comp = field.component(other)
-                want = one if other == base else Scalar.zero(chart)
-                if comp != want:
-                    raise NotComplementary(
-                        f"lift of {base} has component {comp} along {other}"
-                    )
-            for vert in chart.vertical:
-                coeffs[(base, vert)] = field.component(vert)
-        return Connection(chart, coeffs)
-
-    @staticmethod
     def from_projection(gamma: VecValuedForm) -> "Connection":
-        """Build from a vertical projection, validating its structure.
+        """Build from a vertical projection, testing the projection laws.
 
+        A projection takes vertical values and is the identity on each d/dv;
+        idempotency needs no separate test, since a vertical-valued gamma
+        that fixes every d/dv fixes every vertical field.  Then
         gamma = sum_v eta_v (x) d/dv with eta_v = dv - sum_b A_b^v dx_b, so
-        its component on dv is d/dv and its component on dx_b is
-        -sum_v A_b^v d/dv; the coefficients are read off those components.
+        its component on dx_b is -sum_v A_b^v d/dv; the coefficients are
+        read off those components.
         """
         chart = gamma.chart
         if gamma.degree != 1:
             raise UnsupportedDegree("a projection must be a valued one-form")
         if not is_vertical_valued(gamma):
-            raise NotVertical("projection values must be vertical")
+            raise NotVertical("projection takes values outside the vertical bundle")
         for vert in chart.vertical:
             if gamma.coefficient(vert) != VectorField.basis(chart, vert):
                 raise NotComplementary(f"projection is not the identity on d/d{vert}")
@@ -248,21 +202,15 @@ def _require_difference_shape(chart: Chart, xi: VecValuedForm) -> None:
 def verify_connection(gamma: VecValuedForm | Connection) -> str | None:
     """Check the vertical-projection laws; return a witness or None.
 
-    A valid projection has vertical values and restricts to the identity on
-    vertical basis fields.  Idempotency needs no separate check: gamma X is
-    vertical, and a vertical-valued gamma that fixes every d/dv fixes every
-    vertical field, so gamma(gamma X) = gamma X.
+    The witness is the message of the error :meth:`Connection.from_projection`
+    raises, which is the one place the laws are tested.
     """
     if isinstance(gamma, Connection):
         gamma = gamma.projection
-    if gamma.degree != 1:
-        raise UnsupportedDegree("a projection is a valued one-form")
-    chart = gamma.chart
-    if not is_vertical_valued(gamma):
-        return "projection takes values outside the vertical bundle"
-    for vert in chart.vertical:
-        if gamma.coefficient(vert) != VectorField.basis(chart, vert):
-            return f"projection is not the identity on d/d{vert}"
+    try:
+        Connection.from_projection(gamma)
+    except (NotVertical, NotComplementary) as exc:
+        return str(exc)
     return None
 
 
@@ -293,33 +241,6 @@ def curvature_from_frame(conn: Connection) -> VecValuedForm:
         base = wedge(DiffForm.d_coord(chart, a), DiffForm.d_coord(chart, b))
         total = total + _tensor(base, vert)
     return total
-
-
-def curvature_transition_check(conn: Connection, xi: VecValuedForm) -> str | None:
-    """Exact transition law for the shifted connection on the frame.
-
-    For each frame pair the curvature of gamma - xi must equal
-    Curv(Z1,Z2) + [xi Z1, xi Z2] + [xi Z1, Z2] - [xi Z2, Z1] - xi [Z1,Z2].
-    Returns a witness naming the first failing pair, or None.
-    """
-    _require_difference_shape(conn.chart, xi)
-    chart = conn.chart
-    frame = conn.frame
-    curv = curvature(conn)
-    shifted_curv = curvature(conn.shifted(xi))
-    for a, b in combinations(chart.horizontal, 2):
-        z1, z2 = frame[a], frame[b]
-        x1, x2 = xi.evaluate(z1), xi.evaluate(z2)
-        rhs = (
-            curv.evaluate(z1, z2)
-            + x1.bracket(x2)
-            + x1.bracket(z2)
-            - x2.bracket(z1)
-            - xi.evaluate(z1.bracket(z2))
-        )
-        if shifted_curv.evaluate(z1, z2) != rhs:
-            return f"transition law fails on the ({a}, {b}) frame pair"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -353,10 +274,6 @@ class BigradedForm:
         for piece in self.comps.values():
             result = result + piece
         return result
-
-    @property
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return set(self.comps)
 
     def __repr__(self) -> str:
         return "BigradedForm(" + ", ".join(
@@ -441,11 +358,3 @@ def graded_derivative(conn: Connection, form: DiffForm, shift: tuple[int, int]) 
         result = result + graded.component(*target)
     return result
 
-
-def covariant_derivative(conn: Connection, form: DiffForm) -> DiffForm:
-    """Exterior derivative evaluated on horizontally projected arguments."""
-    chart = conn.chart
-    if form.degree == chart.dim:
-        return DiffForm.zero(chart, chart.dim)
-    d = exterior_derivative(form)
-    return bigrade(conn, d).component(form.degree + 1, 0)

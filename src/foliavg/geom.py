@@ -581,30 +581,19 @@ def fn_bracket(k_input, l_input) -> VecValuedForm:
         raise DegreeOverflow("bracket degree exceeds dimension")
     result = VecValuedForm.zero(chart, k + l)
     for ia, x in K.comps.items():
-        base_a = DiffForm(chart, k, {ia: Scalar.one(chart)}) if k else DiffForm.function(chart, Scalar.one(chart))
+        base_a = DiffForm(chart, k, {ia: Scalar.one(chart)})
         for ib, y in L.comps.items():
-            base_b = DiffForm(chart, l, {ib: Scalar.one(chart)}) if l else DiffForm.function(chart, Scalar.one(chart))
+            base_b = DiffForm(chart, l, {ib: Scalar.one(chart)})
             # [phi ox X, psi ox Y] for closed coordinate wedges phi, psi:
             #   phi^psi ox [X,Y] + phi^L_X(psi) ox Y - L_Y(phi)^psi ox X
-            result = result + _tensor(_wedge0(base_a, base_b), x.bracket(y))
+            result = result + _tensor(wedge(base_a, base_b), x.bracket(y))
             moved_b = _lie_of_basis_form(x, ib)
             if not moved_b.is_zero:
-                result = result + _tensor(_wedge0(base_a, moved_b), y)
+                result = result + _tensor(wedge(base_a, moved_b), y)
             moved_a = _lie_of_basis_form(y, ia)
             if not moved_a.is_zero:
-                result = result - _tensor(_wedge0(moved_a, base_b), x)
+                result = result - _tensor(wedge(moved_a, base_b), x)
     return result
-
-
-def _wedge0(a: DiffForm, b: DiffForm) -> DiffForm:
-    """Wedge that tolerates degree-zero factors."""
-    if a.degree == 0:
-        value = a.comps.get((), Scalar.zero(a.chart))
-        return b * value
-    if b.degree == 0:
-        value = b.comps.get((), Scalar.zero(b.chart))
-        return a * value
-    return wedge(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -712,11 +701,10 @@ class ChartMap:
         differentials = self._pulled_differentials()
         result = DiffForm.zero(chart, a.degree)
         for idx, value in a.comps.items():
-            piece = DiffForm.function(chart, self.pull_scalar(value))
-            accum = None
-            for c in idx:
-                accum = differentials[c] if accum is None else wedge(accum, differentials[c])
-            result = result + _wedge0(piece, accum)
+            accum = differentials[idx[0]]
+            for c in idx[1:]:
+                accum = wedge(accum, differentials[c])
+            result = result + accum * self.pull_scalar(value)
         return result
 
     def pull_multivector(self, a: Multivector) -> Multivector:

@@ -24,8 +24,6 @@ from .errors import (
     ChartMismatch,
     InvariantViolation,
     NotACocycle,
-    NotCasimir,
-    NotCasimirResidue,
     NotHorizontal,
     PrimitiveMismatch,
     UnsupportedDegree,
@@ -83,16 +81,6 @@ def is_casimir_form(P: PoissonBivector, form: DiffForm) -> bool:
     return all(P.is_casimir(value) for value in form.comps.values())
 
 
-def casimir_freedom_check(
-    P: PoissonBivector, sigma: DiffForm, sigma_new: DiffForm
-) -> str | None:
-    """Two pairing forms of one connection may differ only by a Casimir form."""
-    diff = sigma_new - sigma
-    if is_casimir_form(P, diff):
-        return None
-    return f"difference {diff!r} is not a Casimir-valued horizontal form"
-
-
 def verify_admissible(conn: Connection, sigma: DiffForm) -> str | None:
     """The base-degree covariant derivative of the pairing form must vanish."""
     _require_pairing_form(conn, sigma)
@@ -100,27 +88,6 @@ def verify_admissible(conn: Connection, sigma: DiffForm) -> str | None:
     if residue.is_zero:
         return None
     return f"base-degree derivative is {residue!r}"
-
-
-def bianchi_residue(conn: Connection, P: PoissonBivector, sigma: DiffForm) -> DiffForm:
-    """The base-degree derivative of the pairing form, always Casimir-valued."""
-    _require_pairing_form(conn, sigma)
-    residue = graded_derivative(conn, sigma, (1, 0))
-    if not is_casimir_form(P, residue):
-        raise NotCasimirResidue(
-            "derivative of the pairing form left the Casimir complex"
-        )
-    return residue
-
-
-def casimir_complex_d(conn: Connection, P: PoissonBivector, beta: DiffForm) -> DiffForm:
-    """Base-degree derivative restricted to Casimir-valued horizontal forms."""
-    if not is_casimir_form(P, beta):
-        raise NotCasimir("input is not a Casimir-valued horizontal form")
-    result = graded_derivative(conn, beta, (1, 0))
-    if not is_casimir_form(P, result):
-        raise NotCasimirResidue("derivative left the Casimir complex")
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -349,21 +316,3 @@ def axiomatic_verify(
             break
     return verdict
 
-
-def invariant_pairing_casimir(
-    action: TorusAction,
-    conn: Connection,
-    P: PoissonBivector,
-    moments: Sequence[DiffForm],
-) -> str | None:
-    """Pairings of momentum one-forms with the averaged frame are Casimirs."""
-    averaged = hannay_berry(action, conn)
-    for factor, mu in zip(action.factors, moments):
-        for base, lift in averaged.frame.items():
-            value = mu.evaluate(lift)
-            if not P.is_casimir(value):
-                return (
-                    f"{factor.angle} one-form on the averaged {base} lift "
-                    f"gives {value}, not a Casimir"
-                )
-    return None

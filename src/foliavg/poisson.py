@@ -94,13 +94,6 @@ class PoissonBivector:
     def is_casimir(self, f: Scalar) -> bool:
         return self.hamiltonian_vf(f).is_zero
 
-    def jacobiator(self, f: Scalar, g: Scalar, h: Scalar) -> Scalar:
-        return (
-            self.bracket(f, self.bracket(g, h))
-            + self.bracket(g, self.bracket(h, f))
-            + self.bracket(h, self.bracket(f, g))
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoissonBivector):
             return NotImplemented
@@ -111,22 +104,6 @@ class PoissonBivector:
 
     def __repr__(self) -> str:
         return f"PoissonBivector({self.mv!r})"
-
-
-def sharp(P: PoissonBivector, alpha: DiffForm) -> VectorField:
-    return P.sharp(alpha)
-
-
-def hamiltonian_vf(P: PoissonBivector, f: Scalar) -> VectorField:
-    return P.hamiltonian_vf(f)
-
-
-def poisson_bracket(P: PoissonBivector, f: Scalar, g: Scalar) -> Scalar:
-    return P.bracket(f, g)
-
-
-def is_casimir(P: PoissonBivector, f: Scalar) -> bool:
-    return P.is_casimir(f)
 
 
 def verify_jacobi(P: PoissonBivector) -> str | None:

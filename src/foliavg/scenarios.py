@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import action as action_mod
 from . import dirac as dirac_mod
@@ -23,7 +23,9 @@ from .errors import (
     FoliavgError,
     InvariantViolation,
     NotACocycle,
+    NotComplementary,
     NotHorizontal,
+    NotVertical,
     ParseError,
     PrimitiveMismatch,
     SchemaError,
@@ -142,10 +144,10 @@ def _connection(chart: Chart, obj) -> Connection:
                 )
             items[(source,)] = VectorField(chart, comps)
         gamma = VecValuedForm.from_dict(chart, 1, items)
-        witness = verify_connection(gamma)
-        if witness is not None:
-            raise InvariantViolation(f"connection.projection: {witness}")
-        return Connection.from_projection(gamma)
+        try:
+            return Connection.from_projection(gamma)
+        except (NotVertical, NotComplementary) as exc:
+            raise InvariantViolation(f"connection.projection: {exc}") from None
     raise SchemaError("connection: needs exactly one of the keys frame, projection")
 
 

@@ -38,6 +38,9 @@ SIN = "s"
 COS = "c"
 PI = "pi"
 
+# Names the expression grammar gives a meaning of its own.
+_RESERVED = {PI: "the circle constant", "sin": "the sine", "cos": "the cosine"}
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 Number = Union[int, Fraction]
@@ -76,8 +79,8 @@ class Chart:
         for name in names:
             if not _NAME_RE.match(name):
                 raise UnknownSymbol(f"invalid symbol name: {name!r}")
-            if name == PI:
-                raise UnknownSymbol("'pi' is reserved for the circle constant")
+            if name in _RESERVED:
+                raise UnknownSymbol(f"{name!r} is reserved for {_RESERVED[name]}")
         if len(set(names)) != len(names):
             raise UnknownSymbol(f"chart symbols are not distinct: {names}")
         object.__setattr__(self, "horizontal", horizontal)
@@ -871,4 +874,7 @@ def _as_rational(f: Scalar) -> Fraction | None:
 
 def parse(chart: Chart, text: str) -> Scalar:
     """Parse an expression string into a canonical Scalar."""
-    return _Parser(chart, text).parse()
+    try:
+        return _Parser(chart, text).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None

@@ -116,6 +116,23 @@ def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, val
         assert capsys.readouterr().err.startswith("foliavg: error:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("(" * 300 + "1" + ")" * 300, id="nested-parentheses"),
+        pytest.param("-" * 3000 + "1", id="unary-minus-chain"),
+    ],
+)
+def test_over_deep_nesting_is_an_input_error(tmp_path, capsys, text):
+    raw = dict(load_scenario("triv").raw)
+    raw["poisson"] = {"q^p": text}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "foliavg: error: poisson.q^p: expression nests too deeply\n"
+
+
 def test_non_periodic_flow_is_an_input_error(tmp_path, capsys):
     raw = dict(load_scenario("triv").raw)
     raw["action"] = [{"angle": "th", "flow": {"q": "q + th"}}]

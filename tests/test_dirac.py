@@ -13,8 +13,6 @@ from foliavg.dirac import (
     hamiltonian_generator_check,
     is_member,
     pairing,
-    presymplectic_value,
-    section_with_tangent,
     verify_g_invariance,
     verify_involutive,
     verify_lagrangian,
@@ -24,13 +22,14 @@ from foliavg.foliation import Connection
 from foliavg.geom import (
     DiffForm,
     VectorField,
+    _det,
     exterior_derivative,
     interior_product,
     lie_derivative,
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
-from foliavg.symcalc import Scalar
+from foliavg.symcalc import Scalar, _as_rational
 
 from conftest import CHART, polynomials, sc
 
@@ -300,6 +299,35 @@ def test_hamiltonian_generator_witness(rotation, trivial_dirac, quadratic_moment
 
 # ----------------------------------------------------------------------
 # sections over a chosen tangent field
+
+
+def section_with_tangent(D, field):
+    """The unique section of D whose field part is the given one.
+
+    The vertical part must sharpen from the coframe span; the linear system
+    is solved by Cramer's rule and needs a constant determinant.
+    """
+    conn, chart = D.conn, D.chart
+    horizontal = conn.horizontal_part(field)
+    vertical = conn.vertical_part(field)
+    names = list(chart.vertical)
+    columns = [D.P.sharp(conn.coframe[v]) for v in names]
+    matrix = [[column.component(w) for column in columns] for w in names]
+    target = [vertical.component(w) for w in names]
+    det = _as_rational(_det(matrix))
+    if det is None or det == 0:
+        raise MissingInverse("coframe sharps do not span the vertical part")
+    alpha = DiffForm.zero(chart, 1)
+    for k, name in enumerate(names):
+        replaced = [row[:k] + [target[i]] + row[k + 1:] for i, row in enumerate(matrix)]
+        alpha = alpha + conn.coframe[name] * (_det(replaced) * (1 / det))
+    assert field - horizontal == D.P.sharp(alpha)
+    return Section(field, alpha - interior_product(horizontal, D.sigma))
+
+
+def presymplectic_value(s, t):
+    """Leafwise two-form value: minus the first coform on the second field."""
+    return -s.alpha.evaluate(t.X)
 
 
 def test_section_with_tangent(shear_conn, bivector):

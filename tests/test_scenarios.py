@@ -345,14 +345,27 @@ def test_parse_errors_name_the_field():
     assert str(info.value).startswith("poisson.q^p")
 
 
-def test_bad_projection_rejected():
+@pytest.mark.parametrize(
+    "projection, message",
+    [
+        pytest.param(
+            {"q": {"q": "1"}, "p": {"p": "1"}, "x1": {"x1": "1"}},
+            "projection takes values outside the vertical bundle",
+            id="not-vertical",
+        ),
+        pytest.param(
+            {"q": {"q": "1", "p": "q"}, "p": {"p": "1"}},
+            "projection is not the identity on d/dq",
+            id="not-identity",
+        ),
+    ],
+)
+def test_bad_projection_rejected(projection, message):
     bad = dict(load_scenario("triv").raw)
-    bad["connection"] = {
-        "projection": {"q": {"q": "1", "p": "q"}, "p": {"p": "1"}}
-    }
+    bad["connection"] = {"projection": projection}
     with pytest.raises(InvariantViolation) as info:
         scenario_from_dict(bad)
-    assert str(info.value).startswith("connection.projection")
+    assert str(info.value) == f"connection.projection: {message}"
 
 
 def test_projection_form_equals_frame_form():

@@ -34,8 +34,9 @@ def test_chart_classification(chart):
 def test_chart_rejects_collisions():
     with pytest.raises(UnknownSymbol):
         Chart(("x", "q"), ("q",), ("th",))
-    with pytest.raises(UnknownSymbol):
-        Chart(("x",), ("q",), ("pi",))
+    for name, meaning in [("pi", "the circle constant"), ("sin", "the sine"), ("cos", "the cosine")]:
+        with pytest.raises(UnknownSymbol, match=f"'{name}' is reserved for {meaning}"):
+            Chart(("x",), (name,), ("th",))
 
 
 def test_with_extra_angles(chart):
@@ -83,6 +84,13 @@ def test_render_zero():
         ("q/p", ParseError, "division is only allowed by nonzero rationals"),
         ("q@p", ParseError, "unexpected character '@' at position 1"),
         ("", ParseError, None),
+        pytest.param(
+            "(" * 300 + "q" + ")" * 300, ParseError, "expression nests too deeply",
+            id="nested-parentheses",
+        ),
+        pytest.param(
+            "-" * 3000 + "q", ParseError, "expression nests too deeply", id="unary-minus-chain"
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
