@@ -442,12 +442,9 @@ def invariance_criteria(action: TorusAction, conn: Connection) -> dict[str, bool
     Averaging fixes it, its projection commutes with every generator,
     and the flow-integral difference vanishes; the verdicts must agree.
     """
-    chart = conn.chart
     fixed = hannay_berry(action, conn) == conn
     brackets = all(
-        fn_bracket(
-            conn.projection, VecValuedForm.vector(chart, factor.generator())
-        ).is_zero
+        fn_bracket(conn.projection, factor.generator()).is_zero
         for factor in action.factors
     )
     difference = difference_via_flow_integral(action, conn).is_zero

@@ -8,7 +8,6 @@ bigrading of forms and the graded pieces of the exterior derivative.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -27,12 +26,8 @@ from .geom import (
     _sort_index,
     _tensor,
     exterior_derivative,
-    fn_bracket,
-    wedge,
 )
 from .symcalc import Chart, Scalar
-
-_HALF = Fraction(1, 2)
 
 
 def is_vertical_field(field: VectorField) -> bool:
@@ -219,28 +214,21 @@ def verify_connection(gamma: VecValuedForm | Connection) -> str | None:
 
 
 def curvature(conn: Connection) -> VecValuedForm:
-    """Curvature as half the Nijenhuis self-bracket of the projection.
+    """Curvature sum_{a<b} dx_a ^ dx_b (x) [Z_a, Z_b] over the lifted frame
+    Z_a = d/dx_a + sum_v A_a^v d/dv.
 
-    Computed once per connection object and kept on it.
+    Curv(Z_a, Z_b) is the vertical part of [Z_a, Z_b]; each Z_a has constant
+    base components, so the bracket is already vertical.  Computed once per
+    connection object and kept on it.
     """
     if conn._curvature is None:
-        gamma = conn.projection
-        object.__setattr__(conn, "_curvature", fn_bracket(gamma, gamma) * _HALF)
+        frame = conn.frame
+        brackets = {
+            (a, b): frame[a].bracket(frame[b])
+            for a, b in combinations(conn.chart.horizontal, 2)
+        }
+        object.__setattr__(conn, "_curvature", VecValuedForm.from_dict(conn.chart, 2, brackets))
     return conn._curvature
-
-
-def curvature_from_frame(conn: Connection) -> VecValuedForm:
-    """Curvature assembled from vertical parts of frame brackets."""
-    chart = conn.chart
-    frame = conn.frame
-    total = VecValuedForm.zero(chart, 2)
-    for a, b in combinations(chart.horizontal, 2):
-        vert = conn.vertical_part(frame[a].bracket(frame[b]))
-        if vert.is_zero:
-            continue
-        base = wedge(DiffForm.d_coord(chart, a), DiffForm.d_coord(chart, b))
-        total = total + _tensor(base, vert)
-    return total
 
 
 # ----------------------------------------------------------------------

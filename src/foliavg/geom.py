@@ -554,46 +554,9 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
 # Froelicher-Nijenhuis bracket
 
 
-def _as_valued_form(k) -> VecValuedForm:
-    if isinstance(k, VectorField):
-        return VecValuedForm.vector(k.chart, k)
-    if isinstance(k, VecValuedForm):
-        return k
-    raise TypeError("expected a VectorField or VecValuedForm")
-
-
-def fn_bracket(k_input, l_input) -> VecValuedForm:
-    """Froelicher-Nijenhuis bracket of vector-valued forms.
-
-    Supported arities: (k, 0) and (0, l) with a vector field as the
-    degree-zero operand, and (k, l) with k + l <= 3.  On a pair of vector
-    fields the bracket is the Lie bracket; for a degree-one projection the
-    curvature is half the self-bracket.
-    """
-    K = _as_valued_form(k_input)
-    L = _as_valued_form(l_input)
-    _check_chart(K, L)
-    k, l = K.degree, L.degree
-    if k + l > 3 and k > 0 and l > 0:
-        raise UnsupportedDegree(f"bracket arity ({k}, {l}) is not implemented")
-    chart = K.chart
-    if k + l > chart.dim:
-        raise DegreeOverflow("bracket degree exceeds dimension")
-    result = VecValuedForm.zero(chart, k + l)
-    for ia, x in K.comps.items():
-        base_a = DiffForm(chart, k, {ia: Scalar.one(chart)})
-        for ib, y in L.comps.items():
-            base_b = DiffForm(chart, l, {ib: Scalar.one(chart)})
-            # [phi ox X, psi ox Y] for closed coordinate wedges phi, psi:
-            #   phi^psi ox [X,Y] + phi^L_X(psi) ox Y - L_Y(phi)^psi ox X
-            result = result + _tensor(wedge(base_a, base_b), x.bracket(y))
-            moved_b = _lie_of_basis_form(x, ib)
-            if not moved_b.is_zero:
-                result = result + _tensor(wedge(base_a, moved_b), y)
-            moved_a = _lie_of_basis_form(y, ia)
-            if not moved_a.is_zero:
-                result = result - _tensor(wedge(moved_a, base_b), x)
-    return result
+def fn_bracket(K: VecValuedForm, X: VectorField) -> VecValuedForm:
+    """Froelicher-Nijenhuis bracket [K, X] = -L_X K with a vector field."""
+    return -lie_derivative(X, K)
 
 
 # ----------------------------------------------------------------------

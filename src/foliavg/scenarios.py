@@ -97,6 +97,15 @@ def _form(chart: Chart, degree: int, obj, where: str) -> DiffForm:
     return DiffForm.from_dict(chart, degree, comps)
 
 
+def _horizontal_form(chart: Chart, degree: int, raw: dict, key: str) -> DiffForm | None:
+    if key not in raw:
+        return None
+    form = _form(chart, degree, raw[key], key)
+    if not is_horizontal_form(form):
+        raise NotHorizontal(f"{key}: expected a horizontal {('one', 'two')[degree - 1]}-form")
+    return form
+
+
 def _chart(obj) -> Chart:
     _expect(isinstance(obj, dict), "chart: expected an object")
     _expect(
@@ -237,11 +246,9 @@ def scenario_from_dict(raw) -> Scenario:
             _form(chart, 1, entry, f"momenta[{k}]") for k, entry in enumerate(entries)
         )
 
-    sigma = _form(chart, 2, raw["pairing_form"], "pairing_form") if "pairing_form" in raw else None
-    casimir = _form(chart, 2, raw["casimir_form"], "casimir_form") if "casimir_form" in raw else None
-    potential = _form(chart, 1, raw["potential"], "potential") if "potential" in raw else None
-    if potential is not None and not is_horizontal_form(potential):
-        raise NotHorizontal("potential: expected a horizontal one-form")
+    sigma = _horizontal_form(chart, 2, raw, "pairing_form")
+    casimir = _horizontal_form(chart, 2, raw, "casimir_form")
+    potential = _horizontal_form(chart, 1, raw, "potential")
 
     primitives = None
     if "primitives" in raw:

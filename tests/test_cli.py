@@ -98,6 +98,9 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
         pytest.param(NotVertical, "poisson", {"x1^p": "1"}, id="NotVertical"),
         pytest.param(NotHorizontal, "pairing_form", {"q^p": "1"}, id="NotHorizontal"),
         pytest.param(NotHorizontal, "potential", {"q": "x1"}, id="NotHorizontal-potential"),
+        pytest.param(
+            NotHorizontal, "casimir_form", {"q^p": "1"}, id="NotHorizontal-casimir_form"
+        ),
         pytest.param(SchemaError, "pairing_form", {"x1^x1": "1"}, id="SchemaError-pairing_form"),
         pytest.param(SchemaError, "casimir_form", {"x1^x1": "1"}, id="SchemaError-casimir_form"),
         pytest.param(SchemaError, "poisson", {"q^q": "1"}, id="SchemaError-poisson"),
@@ -114,6 +117,24 @@ def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, val
     for verb in ("check", "average", "dirac"):
         assert main([verb, str(path)]) == 2
         assert capsys.readouterr().err.startswith("foliavg: error:")
+
+
+@pytest.mark.parametrize("key", ["pairing_form", "casimir_form"])
+def test_a_vertical_two_form_is_rejected_at_load(tmp_path, capsys, key):
+    raw = dict(load_scenario("hb4d").raw)
+    raw[key] = {"q^p": "1"}
+    path = tmp_path / "vertical.json"
+    path.write_text(json.dumps(raw))
+    for argv in (
+        ["check", str(path)],
+        ["check", str(path), "--stage", "connection", "--stage", "poisson"],
+        ["average", str(path)],
+        ["dirac", str(path)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"foliavg: error: {key}: expected a horizontal two-form\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Adapted connections, curvature and the bigraded calculus."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from foliavg.action import hannay_berry
 from foliavg.errors import (
     NotComplementary,
     NotVertical,
@@ -16,13 +18,20 @@ from foliavg.foliation import (
     Connection,
     bigrade,
     curvature,
-    curvature_from_frame,
     graded_derivative,
     is_horizontal_form,
     is_vertical_field,
     verify_connection,
 )
-from foliavg.geom import DiffForm, VecValuedForm, VectorField, exterior_derivative, wedge
+from foliavg.geom import (
+    DiffForm,
+    VecValuedForm,
+    VectorField,
+    _tensor,
+    exterior_derivative,
+    lie_derivative,
+    wedge,
+)
 from foliavg.poisson import differential
 from foliavg.scenarios import bundled_names, load_scenario
 from foliavg.symcalc import Chart, Scalar, parse
@@ -149,7 +158,54 @@ def test_curvature_on_three_base_coordinates():
     assert curv.evaluate(frame["x1"], frame["x2"]) == -VectorField.basis(EXT3, "p")
     assert curv.evaluate(frame["x2"], frame["x3"]) == VectorField.basis(EXT3, "q")
     assert curv.evaluate(frame["x1"], frame["x3"]).is_zero
-    assert curvature_from_frame(conn) == curv
+    assert curv == half_self_bracket(conn)
+
+
+def fn_bracket_reference(K, L):
+    """The Froelicher-Nijenhuis bracket of two valued forms, by components.
+
+    For closed coordinate wedges phi, psi and fields X, Y:
+    [phi (x) X, psi (x) Y] = phi ^ psi (x) [X, Y] + phi ^ L_X psi (x) Y
+    - L_Y phi ^ psi (x) X.
+    """
+    chart = K.chart
+    result = VecValuedForm.zero(chart, K.degree + L.degree)
+    for ia, x in K.comps.items():
+        phi = DiffForm(chart, K.degree, {ia: Scalar.one(chart)})
+        for ib, y in L.comps.items():
+            psi = DiffForm(chart, L.degree, {ib: Scalar.one(chart)})
+            result = result + _tensor(wedge(phi, psi), x.bracket(y))
+            result = result + _tensor(wedge(phi, lie_derivative(x, psi)), y)
+            result = result - _tensor(wedge(lie_derivative(y, phi), psi), x)
+    return result
+
+
+def half_self_bracket(conn):
+    """The definition of curvature: half the self-bracket of the projection."""
+    return fn_bracket_reference(conn.projection, conn.projection) * Fraction(1, 2)
+
+
+@st.composite
+def connections(draw, chart):
+    coefficients = scalars(chart, coord_degree=1, freq=2, max_terms=2)
+    coeffs = {
+        (base, vert): draw(coefficients)
+        for base in chart.horizontal
+        for vert in chart.vertical
+    }
+    return Connection(chart, coeffs)
+
+
+@given(connections(EXT3))
+def test_curvature_is_half_the_self_bracket_of_the_projection(conn):
+    assert curvature(conn) == half_self_bracket(conn)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_curvature_is_half_the_self_bracket_on_bundled_data(name):
+    s = load_scenario(name)
+    for conn in (s.conn, hannay_berry(s.action, s.conn)):
+        assert curvature(conn) == half_self_bracket(conn)
 
 
 def curvature_transition_check(conn, xi):
@@ -242,16 +298,6 @@ FIBER3_SCALARS = scalars(FIBER3, coord_degree=1, freq=2, max_terms=2)
 
 
 @st.composite
-def fiber3_connections(draw):
-    coeffs = {
-        (base, vert): draw(FIBER3_SCALARS)
-        for base in FIBER3.horizontal
-        for vert in FIBER3.vertical
-    }
-    return Connection(FIBER3, coeffs)
-
-
-@st.composite
 def fiber3_forms(draw):
     degree = draw(st.integers(0, 3))
     comps = {
@@ -276,7 +322,7 @@ def fiber3_vertical_projections(draw):
     return VecValuedForm.from_dict(FIBER3, 1, comps)
 
 
-@given(fiber3_connections(), fiber3_connections())
+@given(connections(FIBER3), connections(FIBER3))
 def test_connections_round_trip_through_their_projections(c, d):
     assert Connection.from_projection(c.projection) == c
     assert c.shifted(c.difference(d)) == d
@@ -319,7 +365,7 @@ def test_a_value_off_the_fibers_is_rejected(gamma, source, target, value):
     assert str(info.value) == "projection takes values outside the vertical bundle"
 
 
-@given(fiber3_connections(), fiber3_forms())
+@given(connections(FIBER3), fiber3_forms())
 def test_bigrade_matches_the_determinant_definition(conn, form):
     pieces = bigrade(conn, form)
     assert pieces.comps == bigrade_by_determinants(conn, form).comps

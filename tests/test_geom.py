@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from foliavg.errors import DegreeOverflow, MissingInverse, UnsupportedDegree
 from foliavg.geom import (
@@ -22,6 +23,7 @@ from foliavg.geom import (
 from foliavg.symcalc import Scalar
 
 from conftest import CHART, forms, polynomials, sc, scalars, vector_fields
+from test_foliation import fn_bracket_reference
 
 
 def d(name):
@@ -209,15 +211,25 @@ def test_identity_valued_form():
 
 def test_fn_bracket_of_identity_vanishes():
     ident = VecValuedForm.identity(CHART)
-    assert fn_bracket(ident, ident).is_zero
+    assert fn_bracket_reference(ident, ident).is_zero
 
 
 @given(vector_fields(), vector_fields())
 def test_fn_bracket_of_wrapped_fields(X, Y):
-    kx = VecValuedForm.vector(CHART, X)
-    ky = VecValuedForm.vector(CHART, Y)
-    got = fn_bracket(kx, ky)
+    got = fn_bracket(VecValuedForm.vector(CHART, X), Y)
     assert got == VecValuedForm.vector(CHART, X.bracket(Y))
+
+
+@st.composite
+def valued_one_forms(draw):
+    return VecValuedForm.from_dict(
+        CHART, 1, {(name,): draw(vector_fields()) for name in CHART.coords}
+    )
+
+
+@given(valued_one_forms(), vector_fields())
+def test_fn_bracket_with_a_field_matches_the_reference(K, X):
+    assert fn_bracket(K, X) == fn_bracket_reference(K, VecValuedForm.vector(CHART, X))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foliavg import action, foliation, geom, hamcurv
+from foliavg import action, foliation, hamcurv
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
@@ -88,20 +88,21 @@ def test_connection_is_averaged_once_per_run(name, hannay_berry_calls):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_curvature_is_bracketed_once_per_connection(name, monkeypatch):
-    calls = []
-    original = geom.fn_bracket
+def test_curvature_is_built_once_per_connection(name, monkeypatch):
+    built = []
+    original = foliation.curvature
 
-    def counted(k, l):
-        calls.append(k)
-        return original(k, l)
+    def counted(conn):
+        if conn._curvature is None:
+            built.append(conn)
+        return original(conn)
 
-    for module in (geom, foliation, action):
-        monkeypatch.setattr(module, "fn_bracket", counted)
+    for module in (foliation, hamcurv):
+        monkeypatch.setattr(module, "curvature", counted)
     run_checks(load_scenario(name))
     # the pipeline needs the curvature of the connection and of its average
-    assert 1 <= len(calls) <= 2
-    assert len({id(gamma) for gamma in calls}) == len(calls)
+    assert 1 <= len(built) <= 2
+    assert len({id(conn) for conn in built}) == len(built)
 
 
 @pytest.mark.parametrize(("name", "verdicts"), [("ext3", 1), ("ext3adm", 2)])
@@ -250,6 +251,25 @@ def test_averaged_emission_carries_fixed_momenta():
     assert "primitives" not in out
     report = run_checks(scenario_from_dict(out))
     assert report.all_passed
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_averaging_is_idempotent_on_its_own_output(name):
+    once = averaged_scenario(load_scenario(name))
+    twice = averaged_scenario(scenario_from_dict(once))
+    for key in ("connection", "pairing_form", "momenta"):
+        assert twice[key] == once[key]
+    assert twice["potential"] == {}
+
+
+def test_averaging_does_not_depend_on_the_factor_order():
+    raw = load_scenario("t2pairs").raw
+    reversed_raw = dict(raw, action=raw["action"][::-1], momenta=raw["momenta"][::-1])
+    forward = averaged_scenario(scenario_from_dict(raw))
+    backward = averaged_scenario(scenario_from_dict(reversed_raw))
+    for key in ("connection", "pairing_form", "potential"):
+        assert backward[key] == forward[key]
+    assert backward["momenta"] == forward["momenta"][::-1]
 
 
 def test_averaged_emission_needs_momenta():
