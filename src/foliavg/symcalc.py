@@ -16,6 +16,15 @@ which only appears through exact averages of bare angle powers.
 Bare (polynomial) angle powers are not produced by the input grammar, but
 they arise internally as antiderivatives of constant Fourier terms and are
 fully supported by differentiation, substitution and exact averaging.
+
+Products follow the Poisson-series layout: two monomials multiply by
+merging their power tuples (an empty side leaves the other as it is) and
+multiplying their trig parts.  A trig part times an empty one is itself,
+with factor 1; only two non-empty trig parts need the product-to-sum
+rewrite, and :func:`_product_items` does it once per distinct pair, in a
+table local to the call.  The pairs of one product repeat many times, but
+a table that outlived the call would carry state from one product to the
+next and grow without bound, so each product starts with an empty one.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ PI = "pi"
 # Names the expression grammar gives a meaning of its own.
 _RESERVED = {PI: "the circle constant", "sin": "the sine", "cos": "the cosine"}
 
+# Largest multinomial term count the parser expands a power to.
+_MAX_POWER_TERMS = 10_000
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 Number = Union[int, Fraction]
@@ -50,7 +62,9 @@ Number = Union[int, Fraction]
 #           symbols are coordinates, bare angles, or the reserved "pi".
 #   trig:   tuple of (angle, kind, multiple), sorted by angle, at most one
 #           entry per angle, multiple >= 1, kind in {SIN, COS}.
-Key = tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str, int], ...]]
+Powers = tuple[tuple[str, int], ...]
+Trig = tuple[tuple[str, str, int], ...]
+Key = tuple[Powers, Trig]
 
 _EMPTY_KEY: Key = ((), ())
 
@@ -169,12 +183,22 @@ def _trig_pair(kind1: str, m1: int, kind2: str, m2: int) -> list[tuple[Fraction,
     return out
 
 
-def _mul_keys(k1: Key, k2: Key) -> list[tuple[Key, Fraction]]:
-    powers: dict[str, int] = {}
-    for name, e in k1[0] + k2[0]:
-        powers[name] = powers.get(name, 0) + e
-    trig1 = dict((a, (kind, m)) for a, kind, m in k1[1])
-    trig2 = dict((a, (kind, m)) for a, kind, m in k2[1])
+def _merge_powers(p1: Powers, p2: Powers) -> Powers:
+    """The power part of a product of two monomials."""
+    if not p1:
+        return p2
+    if not p2:
+        return p1
+    merged = dict(p1)
+    for name, e in p2:
+        merged[name] = merged.get(name, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _mul_trig(t1: Trig, t2: Trig) -> list[tuple[Trig, Fraction]]:
+    """Product-to-sum rewrite of two trig parts, as (trig part, factor) pairs."""
+    trig1 = dict((a, (kind, m)) for a, kind, m in t1)
+    trig2 = dict((a, (kind, m)) for a, kind, m in t2)
     # (coefficient, {angle: (kind, m)}) partial products
     partial: list[tuple[Fraction, dict[str, tuple[str, int]]]] = [(Fraction(1), {})]
     for angle in sorted(set(trig1) | set(trig2)):
@@ -192,25 +216,38 @@ def _mul_keys(k1: Key, k2: Key) -> list[tuple[Key, Fraction]]:
             kind, m = trig1.get(angle) or trig2[angle]
             for _, trig in partial:
                 trig[angle] = (kind, m)
-    powkey = tuple(sorted(powers.items()))
-    out = []
-    for coef, trig in partial:
-        trigkey = tuple((a, kind, m) for a, (kind, m) in sorted(trig.items()))
-        out.append(((powkey, trigkey), coef))
-    return out
+    return [
+        (tuple((a, kind, m) for a, (kind, m) in sorted(trig.items())), coef)
+        for coef, trig in partial
+    ]
 
 
 def _product_items(
     left: Iterable[tuple[Key, Fraction]], right: Iterable[tuple[Key, Fraction]]
 ) -> list[tuple[Key, Fraction]]:
-    """Uncollected terms of the product of two sums of terms."""
+    """Uncollected terms of the product of two sums of terms.
+
+    Each pair of trig parts is rewritten once per call: the table lives
+    only as long as this product.
+    """
     right = list(right)
+    table: dict[tuple[Trig, Trig], list[tuple[Trig, Fraction]]] = {}
     items: list[tuple[Key, Fraction]] = []
-    for k1, c1 in left:
-        for k2, c2 in right:
-            c = c1 * c2
-            for key, factor in _mul_keys(k1, k2):
-                items.append((key, c * factor))
+    append = items.append
+    for (p1, t1), c1 in left:
+        for (p2, t2), c2 in right:
+            powers = _merge_powers(p1, p2)
+            if not t2:
+                append(((powers, t1), c1 * c2))
+            elif not t1:
+                append(((powers, t2), c1 * c2))
+            else:
+                pairs = table.get((t1, t2))
+                if pairs is None:
+                    pairs = table[t1, t2] = _mul_trig(t1, t2)
+                c = c1 * c2
+                for trig, factor in pairs:
+                    append(((powers, trig), c * factor))
     return items
 
 
@@ -448,6 +485,9 @@ class Scalar:
         linear = Scalar.zero(self.chart)
         for a, c in terms:
             linear = linear + c * Scalar.var(self.chart, a)
+        # each power of the combination and each harmonic of it, once per call
+        linear_powers: dict[int, Scalar] = {}
+        harmonics: dict[tuple[str, int], Scalar] = {}
         total = Scalar.zero(self.chart)
         for (powers, trig), coef in self.terms.items():
             kept_powers = tuple((n, e) for n, e in powers if n != angle)
@@ -455,10 +495,18 @@ class Scalar:
             piece = Scalar._new(self.chart, [((kept_powers, kept_trig), coef)])
             for n, e in powers:
                 if n == angle:
-                    piece = piece * linear**e
+                    image = linear_powers.get(e)
+                    if image is None:
+                        image = linear_powers[e] = linear**e
+                    piece = piece * image
             for a, kind, m in trig:
                 if a == angle:
-                    piece = piece * _harmonic_of_combo(self.chart, kind, m, terms)
+                    image = harmonics.get((kind, m))
+                    if image is None:
+                        image = harmonics[kind, m] = _harmonic_of_combo(
+                            self.chart, kind, m, terms
+                        )
+                    piece = piece * image
             total = total + piece
         return total
 
@@ -813,9 +861,9 @@ class _Parser:
                 exponent, denom = num.split("/")
                 if int(denom) == 0:
                     raise ParseError("division is only allowed by nonzero rationals")
-                value = value ** int(exponent) * Fraction(1, int(denom))
+                value = _bounded_power(value, int(exponent)) * Fraction(1, int(denom))
             else:
-                value = value ** int(num)
+                value = _bounded_power(value, int(num))
         return value
 
     def atom(self) -> Scalar:
@@ -862,6 +910,21 @@ class _Parser:
             self.chart.require_angle(tok)
             return sign, tok
         raise ParseError("expected an integer multiple of an angle inside sin/cos")
+
+
+def _bounded_power(base: Scalar, exponent: int) -> Scalar:
+    """``base ** exponent``, refused when the expansion may grow too large.
+
+    A power of t terms has at most C(t+e-1, e) monomials before any
+    product-to-sum rewrite; one-term bases are never refused.
+    """
+    t = len(base.terms)
+    if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_POWER_TERMS:
+        raise ParseError(
+            f"a {t}-term expression to the power {exponent} may expand to more "
+            f"than {_MAX_POWER_TERMS} terms"
+        )
+    return base**exponent
 
 
 def _as_rational(f: Scalar) -> Fraction | None:

@@ -13,6 +13,7 @@ from foliavg.errors import (
     NotComplementary,
     NotHorizontal,
     NotVertical,
+    ParseError,
     SchemaError,
     UnknownFormat,
     UnknownSymbol,
@@ -105,6 +106,9 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
         pytest.param(SchemaError, "casimir_form", {"x1^x1": "1"}, id="SchemaError-casimir_form"),
         pytest.param(SchemaError, "poisson", {"q^q": "1"}, id="SchemaError-poisson"),
         pytest.param(SchemaError, "description", 5, id="SchemaError-description"),
+        pytest.param(
+            ParseError, "poisson", {"q^p": "(q+p+x1+x2+cos(th))^20"}, id="ParseError-power"
+        ),
     ],
 )
 def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):

@@ -1,6 +1,8 @@
 """Coefficient ring: parsing, canonical form, calculus and evaluation."""
 
+import copy
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from foliavg.errors import (
     ParseError,
     UnknownSymbol,
 )
-from foliavg.symcalc import Chart, Scalar, Substitution, parse, render
+from foliavg import symcalc
+from foliavg.symcalc import Chart, Scalar, Substitution, _product_items, parse, render
 
 from conftest import CHART, polynomials, sc, scalars
 
@@ -91,6 +94,16 @@ def test_render_zero():
         pytest.param(
             "-" * 3000 + "q", ParseError, "expression nests too deeply", id="unary-minus-chain"
         ),
+        (
+            "(q+p+x1+x2+cos(th))^20",
+            ParseError,
+            "a 5-term expression to the power 20 may expand to more than 10000 terms",
+        ),
+        (
+            "(q+p+x1+x2+cos(th))^30",
+            ParseError,
+            "a 5-term expression to the power 30 may expand to more than 10000 terms",
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
@@ -120,6 +133,136 @@ def test_product_to_sum():
     assert render(c**2) == "1/2 + 1/2*cos(2*th)"
     assert render(s**2) == "1/2 - 1/2*cos(2*th)"
     assert (s**2 + c**2) == Scalar.one(CHART)
+
+
+def trig_pair_reference(kind1, m1, kind2, m2):
+    """trig(m1*th) * trig(m2*th) as (coefficient, kind, multiple) terms."""
+    half = Fraction(1, 2)
+    if kind1 == "c" and kind2 == "c":
+        raw = [(half, "c", m1 - m2), (half, "c", m1 + m2)]
+    elif kind1 == "s" and kind2 == "s":
+        raw = [(half, "c", m1 - m2), (-half, "c", m1 + m2)]
+    elif kind1 == "s":
+        raw = [(half, "s", m1 + m2), (half, "s", m1 - m2)]
+    else:
+        raw = [(half, "s", m1 + m2), (-half, "s", m1 - m2)]
+    out = []
+    for coef, kind, m in raw:
+        if m < 0:
+            coef, m = (coef, -m) if kind == "c" else (-coef, -m)
+        if m:
+            out.append((coef, kind, m))
+        elif kind == "c":
+            out.append((coef, None, 0))
+    return out
+
+
+def mul_keys_reference(k1, k2):
+    """The product of two monomials, angle by angle."""
+    powers = {}
+    for name, e in k1[0] + k2[0]:
+        powers[name] = powers.get(name, 0) + e
+    trig1 = dict((a, (kind, m)) for a, kind, m in k1[1])
+    trig2 = dict((a, (kind, m)) for a, kind, m in k2[1])
+    partial = [(Fraction(1), {})]
+    for angle in sorted(set(trig1) | set(trig2)):
+        if angle in trig1 and angle in trig2:
+            expansions = trig_pair_reference(*trig1[angle], *trig2[angle])
+            nxt = []
+            for coef, trig in partial:
+                for c2, kind, m in expansions:
+                    t = dict(trig)
+                    if kind is not None:
+                        t[angle] = (kind, m)
+                    nxt.append((coef * c2, t))
+            partial = nxt
+        else:
+            kind, m = trig1.get(angle) or trig2[angle]
+            for _, trig in partial:
+                trig[angle] = (kind, m)
+    powkey = tuple(sorted(powers.items()))
+    return [
+        ((powkey, tuple((a, kind, m) for a, (kind, m) in sorted(trig.items()))), coef)
+        for coef, trig in partial
+    ]
+
+
+def product_reference(left, right):
+    """Uncollected terms of a product: each pair of terms multiplied afresh."""
+    right = list(right)
+    items = []
+    for k1, c1 in left:
+        for k2, c2 in right:
+            for key, factor in mul_keys_reference(k1, k2):
+                items.append((key, c1 * c2 * factor))
+    return items
+
+
+TWO_ANGLES = Chart(("x1",), ("q", "p"), ("th", "ph"))
+
+
+@st.composite
+def term_lists(draw, max_terms=4):
+    """Terms of a sum on TWO_ANGLES; in some lists no term has a harmonic."""
+    items = []
+    harmonics = draw(st.booleans())
+    for _ in range(draw(st.integers(0, max_terms))):
+        coef = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+        powers = {name: draw(st.integers(0, 2)) for name in ("p", "pi", "q", "th")}
+        trig = []
+        for angle in ("ph", "th") if harmonics else ():
+            kind = draw(st.sampled_from((None, "s", "c")))
+            if kind is not None:
+                trig.append((angle, kind, draw(st.integers(1, 3))))
+        items.append(((tuple((n, e) for n, e in powers.items() if e), tuple(trig)), coef))
+    return items
+
+
+@given(term_lists(), term_lists())
+def test_product_kernel_matches_reference(left, right):
+    assert Scalar._new(TWO_ANGLES, _product_items(left, right)) == Scalar._new(
+        TWO_ANGLES, product_reference(left, right)
+    )
+
+
+@given(term_lists(), term_lists(), term_lists(), term_lists())
+def test_product_kernel_keeps_no_state_between_calls(left, right, other_left, other_right):
+    first = _product_items(left, right)
+    _product_items(other_left, other_right)
+    assert _product_items(left, right) == first
+
+
+def _global_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+def test_product_kernel_writes_no_module_state():
+    # every module global the kernel reaches, through the functions it calls
+    kernel, todo = {}, [symcalc._product_items]
+    while todo:
+        for name in _global_names(todo.pop().__code__):
+            value = vars(symcalc).get(name)
+            if name in kernel or value is None:
+                continue
+            kernel[name] = value
+            if isinstance(value, types.FunctionType) and value.__module__ == symcalc.__name__:
+                todo.append(value)
+    assert {"_merge_powers", "_mul_trig", "_trig_pair"} <= kernel.keys()
+    for name, value in kernel.items():
+        assert not isinstance(value, (dict, list, set, bytearray)), name
+        assert not hasattr(value, "cache_info"), name
+    containers = {
+        name: copy.deepcopy(value)
+        for name, value in vars(symcalc).items()
+        if isinstance(value, (dict, list, set, bytearray)) and not name.startswith("__")
+    }
+    f = parse(TWO_ANGLES, "(q*cos(th) - p*sin(2*ph) + th*pi)^2")
+    assert f * f == f**2
+    assert containers == {name: vars(symcalc)[name] for name in containers}
 
 
 @given(scalars(), st.integers(1, 3), st.integers(1, 3))
