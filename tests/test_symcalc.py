@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from foliavg import symcalc
 from foliavg.errors import (
     ChartMismatch,
     NonPolynomialIntegrand,
     ParseError,
     UnknownSymbol,
 )
-from foliavg import symcalc
 from foliavg.symcalc import Chart, Scalar, Substitution, _product_items, parse, render
 
 from conftest import CHART, polynomials, sc, scalars
