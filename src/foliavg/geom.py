@@ -456,7 +456,8 @@ def lie_derivative(field: VectorField, target):
             field, exterior_derivative(target)
         )
     if isinstance(target, Multivector):
-        return _lie_multivector(field, target)
+        one = Multivector(field.chart, 1, {(i,): c for i, c in enumerate(field.comps)})
+        return schouten_bracket(one, target)
     if isinstance(target, VecValuedForm):
         chart = target.chart
         result = VecValuedForm.zero(chart, target.degree)
@@ -470,13 +471,6 @@ def lie_derivative(field: VectorField, target):
     raise TypeError(f"cannot Lie-derive {type(target).__name__}")
 
 
-def _lie_multivector(field: VectorField, target: Multivector) -> Multivector:
-    one = Multivector(field.chart, 1, {
-        (i,): c for i, c in enumerate(field.comps) if not c.is_zero
-    })
-    return schouten_bracket(one, target)
-
-
 def _tensor(form: DiffForm, vec: VectorField) -> VecValuedForm:
     """Distribute (form) ⊗ (vector field) over canonical components."""
     comps = {idx: vec * value for idx, value in form.comps.items()}
@@ -485,12 +479,6 @@ def _tensor(form: DiffForm, vec: VectorField) -> VecValuedForm:
 
 # ----------------------------------------------------------------------
 # Schouten bracket
-
-
-def _vector_from_index(chart: Chart, i: int, coef: Scalar | None = None) -> VectorField:
-    comps = [Scalar.zero(chart)] * chart.dim
-    comps[i] = Scalar.one(chart) if coef is None else coef
-    return VectorField(chart, comps)
 
 
 def _wedge_vectors(fields: Sequence[VectorField]) -> Multivector:
@@ -517,8 +505,15 @@ def _wedge_vectors(fields: Sequence[VectorField]) -> Multivector:
 def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
     """Schouten bracket; on (1, k) it is the Lie derivative.
 
-    Both operands must have degree at least one.  The result degree is
-    deg a + deg b - 1.
+    In the odd coordinates xi_i = d/dx_i, for a of degree p and b of degree q,
+
+        [a, b] = sum_i (d_r a / d xi_i) (d b / d x_i)
+                 - (-1)^((p-1)(q-1)) (d_r b / d xi_i) (d a / d x_i),
+
+    with the wedge as product and the right derivative
+    d_r (xi_i1 ... xi_ip) / d xi_is = (-1)^(p-s) xi_(I without is).  On two
+    vector fields this is the Lie bracket [X, Y] = X(Y) - Y(X).  Both
+    operands must have degree at least one; the result has degree p + q - 1.
     """
     _check_chart(a, b)
     if a.degree < 1 or b.degree < 1:
@@ -527,27 +522,25 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
     degree = a.degree + b.degree - 1
     if degree > chart.dim:
         raise DegreeOverflow("bracket degree exceeds dimension")
-    result = Multivector.zero(chart, degree)
-    for ia, va in a.comps.items():
-        xs = [_vector_from_index(chart, ia[0], va)] + [
-            _vector_from_index(chart, i) for i in ia[1:]
-        ]
-        for ib, vb in b.comps.items():
-            ys = [_vector_from_index(chart, ib[0], vb)] + [
-                _vector_from_index(chart, i) for i in ib[1:]
-            ]
-            for k, x in enumerate(xs, start=1):
-                for l, y in enumerate(ys, start=1):
-                    rest = [f for t, f in enumerate(xs, start=1) if t != k]
-                    rest += [f for t, f in enumerate(ys, start=1) if t != l]
-                    bracket = x.bracket(y)
-                    if bracket.is_zero:
+    # the sign -(-1)^((p-1)(q-1)) of the second term
+    swap = -1 if (a.degree - 1) * (b.degree - 1) % 2 == 0 else 1
+    items = []
+    for x, y, sign in ((a, b, 1), (b, a, swap)):
+        for ix, vx in x.comps.items():
+            for s, i in enumerate(ix):
+                rest = ix[:s] + ix[s + 1 :]
+                parity = sign if (x.degree - 1 - s) % 2 == 0 else -sign
+                for iy, vy in y.comps.items():
+                    sorted_sign = _sort_index(rest + iy)
+                    if sorted_sign is None:
                         continue
-                    piece = _wedge_vectors([bracket] + rest) if rest else _wedge_vectors([bracket])
-                    if (k + l) % 2:
-                        piece = -piece
-                    result = result + piece
-    return result
+                    dy = vy.diff(chart.coords[i])
+                    if dy.is_zero:
+                        continue
+                    idx, order = sorted_sign
+                    value = vx * dy
+                    items.append((idx, value if parity * order > 0 else -value))
+    return Multivector._make(chart, degree, items)
 
 
 # ----------------------------------------------------------------------

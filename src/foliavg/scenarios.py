@@ -30,6 +30,7 @@ from .errors import (
     PrimitiveMismatch,
     SchemaError,
     UnknownFormat,
+    UnknownSymbol,
 )
 from .foliation import Connection, is_horizontal_form, verify_connection
 from .geom import DiffForm, VecValuedForm, VectorField
@@ -75,17 +76,27 @@ def _expr(chart: Chart, text, where: str) -> Scalar:
     _expect(isinstance(text, str), f"{where}: expected an expression string")
     try:
         return parse(chart, text)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    except (ParseError, UnknownSymbol) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
-def _wedge_key(key: str, degree: int, where: str) -> tuple[str, ...]:
+def _require(require: Callable[[str], None], name: str, where: str) -> None:
+    """Call a chart's ``require`` check, prefixing its error with ``where``."""
+    try:
+        require(name)
+    except UnknownSymbol as exc:
+        raise UnknownSymbol(f"{where}: {exc}") from None
+
+
+def _wedge_key(chart: Chart, key: str, degree: int, where: str) -> tuple[str, ...]:
     names = tuple(key.split("^"))
     _expect(
         len(names) == degree,
         f"{where}: key {key!r} does not name {degree} coordinate(s)",
     )
     _expect(len(set(names)) == degree, f"{where}: key {key!r} repeats a coordinate")
+    for name in names:
+        _require(chart.require_coord, name, f"{where}.{key}")
     return names
 
 
@@ -93,7 +104,7 @@ def _form(chart: Chart, degree: int, obj, where: str) -> DiffForm:
     _expect(isinstance(obj, dict), f"{where}: expected a coefficient table")
     comps = {}
     for key, text in obj.items():
-        comps[_wedge_key(key, degree, where)] = _expr(chart, text, f"{where}.{key}")
+        comps[_wedge_key(chart, key, degree, where)] = _expr(chart, text, f"{where}.{key}")
     return DiffForm.from_dict(chart, degree, comps)
 
 
@@ -131,27 +142,28 @@ def _connection(chart: Chart, obj) -> Connection:
         _expect(isinstance(table, dict), "connection.frame: expected an object")
         coeffs = {}
         for base, row in table.items():
-            _expect(isinstance(row, dict), f"connection.frame.{base}: expected an object")
+            where = f"connection.frame.{base}"
+            _expect(isinstance(row, dict), f"{where}: expected an object")
+            if base not in chart.horizontal:
+                raise NotComplementary(f"{where}: {base!r} is not a base coordinate")
             for vert, text in row.items():
-                coeffs[(base, vert)] = _expr(
-                    chart, text, f"connection.frame.{base}.{vert}"
-                )
+                if vert not in chart.vertical:
+                    raise NotVertical(f"{where}.{vert}: {vert!r} is not a fiber coordinate")
+                coeffs[(base, vert)] = _expr(chart, text, f"{where}.{vert}")
         return Connection(chart, coeffs)
     if set(obj) == {"projection"}:
         table = obj["projection"]
         _expect(isinstance(table, dict), "connection.projection: expected an object")
         items = {}
         for source, row in table.items():
-            _expect(
-                isinstance(row, dict),
-                f"connection.projection.{source}: expected an object",
-            )
-            comps = [Scalar.zero(chart)] * chart.dim
+            where = f"connection.projection.{source}"
+            _expect(isinstance(row, dict), f"{where}: expected an object")
+            _require(chart.require_coord, source, where)
+            comps = {}
             for target, text in row.items():
-                comps[chart.coord_index(target)] = _expr(
-                    chart, text, f"connection.projection.{source}.{target}"
-                )
-            items[(source,)] = VectorField(chart, comps)
+                _require(chart.require_coord, target, f"{where}.{target}")
+                comps[target] = _expr(chart, text, f"{where}.{target}")
+            items[(source,)] = VectorField.from_dict(chart, comps)
         gamma = VecValuedForm.from_dict(chart, 1, items)
         try:
             return Connection.from_projection(gamma)
@@ -171,12 +183,13 @@ def _torus_action(chart: Chart, obj) -> action_mod.TorusAction:
         )
         angle = entry["angle"]
         _expect(isinstance(angle, str), f"{where}.angle: expected a name")
+        _require(chart.require_angle, angle, f"{where}.angle")
         flow = entry["flow"]
         _expect(isinstance(flow, dict), f"{where}.flow: expected an object")
-        mapping = {
-            name: _expr(chart, text, f"{where}.flow.{name}")
-            for name, text in flow.items()
-        }
+        mapping = {}
+        for name, text in flow.items():
+            _require(chart.require_coord, name, f"{where}.flow.{name}")
+            mapping[name] = _expr(chart, text, f"{where}.flow.{name}")
         factors.append(action_mod.FlowFactor(chart, angle, mapping))
     return action_mod.TorusAction(chart, tuple(factors))
 
@@ -228,7 +241,7 @@ def scenario_from_dict(raw) -> Scenario:
     _expect(isinstance(raw["poisson"], dict), "poisson: expected an object")
     pair_comps = {}
     for key, text in raw["poisson"].items():
-        pair_comps[_wedge_key(key, 2, "poisson")] = _expr(chart, text, f"poisson.{key}")
+        pair_comps[_wedge_key(chart, key, 2, "poisson")] = _expr(chart, text, f"poisson.{key}")
     P = PoissonBivector.from_dict(chart, pair_comps)
 
     conn = _connection(chart, raw["connection"])

@@ -50,8 +50,8 @@ PI = "pi"
 # Names the expression grammar gives a meaning of its own.
 _RESERVED = {PI: "the circle constant", "sin": "the sine", "cos": "the cosine"}
 
-# Largest multinomial term count the parser expands a power to.
-_MAX_POWER_TERMS = 10_000
+# Largest term count the parser expands a power or a product to.
+_MAX_PARSED_TERMS = 10_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -836,7 +836,14 @@ class _Parser:
             kind, tok = self.peek()
             if kind == "op" and tok == "*":
                 self.take()
-                value = value * self.factor()
+                rhs = self.factor()
+                m, n = len(value.terms), len(rhs.terms)
+                if m * n > _MAX_PARSED_TERMS:
+                    raise ParseError(
+                        f"a product of {m} and {n} terms may expand to more "
+                        f"than {_MAX_PARSED_TERMS} terms"
+                    )
+                value = value * rhs
             elif kind == "op" and tok == "/":
                 self.take()
                 divisor = self.factor()
@@ -919,10 +926,10 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     product-to-sum rewrite; one-term bases are never refused.
     """
     t = len(base.terms)
-    if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_POWER_TERMS:
+    if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
         raise ParseError(
             f"a {t}-term expression to the power {exponent} may expand to more "
-            f"than {_MAX_POWER_TERMS} terms"
+            f"than {_MAX_PARSED_TERMS} terms"
         )
     return base**exponent
 

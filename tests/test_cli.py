@@ -90,6 +90,74 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("error", "key", "value", "message"),
+    [
+        (UnknownSymbol, "poisson", {"q^p": "zz*1"}, "poisson.q^p: 'zz' is not a symbol"),
+        (UnknownSymbol, "poisson", {"q^zz": "1"}, "poisson.q^zz: 'zz' is not a coordinate"),
+        (
+            UnknownSymbol,
+            "momenta",
+            [{"q": "q*sin(ph)"}],
+            "momenta[0].q: 'ph' is not an angle",
+        ),
+        (UnknownSymbol, "momenta", [{"zz": "q"}], "momenta[0].zz: 'zz' is not a coordinate"),
+        (
+            UnknownSymbol,
+            "pairing_form",
+            {"x1^zz": "1"},
+            "pairing_form.x1^zz: 'zz' is not a coordinate",
+        ),
+        (
+            NotVertical,
+            "connection",
+            {"frame": {"x1": {"x2": "q"}}},
+            "connection.frame.x1.x2: 'x2' is not a fiber coordinate",
+        ),
+        (
+            NotComplementary,
+            "connection",
+            {"frame": {"q": {"p": "1"}}},
+            "connection.frame.q: 'q' is not a base coordinate",
+        ),
+        (
+            UnknownSymbol,
+            "connection",
+            {"projection": {"zz": {"p": "1"}}},
+            "connection.projection.zz: 'zz' is not a coordinate",
+        ),
+        (
+            UnknownSymbol,
+            "connection",
+            {"projection": {"x1": {"zz": "1"}}},
+            "connection.projection.x1.zz: 'zz' is not a coordinate",
+        ),
+        (
+            UnknownSymbol,
+            "action",
+            [{"angle": "th", "flow": {"zz": "q"}}],
+            "action[0].flow.zz: 'zz' is not a coordinate",
+        ),
+        (
+            UnknownSymbol,
+            "action",
+            [{"angle": "ph", "flow": {"q": "q"}}],
+            "action[0].angle: 'ph' is not an angle",
+        ),
+    ],
+)
+def test_load_errors_name_their_input(tmp_path, capsys, error, key, value, message):
+    raw = dict(load_scenario("triv").raw)
+    raw[key] = value
+    with pytest.raises(error) as info:
+        scenario_from_dict(raw)
+    assert str(info.value).startswith(message)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"foliavg: error: {message}")
+
+
+@pytest.mark.parametrize(
     ("error", "key", "value"),
     [
         pytest.param(UnknownSymbol, "poisson", {"q^p": "zz*1"}, id="UnknownSymbol"),
@@ -108,6 +176,12 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
         pytest.param(SchemaError, "description", 5, id="SchemaError-description"),
         pytest.param(
             ParseError, "poisson", {"q^p": "(q+p+x1+x2+cos(th))^20"}, id="ParseError-power"
+        ),
+        pytest.param(
+            ParseError,
+            "poisson",
+            {"q^p": "(q+p+x1+x2+cos(th))^10*(q+p+x1+x2+cos(th))^10"},
+            id="ParseError-product",
         ),
     ],
 )

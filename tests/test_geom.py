@@ -1,9 +1,12 @@
 """Exterior calculus, brackets and pullbacks on a fixed chart."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from foliavg.action import hannay_berry
 from foliavg.errors import DegreeOverflow, MissingInverse, UnsupportedDegree
 from foliavg.geom import (
     ChartMap,
@@ -12,6 +15,7 @@ from foliavg.geom import (
     VecValuedForm,
     VectorField,
     _det,
+    _wedge_vectors,
     exterior_derivative,
     fn_bracket,
     interior_product,
@@ -20,6 +24,7 @@ from foliavg.geom import (
     schouten_bracket,
     wedge,
 )
+from foliavg.scenarios import bundled_names, load_scenario
 from foliavg.symcalc import Scalar
 
 from conftest import CHART, forms, polynomials, sc, scalars, vector_fields
@@ -165,6 +170,67 @@ def test_lie_derivative_commutator(X, Y, a):
 # multivectors and the Schouten bracket
 
 
+def _vector_from_index(chart, i, coef=None):
+    comps = [Scalar.zero(chart)] * chart.dim
+    comps[i] = Scalar.one(chart) if coef is None else coef
+    return VectorField(chart, comps)
+
+
+def schouten_reference(a, b):
+    """The Schouten bracket of two multivectors, by basis-field brackets.
+
+    Each component is written as a wedge of coordinate fields with the
+    coefficient on the first factor; for X = x_1 ^ ... ^ x_p and
+    Y = y_1 ^ ... ^ y_q,
+    [X, Y] = sum_{k, l} (-1)^(k+l) [x_k, y_l] ^ X without x_k ^ Y without y_l.
+    """
+    chart = a.chart
+    result = Multivector.zero(chart, a.degree + b.degree - 1)
+    for ia, va in a.comps.items():
+        xs = [_vector_from_index(chart, ia[0], va)] + [
+            _vector_from_index(chart, i) for i in ia[1:]
+        ]
+        for ib, vb in b.comps.items():
+            ys = [_vector_from_index(chart, ib[0], vb)] + [
+                _vector_from_index(chart, i) for i in ib[1:]
+            ]
+            for k, x in enumerate(xs, start=1):
+                for l, y in enumerate(ys, start=1):
+                    rest = [f for t, f in enumerate(xs, start=1) if t != k]
+                    rest += [f for t, f in enumerate(ys, start=1) if t != l]
+                    bracket = x.bracket(y)
+                    if bracket.is_zero:
+                        continue
+                    piece = _wedge_vectors([bracket] + rest)
+                    result = result + (-piece if (k + l) % 2 else piece)
+    return result
+
+
+def as_multivector(X):
+    return Multivector(X.chart, 1, {(i,): c for i, c in enumerate(X.comps)})
+
+
+@st.composite
+def multivectors(draw, degree):
+    comps = {
+        index: draw(scalars(coord_degree=2, freq=2, max_terms=2))
+        for index in combinations(CHART.coords, degree)
+    }
+    return Multivector.from_dict(CHART, degree, comps)
+
+
+# degree pairs whose bracket fits the four coordinates of CHART
+BRACKET_DEGREES = [
+    (p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p + q - 1 <= CHART.dim
+]
+
+
+@st.composite
+def multivector_pairs(draw):
+    p, q = draw(st.sampled_from(BRACKET_DEGREES))
+    return draw(multivectors(p)), draw(multivectors(q))
+
+
 def test_schouten_on_fields_is_the_bracket():
     X = VectorField.from_dict(CHART, {"q": sc("q*p")})
     Y = vf("p")
@@ -174,11 +240,30 @@ def test_schouten_on_fields_is_the_bracket():
     assert got.coefficient("q") == X.bracket(Y).component("q")
 
 
-@given(vector_fields(), vector_fields())
-def test_schouten_graded_antisymmetry_fields(X, Y):
-    a = Multivector.from_dict(CHART, 1, {(n,): X.component(n) for n in CHART.coords})
-    b = Multivector.from_dict(CHART, 1, {(n,): Y.component(n) for n in CHART.coords})
-    assert schouten_bracket(a, b) == -schouten_bracket(b, a)
+@given(multivector_pairs())
+def test_schouten_graded_antisymmetry_fields(pair):
+    a, b = pair
+    sign = -1 if (a.degree - 1) * (b.degree - 1) % 2 else 1
+    assert schouten_bracket(a, b) == -(schouten_bracket(b, a) * sign)
+
+
+@given(multivector_pairs())
+def test_schouten_matches_the_reference(pair):
+    a, b = pair
+    assert schouten_bracket(a, b) == schouten_reference(a, b)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_schouten_matches_the_reference_on_bundled_data(name):
+    s = load_scenario(name)
+    P = s.P.mv
+    assert schouten_bracket(P, P) == schouten_reference(P, P)
+    for conn in (s.conn, hannay_berry(s.action, s.conn)):
+        for lift in conn.frame.values():
+            one = as_multivector(lift)
+            expected = schouten_reference(one, P)
+            assert schouten_bracket(one, P) == expected
+            assert lie_derivative(lift, P) == expected
 
 
 def test_schouten_rejects_functions():

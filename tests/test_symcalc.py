@@ -104,6 +104,11 @@ def test_render_zero():
             ParseError,
             "a 5-term expression to the power 30 may expand to more than 10000 terms",
         ),
+        (
+            "(q+p+x1+x2+cos(th))^10*(q+p+x1+x2+cos(th))^10",
+            ParseError,
+            "a product of 1792 and 1792 terms may expand to more than 10000 terms",
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
