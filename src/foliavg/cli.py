@@ -34,7 +34,11 @@ def _cmd_average(args: argparse.Namespace) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"foliavg: error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     NotComplementary,
@@ -23,7 +23,6 @@ from .geom import (
     Index,
     VecValuedForm,
     VectorField,
-    _sort_index,
     _tensor,
     exterior_derivative,
 )
@@ -269,34 +268,6 @@ class BigradedForm:
         ) + ")"
 
 
-def _shear(
-    chart: Chart,
-    degree: int,
-    items: Iterable[tuple[Index, Scalar]],
-    rules: Mapping[int, list[tuple[int, Scalar]]],
-) -> DiffForm:
-    """Rewrite each index i of every component as i + sum of a * j over
-    rules[i], expand the wedge, and collect the terms by sorted index.
-
-    Every j in rules[i] must be below i (fiber indices are rewritten by base
-    indices), so only a rewritten index can repeat an earlier one.
-    """
-    out = []
-    for idx, value in items:
-        partial = [((), value)]
-        for i in idx:
-            grown = [(head + (i,), coef) for head, coef in partial]
-            for j, a in rules.get(i, ()):
-                grown += [
-                    (head + (j,), coef * a) for head, coef in partial if j not in head
-                ]
-            partial = grown
-        for new, coef in partial:
-            sidx, sign = _sort_index(new)
-            out.append((sidx, coef if sign > 0 else -coef))
-    return DiffForm._make(chart, degree, out)
-
-
 def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
     """Split a form by base and fiber degree in the adapted coframe.
 
@@ -308,20 +279,21 @@ def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
     """
     chart = conn.chart
     k = form.degree
-    forward: dict[int, list[tuple[int, Scalar]]] = {}
-    backward: dict[int, list[tuple[int, Scalar]]] = {}
+    forward: dict[int, list[tuple[int, Scalar | None]]] = {}
+    backward: dict[int, list[tuple[int, Scalar | None]]] = {}
     for (base, vert), value in conn.coeffs.items():
         v, b = chart.coord_index(vert), chart.coord_index(base)
-        forward.setdefault(v, []).append((b, value))
-        backward.setdefault(v, []).append((b, -value))
+        forward.setdefault(v, [(v, None)]).append((b, value))
+        backward.setdefault(v, [(v, None)]).append((b, -value))
     first_vertical = len(chart.horizontal)
     groups: dict[tuple[int, int], list[tuple[Index, Scalar]]] = {}
-    for idx, value in _shear(chart, k, form.comps.items(), forward).comps.items():
+    sheared = DiffForm._rebase(chart, k, form.comps.items(), forward)
+    for idx, value in sheared.comps.items():
         q = sum(1 for i in idx if i >= first_vertical)
         groups.setdefault((k - q, q), []).append((idx, value))
     return BigradedForm(
         chart, k,
-        {pq: _shear(chart, k, items, backward) for pq, items in groups.items()},
+        {pq: DiffForm._rebase(chart, k, items, backward) for pq, items in groups.items()},
     )
 
 

@@ -5,6 +5,12 @@ over the manifold coordinates of a :class:`~foliavg.symcalc.Chart` (angles
 are parameters and carry no components).  Component indices are strictly
 increasing tuples of coordinate positions, so two tensors are equal exactly
 when their component dictionaries are equal.
+
+Every change of basis goes through one kernel, :meth:`_Graded._rebase`: it
+rewrites each basis index as a combination of others, expands the wedge and
+collects by sorted index.  Its callers are :meth:`ChartMap.pull_form`,
+:meth:`ChartMap.pull_multivector`, :meth:`ChartMap.pull_valued_form` and
+:func:`foliavg.foliation.bigrade`.
 """
 
 from __future__ import annotations
@@ -248,6 +254,49 @@ class _Graded:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.chart, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: kv[0]))))
 
+    def _contract(self, rows: Sequence[Sequence[Scalar]]):
+        """Sum of value * det(rows at idx) over the components (idx, value),
+        where rows[k] lists the k-th argument's components densely.  With no
+        arguments this is the degree-0 component.
+        """
+        if not rows:
+            return self.comps.get((), self._zero_value(self.chart))
+        total = self._zero_value(self.chart)
+        for idx, value in self.comps.items():
+            total = total + value * _det([[row[i] for i in idx] for row in rows])
+        return total
+
+    @classmethod
+    def _rebase(
+        cls,
+        chart: Chart,
+        degree: int,
+        items: Iterable[tuple[Index, object]],
+        images: Mapping[int, Sequence[tuple[int, Scalar | None]]],
+    ):
+        """Rewrite each basis index i of every component (idx, value) as the
+        combination images[i] of pairs (j, factor), expand the wedge and
+        collect the terms by sorted index.
+
+        An index without an image stays as it is, and a factor of None
+        stands for 1.  Expansions that repeat an index vanish.  ``value`` is
+        a Scalar or a VectorField.
+        """
+        out = []
+        for idx, value in items:
+            partial = [((), value)]
+            for i in idx:
+                partial = [
+                    (head + (j,), coef if factor is None else coef * factor)
+                    for j, factor in images.get(i, ((i, None),))
+                    for head, coef in partial
+                    if j not in head
+                ]
+            for new, coef in partial:
+                sidx, sign = _sort_index(new)
+                out.append((sidx, coef if sign > 0 else -coef))
+        return cls._make(chart, degree, out)
+
     def _names(self, idx: Index) -> tuple[str, ...]:
         return tuple(self.chart.coords[i] for i in idx)
 
@@ -281,13 +330,7 @@ class DiffForm(_Graded):
             raise UnsupportedDegree(
                 f"form of degree {self.degree} evaluated on {len(fields)} fields"
             )
-        if self.degree == 0:
-            return self.comps.get((), Scalar.zero(self.chart))
-        total = Scalar.zero(self.chart)
-        for idx, coef in self.comps.items():
-            rows = [[field.comps[i] for i in idx] for field in fields]
-            total = total + coef * _det(rows)
-        return total
+        return self._contract([field.comps for field in fields])
 
 
 class Multivector(_Graded):
@@ -314,15 +357,11 @@ class Multivector(_Graded):
         for alpha in forms:
             if alpha.degree != 1:
                 raise UnsupportedDegree("contraction requires one-forms")
-        total = Scalar.zero(self.chart)
         zero = Scalar.zero(self.chart)
-        for idx, coef in self.comps.items():
-            rows = [
-                [alpha.comps.get((i,), zero) for i in idx]
-                for alpha in forms
-            ]
-            total = total + coef * _det(rows)
-        return total
+        return self._contract([
+            [alpha.comps.get((i,), zero) for i in range(self.chart.dim)]
+            for alpha in forms
+        ])
 
 
 class VecValuedForm(_Graded):
@@ -360,14 +399,7 @@ class VecValuedForm(_Graded):
             raise UnsupportedDegree(
                 f"valued form of degree {self.degree} evaluated on {len(fields)} fields"
             )
-        total = VectorField.zero(self.chart)
-        for idx, vec in self.comps.items():
-            if self.degree == 0:
-                total = total + vec
-                continue
-            rows = [[field.comps[i] for i in idx] for field in fields]
-            total = total + vec * _det(rows)
-        return total
+        return self._contract([field.comps for field in fields])
 
     def apply(self, field: VectorField) -> VectorField:
         if self.degree != 1:
@@ -481,27 +513,6 @@ def _tensor(form: DiffForm, vec: VectorField) -> VecValuedForm:
 # Schouten bracket
 
 
-def _wedge_vectors(fields: Sequence[VectorField]) -> Multivector:
-    chart = fields[0].chart
-    degree = len(fields)
-    items: list[tuple[Index, Scalar]] = []
-
-    def emit(pos: int, idx: tuple[int, ...], coef: Scalar) -> None:
-        if pos == degree:
-            sorted_sign = _sort_index(idx)
-            if sorted_sign is None:
-                return
-            sidx, sign = sorted_sign
-            items.append((sidx, coef if sign > 0 else -coef))
-            return
-        for i, comp in enumerate(fields[pos].comps):
-            if not comp.is_zero:
-                emit(pos + 1, idx + (i,), coef * comp)
-
-    emit(0, (), Scalar.one(chart))
-    return Multivector._make(chart, degree, items)
-
-
 def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
     """Schouten bracket; on (1, k) it is the Lie derivative.
 
@@ -573,7 +584,7 @@ class ChartMap:
     scenario.
     """
 
-    __slots__ = ("chart", "mapping", "inverse_mapping", "_vector_matrix", "_differentials")
+    __slots__ = ("chart", "mapping", "inverse_mapping", "_vector_matrix", "_images")
 
     def __init__(
         self,
@@ -591,7 +602,7 @@ class ChartMap:
                 inv[name] = inverse_mapping.get(name, Scalar.var(chart, name))
             object.__setattr__(self, "inverse_mapping", inv)
         object.__setattr__(self, "_vector_matrix", None)
-        object.__setattr__(self, "_differentials", None)
+        object.__setattr__(self, "_images", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChartMap is immutable")
@@ -621,19 +632,13 @@ class ChartMap:
             object.__setattr__(self, "_vector_matrix", matrix)
         return self._vector_matrix
 
-    def _pulled_differentials(self) -> list[DiffForm]:
-        """The pulled-back coordinate differentials d(mapping^c), one per coordinate."""
-        if self._differentials is None:
-            chart = self.chart
-            jac = self._jacobian_of(self.mapping)
-            differentials = [
-                DiffForm(chart, 1, {
-                    (e,): jac[c][e] for e in range(chart.dim) if not jac[c][e].is_zero
-                })
-                for c in range(chart.dim)
-            ]
-            object.__setattr__(self, "_differentials", differentials)
-        return self._differentials
+    def _form_images(self) -> dict[int, list[tuple[int, Scalar]]]:
+        """The pulled coordinate differentials d(mapping^c) as basis images."""
+        if self._images is None:
+            object.__setattr__(
+                self, "_images", _basis_images(self._jacobian_of(self.mapping))
+            )
+        return self._images
 
     def pull_vector(self, field: VectorField) -> VectorField:
         matrix = self._pull_vector_matrix()
@@ -650,43 +655,29 @@ class ChartMap:
         return VectorField(chart, comps)
 
     def pull_form(self, a: DiffForm) -> DiffForm:
-        chart = self.chart
-        if a.degree == 0:
-            value = a.comps.get((), Scalar.zero(chart))
-            return DiffForm.function(chart, self.pull_scalar(value))
-        differentials = self._pulled_differentials()
-        result = DiffForm.zero(chart, a.degree)
-        for idx, value in a.comps.items():
-            accum = differentials[idx[0]]
-            for c in idx[1:]:
-                accum = wedge(accum, differentials[c])
-            result = result + accum * self.pull_scalar(value)
-        return result
+        items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
+        return DiffForm._rebase(self.chart, a.degree, items, self._form_images())
 
     def pull_multivector(self, a: Multivector) -> Multivector:
         matrix = self._pull_vector_matrix()
-        chart = self.chart
-        basis_images = [
-            VectorField(chart, [matrix[c][e] for c in range(chart.dim)])
-            for e in range(chart.dim)
-        ]
-        result = Multivector.zero(chart, a.degree)
-        for idx, value in a.comps.items():
-            fields = [basis_images[e] for e in idx]
-            piece = _wedge_vectors(fields) * self.pull_scalar(value)
-            result = result + piece
-        return result
+        items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
+        return Multivector._rebase(self.chart, a.degree, items, _basis_images(zip(*matrix)))
 
     def pull_valued_form(self, a: VecValuedForm) -> VecValuedForm:
-        chart = self.chart
-        result = VecValuedForm.zero(chart, a.degree)
-        for idx, vec in a.comps.items():
-            if a.degree == 0:
-                form = DiffForm.function(chart, Scalar.one(chart))
-            else:
-                form = self.pull_form(DiffForm(chart, a.degree, {idx: Scalar.one(chart)}))
-            result = result + _tensor(form, self.pull_vector(vec))
-        return result
+        items = [(idx, self.pull_vector(vec)) for idx, vec in a.comps.items()]
+        return VecValuedForm._rebase(self.chart, a.degree, items, self._form_images())
+
+
+def _basis_images(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[tuple[int, Scalar]]]:
+    """Basis images for :meth:`_Graded._rebase`, row i being the image of
+    index i; identity rows are left out, so those indices stay as they are.
+    """
+    images = {}
+    for i, row in enumerate(rows):
+        image = [(j, entry) for j, entry in enumerate(row) if not entry.is_zero]
+        if image != [(i, 1)]:
+            images[i] = image
+    return images
 
 
 def pullback(phi: ChartMap, target):

@@ -205,8 +205,8 @@ def load_scenario(source: str | Path) -> Scenario:
     path = Path(source)
     if path.suffix == ".json" or path.exists():
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read {path}: {exc}") from None
     else:
         entry = resources.files(__package__).joinpath("data").joinpath(f"{source}.json")
@@ -215,7 +215,7 @@ def load_scenario(source: str | Path) -> Scenario:
                 f"{source!r} is neither a file nor a bundled scenario "
                 f"(bundled: {', '.join(bundled_names())})"
             )
-        text = entry.read_text()
+        text = entry.read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

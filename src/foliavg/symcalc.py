@@ -923,7 +923,9 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     """``base ** exponent``, refused when the expansion may grow too large.
 
     A power of t terms has at most C(t+e-1, e) monomials before any
-    product-to-sum rewrite; one-term bases are never refused.
+    product-to-sum rewrite.  A one-term base with harmonics in h angles
+    grows by product-to-sum instead: its power e // 2 has (e // 4 + 1)^h
+    terms, and squaring that is refused by the m * n rule of products.
     """
     t = len(base.terms)
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
@@ -931,6 +933,14 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
             f"a {t}-term expression to the power {exponent} may expand to more "
             f"than {_MAX_PARSED_TERMS} terms"
         )
+    if t == 1:
+        ((_, trig),) = base.terms
+        half = (exponent // 4 + 1) ** len(trig)
+        if trig and half * half > _MAX_PARSED_TERMS:
+            raise ParseError(
+                f"a term with harmonics to the power {exponent} may expand to "
+                f"more than {_MAX_PARSED_TERMS} terms"
+            )
     return base**exponent
 
 

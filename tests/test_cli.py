@@ -70,6 +70,15 @@ def test_unknown_scenario_is_an_input_error(capsys):
     assert "bundled" in err
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(load_scenario("triv").raw).encode())
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"foliavg: error: cannot read {path}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 def test_explicit_momentum_stage_without_momenta(tmp_path, capsys):
     raw = dict(load_scenario("triv").raw)
     raw.pop("momenta")
@@ -183,6 +192,9 @@ def test_load_errors_name_their_input(tmp_path, capsys, error, key, value, messa
             {"q^p": "(q+p+x1+x2+cos(th))^10*(q+p+x1+x2+cos(th))^10"},
             id="ParseError-product",
         ),
+        pytest.param(
+            ParseError, "poisson", {"q^p": "cos(th)^400"}, id="ParseError-harmonic-power"
+        ),
     ],
 )
 def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):
@@ -259,6 +271,15 @@ def test_average_to_file_round_trips(tmp_path, capsys):
     assert main(["average", "hb4d", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert main(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize("target", ["missing/averaged.json", "."], ids=["missing-dir", "a-dir"])
+def test_average_write_failure_is_an_input_error(tmp_path, capsys, target):
+    out = tmp_path / target
+    assert main(["average", "triv", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"foliavg: error: cannot write {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_average_needs_momenta(tmp_path, capsys):
@@ -340,4 +361,11 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, capsys, monkeypatch
         # the descriptor now points at devnull, so a late flush cannot fail
         os.write(handle.fileno(), b"late flush")
     assert sink.read_bytes() == b""
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_average_to_closed_stdout_exits_141(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        assert main(["average", "triv"]) == 141
     assert "Traceback" not in capsys.readouterr().err

@@ -15,7 +15,7 @@ from foliavg.geom import (
     VecValuedForm,
     VectorField,
     _det,
-    _wedge_vectors,
+    _sort_index,
     exterior_derivative,
     fn_bracket,
     interior_product,
@@ -24,7 +24,7 @@ from foliavg.geom import (
     schouten_bracket,
     wedge,
 )
-from foliavg.scenarios import bundled_names, load_scenario
+from foliavg.scenarios import bundled_names, load_scenario, run_checks, scenario_from_dict
 from foliavg.symcalc import Scalar
 
 from conftest import CHART, forms, polynomials, sc, scalars, vector_fields
@@ -176,6 +176,28 @@ def _vector_from_index(chart, i, coef=None):
     return VectorField(chart, comps)
 
 
+def _wedge_vectors(fields):
+    """The multivector fields[0] ^ ... ^ fields[-1], expanded over coordinates."""
+    chart = fields[0].chart
+    degree = len(fields)
+    items = []
+
+    def emit(pos, idx, coef):
+        if pos == degree:
+            sorted_sign = _sort_index(idx)
+            if sorted_sign is None:
+                return
+            sidx, sign = sorted_sign
+            items.append((sidx, coef if sign > 0 else -coef))
+            return
+        for i, comp in enumerate(fields[pos].comps):
+            if not comp.is_zero:
+                emit(pos + 1, idx + (i,), coef * comp)
+
+    emit(0, (), Scalar.one(chart))
+    return Multivector._make(chart, degree, items)
+
+
 def schouten_reference(a, b):
     """The Schouten bracket of two multivectors, by basis-field brackets.
 
@@ -264,6 +286,75 @@ def test_schouten_matches_the_reference_on_bundled_data(name):
             expected = schouten_reference(one, P)
             assert schouten_bracket(one, P) == expected
             assert lie_derivative(lift, P) == expected
+
+
+def _rotating_pairs_doc(poisson):
+    """Two base and two rotating fibre pairs, with a lift along p1."""
+    rotations = [
+        {
+            "angle": f"th{j}",
+            "flow": {
+                f"q{j}": f"q{j}*cos(th{j}) - p{j}*sin(th{j})",
+                f"p{j}": f"q{j}*sin(th{j}) + p{j}*cos(th{j})",
+            },
+        }
+        for j in (1, 2)
+    ]
+    return {
+        "schema": 1,
+        "name": "rot_pairs",
+        "chart": {
+            "horizontal": ["x1", "x2"],
+            "vertical": ["q1", "p1", "q2", "p2"],
+            "angles": ["th1", "th2"],
+        },
+        "poisson": poisson,
+        "connection": {"frame": {"x1": {"p1": "-3/5*x2*q1"}}},
+        "action": rotations,
+        "momenta": [{"q1": "q1", "p1": "p1"}, {"q2": "q2", "p2": "p2"}],
+        "pairing_form": {"x1^x2": "-3/10*q1^2"},
+    }
+
+
+def _first_component(mv):
+    idx, value = min(mv.comps.items())
+    return value, ", ".join(mv.chart.coords[i] for i in idx)
+
+
+@pytest.mark.parametrize(
+    ("doc", "failing"),
+    [
+        (
+            _rotating_pairs_doc({"q1^p1": "q2^2", "q2^p2": "1", "p1^p2": "q1*x1"}),
+            {"jacobi", "frame_preserves_bivector"},
+        ),
+        (dict(load_scenario("hb4d").raw, poisson={"q^p": "x1"}), {"frame_preserves_bivector"}),
+    ],
+    ids=["rot-pairs-not-jacobi", "hb4d-scaled-by-x1"],
+)
+def test_poisson_verdicts_see_a_nonzero_bracket(doc, failing):
+    """Bundled brackets all vanish; here each failing witness is checked
+    against the basis-field reference."""
+    s = scenario_from_dict(doc)
+    witnesses = {c.check: c.witness for c in run_checks(s, ["poisson"]).checks}
+    assert {check for check, witness in witnesses.items() if witness} == failing
+    P = s.P.mv
+    jacobi = schouten_reference(P, P)
+    if jacobi.is_zero:
+        assert witnesses["jacobi"] is None
+    else:
+        value, names = _first_component(jacobi)
+        assert witnesses["jacobi"] == f"Schouten self-bracket has component {value} on ({names})"
+    moves = {}
+    for base, lift in s.conn.frame.items():
+        moved = schouten_reference(as_multivector(lift), P)
+        if not moved.is_zero:
+            moves[base] = _first_component(moved)
+    base = next(iter(moves))
+    value, names = moves[base]
+    assert witnesses["frame_preserves_bivector"] == (
+        f"lift of {base} moves the bivector by {value} on ({names})"
+    )
 
 
 def test_schouten_rejects_functions():

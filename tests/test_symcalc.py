@@ -76,6 +76,9 @@ def test_render_zero():
     assert render(Scalar.zero(CHART)) == "0"
 
 
+TWO_ANGLES = Chart(("x1", "x2"), ("q", "p"), ("th", "ph"))
+
+
 @pytest.mark.parametrize(
     "bad,exc,message",
     [
@@ -109,13 +112,38 @@ def test_render_zero():
             ParseError,
             "a product of 1792 and 1792 terms may expand to more than 10000 terms",
         ),
+        (
+            "cos(th)^400",
+            ParseError,
+            "a term with harmonics to the power 400 may expand to more than 10000 terms",
+        ),
+        (
+            "(cos(th)*cos(ph))^60",
+            ParseError,
+            "a term with harmonics to the power 60 may expand to more than 10000 terms",
+        ),
+        (
+            "(q*cos(th)*sin(ph))^80",
+            ParseError,
+            "a term with harmonics to the power 80 may expand to more than 10000 terms",
+        ),
+        (
+            "cos(th)^5000",
+            ParseError,
+            "a term with harmonics to the power 5000 may expand to more than 10000 terms",
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
     with pytest.raises(exc) as info:
-        sc(bad)
+        sc(bad, TWO_ANGLES)
     if message is not None:
         assert str(info.value) == message
+
+
+def test_harmonic_powers_below_the_bound_parse():
+    assert len(sc("cos(th)^40").terms) == 21
+    assert len(sc("(q*cos(th)*sin(ph))^20", TWO_ANGLES).terms) == 121
 
 
 def test_power_binds_tighter_than_division():
@@ -201,9 +229,6 @@ def product_reference(left, right):
             for key, factor in mul_keys_reference(k1, k2):
                 items.append((key, c1 * c2 * factor))
     return items
-
-
-TWO_ANGLES = Chart(("x1",), ("q", "p"), ("th", "ph"))
 
 
 @st.composite
