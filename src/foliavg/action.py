@@ -258,18 +258,14 @@ def verify_action(action: TorusAction, P: PoissonBivector) -> dict[str, str | No
 def _coefficients(target) -> list[Scalar]:
     if isinstance(target, Scalar):
         return [target]
-    if isinstance(target, VectorField):
-        return list(target.comps)
     if isinstance(target, VecValuedForm):
-        return [c for vec in target.comps.values() for c in vec.comps]
+        return [c for vec in target.comps.values() for c in vec.comps.values()]
     return list(target.comps.values())
 
 
 def _map_coefficients(target, fn):
     if isinstance(target, Scalar):
         return fn(target)
-    if isinstance(target, VectorField):
-        return VectorField(target.chart, [fn(c) for c in target.comps])
     if isinstance(target, VecValuedForm):
         items = [
             (idx, _map_coefficients(vec, fn)) for idx, vec in target.comps.items()

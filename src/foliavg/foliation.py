@@ -31,9 +31,8 @@ from .symcalc import Chart, Scalar
 
 def is_vertical_field(field: VectorField) -> bool:
     chart = field.chart
-    return all(
-        field.comps[chart.coord_index(name)].is_zero for name in chart.horizontal
-    )
+    horizontal = {chart.coord_index(name) for name in chart.horizontal}
+    return not any(i in horizontal for (i,) in field.comps)
 
 
 def is_vertical_valued(vvf: VecValuedForm) -> bool:
@@ -97,7 +96,7 @@ class Connection:
         for base in chart.horizontal:
             image = gamma.coefficient(base)
             for vert in chart.vertical:
-                coeffs[(base, vert)] = -image.component(vert)
+                coeffs[(base, vert)] = -image.coefficient(vert)
         return Connection(chart, coeffs)
 
     def coefficient(self, base: str, vert: str) -> Scalar:

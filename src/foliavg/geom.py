@@ -3,20 +3,21 @@
 All tensors are represented by sparse dictionaries of canonical components
 over the manifold coordinates of a :class:`~foliavg.symcalc.Chart` (angles
 are parameters and carry no components).  Component indices are strictly
-increasing tuples of coordinate positions, so two tensors are equal exactly
-when their component dictionaries are equal.
+increasing tuples of coordinate positions, and only nonzero components are
+stored, so two tensors are equal exactly when their component dictionaries
+are equal.  Vector fields are the degree-one case of the same container,
+keyed ``(i,)``.
 
 Every change of basis goes through one kernel, :meth:`_Graded._rebase`: it
 rewrites each basis index as a combination of others, expands the wedge and
-collects by sorted index.  Its callers are :meth:`ChartMap.pull_form`,
-:meth:`ChartMap.pull_multivector`, :meth:`ChartMap.pull_valued_form` and
-:func:`foliavg.foliation.bigrade`.
+collects by sorted index.  Its callers are :meth:`ChartMap.pull_vector`,
+:meth:`ChartMap.pull_form`, :meth:`ChartMap.pull_multivector`,
+:meth:`ChartMap.pull_valued_form` and :func:`foliavg.foliation.bigrade`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .symcalc import Chart, Scalar, Substitution
 
-Number = Union[int, Fraction]
 Index = tuple[int, ...]
 
 
@@ -67,99 +67,15 @@ def _check_chart(a, b) -> None:
         raise ChartMismatch(f"{a.chart} vs {b.chart}")
 
 
-class VectorField:
-    """A vector field with one Scalar component per manifold coordinate."""
-
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart: Chart, comps: Sequence[Scalar]) -> None:
-        if len(comps) != chart.dim:
-            raise ChartMismatch("component count does not match chart dimension")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "comps", tuple(comps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
-
-    @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, [Scalar.zero(chart)] * chart.dim)
-
-    @staticmethod
-    def basis(chart: Chart, name: str) -> "VectorField":
-        i = chart.coord_index(name)
-        comps = [Scalar.zero(chart)] * chart.dim
-        comps[i] = Scalar.one(chart)
-        return VectorField(chart, comps)
-
-    @staticmethod
-    def from_dict(chart: Chart, comps: Mapping[str, Scalar]) -> "VectorField":
-        out = [Scalar.zero(chart)] * chart.dim
-        for name, value in comps.items():
-            out[chart.coord_index(name)] = value
-        return VectorField(chart, out)
-
-    def component(self, name: str) -> Scalar:
-        return self.comps[self.chart.coord_index(name)]
-
-    def apply(self, f: Scalar) -> Scalar:
-        """Directional derivative of a scalar."""
-        items = []
-        for comp, name in zip(self.comps, self.chart.coords):
-            if not comp.is_zero:
-                items.extend((comp * f.diff(name)).terms.items())
-        return Scalar._new(self.chart, items)
-
-    def bracket(self, other: "VectorField") -> "VectorField":
-        _check_chart(self, other)
-        comps = []
-        for i in range(self.chart.dim):
-            comps.append(self.apply(other.comps[i]) - other.apply(self.comps[i]))
-        return VectorField(self.chart, comps)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_chart(self, other)
-        return VectorField(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_chart(self, other)
-        return VectorField(self.chart, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-a for a in self.comps])
-
-    def __mul__(self, factor: Scalar | Number) -> "VectorField":
-        return VectorField(self.chart, [a * factor for a in self.comps])
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.comps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.comps))
-
-    def __repr__(self) -> str:
-        parts = [
-            f"({c})*d/d{name}"
-            for c, name in zip(self.comps, self.chart.coords)
-            if not c.is_zero
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
 class _Graded:
-    """Shared container behaviour of forms, multivectors and valued forms."""
+    """Shared container behaviour of fields, forms, multivectors and valued
+    forms."""
 
     __slots__ = ("chart", "degree", "comps")
     # makes the value of an absent component on a chart
     _zero_value = staticmethod(Scalar.zero)
+    # written before each coordinate name of a basis element in the repr
+    _basis_prefix = "d"
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, object]) -> None:
         if degree < 0:
@@ -254,16 +170,20 @@ class _Graded:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.chart, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: kv[0]))))
 
-    def _contract(self, rows: Sequence[Sequence[Scalar]]):
-        """Sum of value * det(rows at idx) over the components (idx, value),
-        where rows[k] lists the k-th argument's components densely.  With no
-        arguments this is the degree-0 component.
+    def _contract(self, args: Sequence["_Graded"]):
+        """Sum of value * det(args at idx) over the components (idx, value),
+        where each argument is a degree-one tensor (a field or a one-form)
+        and its entry at i is its component (i,).  With no arguments this is
+        the degree-0 component.
         """
-        if not rows:
+        if not args:
             return self.comps.get((), self._zero_value(self.chart))
+        zero = Scalar.zero(self.chart)
         total = self._zero_value(self.chart)
         for idx, value in self.comps.items():
-            total = total + value * _det([[row[i] for i in idx] for row in rows])
+            det = _det([[arg.comps.get((i,), zero) for i in idx] for arg in args])
+            if not det.is_zero:
+                total = total + value * det
         return total
 
     @classmethod
@@ -305,9 +225,49 @@ class _Graded:
             return "0"
         parts = []
         for idx in sorted(self.comps):
-            basis = "^".join(f"d{n}" for n in self._names(idx)) or "1"
+            basis = "^".join(self._basis_prefix + n for n in self._names(idx)) or "1"
             parts.append(f"({self.comps[idx]})*{basis}")
         return " + ".join(parts)
+
+
+class VectorField(_Graded):
+    """A vector field: the degree-one tensor with components keyed (i,)."""
+
+    _basis_prefix = "d/d"
+
+    def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, Scalar]) -> None:
+        if degree != 1:
+            raise UnsupportedDegree(f"a vector field has degree 1, not {degree}")
+        super().__init__(chart, degree, comps)
+
+    @staticmethod
+    def zero(chart: Chart) -> "VectorField":
+        return VectorField(chart, 1, {})
+
+    @staticmethod
+    def basis(chart: Chart, name: str) -> "VectorField":
+        return VectorField(chart, 1, {(chart.coord_index(name),): Scalar.one(chart)})
+
+    @staticmethod
+    def from_dict(chart: Chart, comps: Mapping[str, Scalar]) -> "VectorField":
+        return VectorField(
+            chart, 1, {(chart.coord_index(name),): value for name, value in comps.items()}
+        )
+
+    def apply(self, f: Scalar) -> Scalar:
+        """Directional derivative of a scalar."""
+        coords = self.chart.coords
+        items = []
+        for (i,), comp in self.comps.items():
+            items.extend((comp * f.diff(coords[i])).terms.items())
+        return Scalar._new(self.chart, items)
+
+    def bracket(self, other: "VectorField") -> "VectorField":
+        """The Lie bracket, [X, Y]^i = X(Y^i) - Y(X^i)."""
+        _check_chart(self, other)
+        items = [(idx, self.apply(value)) for idx, value in other.comps.items()]
+        items += [(idx, -other.apply(value)) for idx, value in self.comps.items()]
+        return VectorField._make(self.chart, 1, items)
 
 
 class DiffForm(_Graded):
@@ -330,24 +290,17 @@ class DiffForm(_Graded):
             raise UnsupportedDegree(
                 f"form of degree {self.degree} evaluated on {len(fields)} fields"
             )
-        return self._contract([field.comps for field in fields])
+        return self._contract(fields)
 
 
 class Multivector(_Graded):
     """A k-vector field with components on coordinate wedge products."""
 
+    _basis_prefix = "d/d"
+
     @staticmethod
     def zero(chart: Chart, degree: int) -> "Multivector":
         return Multivector(chart, degree, {})
-
-    def __repr__(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for idx in sorted(self.comps):
-            basis = "^".join(f"d/d{n}" for n in self._names(idx)) or "1"
-            parts.append(f"({self.comps[idx]})*{basis}")
-        return " + ".join(parts)
 
     def evaluate(self, *forms: DiffForm) -> Scalar:
         if len(forms) != self.degree:
@@ -357,11 +310,7 @@ class Multivector(_Graded):
         for alpha in forms:
             if alpha.degree != 1:
                 raise UnsupportedDegree("contraction requires one-forms")
-        zero = Scalar.zero(self.chart)
-        return self._contract([
-            [alpha.comps.get((i,), zero) for i in range(self.chart.dim)]
-            for alpha in forms
-        ])
+        return self._contract(forms)
 
 
 class VecValuedForm(_Graded):
@@ -399,7 +348,7 @@ class VecValuedForm(_Graded):
             raise UnsupportedDegree(
                 f"valued form of degree {self.degree} evaluated on {len(fields)} fields"
             )
-        return self._contract([field.comps for field in fields])
+        return self._contract(fields)
 
     def apply(self, field: VectorField) -> VectorField:
         if self.degree != 1:
@@ -456,8 +405,8 @@ def interior_product(field: VectorField, a: DiffForm) -> DiffForm:
     items = []
     for idx, value in a.comps.items():
         for t, c in enumerate(idx):
-            comp = field.comps[c]
-            if comp.is_zero:
+            comp = field.comps.get((c,))
+            if comp is None:
                 continue
             rest = idx[:t] + idx[t + 1 :]
             contrib = comp * value
@@ -488,8 +437,7 @@ def lie_derivative(field: VectorField, target):
             field, exterior_derivative(target)
         )
     if isinstance(target, Multivector):
-        one = Multivector(field.chart, 1, {(i,): c for i, c in enumerate(field.comps)})
-        return schouten_bracket(one, target)
+        return schouten_bracket(Multivector(field.chart, 1, field.comps), target)
     if isinstance(target, VecValuedForm):
         chart = target.chart
         result = VecValuedForm.zero(chart, target.degree)
@@ -578,13 +526,13 @@ class ChartMap:
 
     Everything a pullback reuses depends only on the map, so the map keeps
     it: ``mapping`` keeps the powers of each moved coordinate's image, and
-    the pull-vector matrix and the pulled differentials are kept too.  All
-    of it is built on first use: a flow pulls back many tensors, and
-    building it when the map is made would charge that work to loading a
-    scenario.
+    the images of the coordinate fields and of the coordinate differentials
+    are kept too.  All of it is built on first use: a flow pulls back many
+    tensors, and building it when the map is made would charge that work to
+    loading a scenario.
     """
 
-    __slots__ = ("chart", "mapping", "inverse_mapping", "_vector_matrix", "_images")
+    __slots__ = ("chart", "mapping", "inverse_mapping", "_field_images", "_images")
 
     def __init__(
         self,
@@ -601,7 +549,7 @@ class ChartMap:
             for name in chart.coords:
                 inv[name] = inverse_mapping.get(name, Scalar.var(chart, name))
             object.__setattr__(self, "inverse_mapping", inv)
-        object.__setattr__(self, "_vector_matrix", None)
+        object.__setattr__(self, "_field_images", None)
         object.__setattr__(self, "_images", None)
 
     def __setattr__(self, name, value):
@@ -622,15 +570,16 @@ class ChartMap:
             for c in coords
         ]
 
-    def _pull_vector_matrix(self) -> list[list[Scalar]]:
-        """Matrix M[c][e] = (d(inverse)^c / d e) composed with the map."""
+    def _vector_images(self) -> dict[int, list[tuple[int, Scalar]]]:
+        """The pulled coordinate fields as basis images: d/de goes to
+        sum_c (d(inverse)^c / d e, composed with the map) d/dc."""
         if self.inverse_mapping is None:
             raise MissingInverse("pulling back vector fields needs the inverse map")
-        if self._vector_matrix is None:
+        if self._field_images is None:
             jac = self._jacobian_of(self.inverse_mapping)
             matrix = [[entry.substitute(self.mapping) for entry in row] for row in jac]
-            object.__setattr__(self, "_vector_matrix", matrix)
-        return self._vector_matrix
+            object.__setattr__(self, "_field_images", _basis_images(zip(*matrix)))
+        return self._field_images
 
     def _form_images(self) -> dict[int, list[tuple[int, Scalar]]]:
         """The pulled coordinate differentials d(mapping^c) as basis images."""
@@ -640,28 +589,19 @@ class ChartMap:
             )
         return self._images
 
+    def _pull(self, a: _Graded, images: Mapping[int, Sequence[tuple[int, Scalar]]]):
+        """Pull back a tensor with scalar components through basis images."""
+        items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
+        return type(a)._rebase(self.chart, a.degree, items, images)
+
     def pull_vector(self, field: VectorField) -> VectorField:
-        matrix = self._pull_vector_matrix()
-        chart = self.chart
-        comps = []
-        for c in range(chart.dim):
-            total = Scalar.zero(chart)
-            for e in range(chart.dim):
-                comp = field.comps[e]
-                if comp.is_zero or matrix[c][e].is_zero:
-                    continue
-                total = total + matrix[c][e] * self.pull_scalar(comp)
-            comps.append(total)
-        return VectorField(chart, comps)
+        return self._pull(field, self._vector_images())
 
     def pull_form(self, a: DiffForm) -> DiffForm:
-        items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
-        return DiffForm._rebase(self.chart, a.degree, items, self._form_images())
+        return self._pull(a, self._form_images())
 
     def pull_multivector(self, a: Multivector) -> Multivector:
-        matrix = self._pull_vector_matrix()
-        items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
-        return Multivector._rebase(self.chart, a.degree, items, _basis_images(zip(*matrix)))
+        return self._pull(a, self._vector_images())
 
     def pull_valued_form(self, a: VecValuedForm) -> VecValuedForm:
         items = [(idx, self.pull_vector(vec)) for idx, vec in a.comps.items()]

@@ -71,19 +71,16 @@ class PoissonBivector:
         """The field X with beta(X) = SHARP_SIGN * P(alpha, beta)."""
         if alpha.degree != 1:
             raise UnsupportedDegree("sharp expects a one-form")
-        chart = self.chart
-        comps = [Scalar.zero(chart)] * chart.dim
-        zero = Scalar.zero(chart)
+        items = []
         for (i, j), value in self.mv.comps.items():
-            a_i = alpha.comps.get((i,), zero)
-            a_j = alpha.comps.get((j,), zero)
-            if not a_i.is_zero:
-                comps[j] = comps[j] + a_i * value
-            if not a_j.is_zero:
-                comps[i] = comps[i] - a_j * value
-        if SHARP_SIGN != 1:
-            comps = [c * SHARP_SIGN for c in comps]
-        return VectorField(chart, comps)
+            a_i = alpha.comps.get((i,))
+            a_j = alpha.comps.get((j,))
+            if a_i is not None:
+                items.append(((j,), a_i * value))
+            if a_j is not None:
+                items.append(((i,), -(a_j * value)))
+        field = VectorField._make(self.chart, 1, items)
+        return field if SHARP_SIGN == 1 else field * SHARP_SIGN
 
     def hamiltonian_vf(self, f: Scalar) -> VectorField:
         return self.sharp(differential(f))

@@ -651,9 +651,7 @@ def generator_table(s: Scenario) -> dict:
     rows = []
     for gen in D.generators:
         field_table = {
-            s.chart.coords[i]: render(comp)
-            for i, comp in enumerate(gen.X.comps)
-            if not comp.is_zero
+            s.chart.coords[i]: render(comp) for (i,), comp in sorted(gen.X.comps.items())
         }
         rows.append({"field": field_table, "form": _form_table(gen.alpha)})
     return {"schema": SCHEMA_VERSION, "scenario": s.name, "generators": rows}

@@ -102,8 +102,8 @@ def polynomials(draw, chart=CHART, coord_degree=2, max_terms=3):
 
 @st.composite
 def vector_fields(draw, chart=CHART, **kwargs):
-    comps = [draw(polynomials(chart, **kwargs)) for _ in chart.coords]
-    return VectorField(chart, comps)
+    comps = {(i,): draw(polynomials(chart, **kwargs)) for i in range(chart.dim)}
+    return VectorField(chart, 1, comps)
 
 
 @st.composite

@@ -312,8 +312,8 @@ def section_with_tangent(D, field):
     vertical = conn.vertical_part(field)
     names = list(chart.vertical)
     columns = [D.P.sharp(conn.coframe[v]) for v in names]
-    matrix = [[column.component(w) for column in columns] for w in names]
-    target = [vertical.component(w) for w in names]
+    matrix = [[column.coefficient(w) for column in columns] for w in names]
+    target = [vertical.coefficient(w) for w in names]
     det = _as_rational(_det(matrix))
     if det is None or det == 0:
         raise MissingInverse("coframe sharps do not span the vertical part")
