@@ -926,6 +926,13 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     product-to-sum rewrite.  A one-term base with harmonics in h angles
     grows by product-to-sum instead: its power e // 2 has (e // 4 + 1)^h
     terms, and squaring that is refused by the m * n rule of products.
+
+    A base of several terms with harmonics grows by both.  The power k of
+    its terms with harmonics has at most C(p+k-1, k) power parts, p being
+    the distinct power parts of those terms, times prod_a (k * M_a + 1)
+    harmonic parts, M_a being the largest multiple of angle a in the base,
+    or 2 * k * M_a + 1 when a appears in a sine.  Each squaring and product
+    of the binary powering is refused by the m * n rule on these counts.
     """
     t = len(base.terms)
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
@@ -941,7 +948,43 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
                 f"a term with harmonics to the power {exponent} may expand to "
                 f"more than {_MAX_PARSED_TERMS} terms"
             )
+    elif _harmonic_growth(base, exponent) > _MAX_PARSED_TERMS:
+        raise ParseError(
+            f"a {t}-term expression with harmonics to the power {exponent} may "
+            f"expand to more than {_MAX_PARSED_TERMS} terms"
+        )
     return base**exponent
+
+
+def _harmonic_growth(base: Scalar, exponent: int) -> int:
+    """The largest m * n over the products :meth:`Scalar.__pow__` makes,
+    m and n bounding the terms of the two factors' powers of the terms
+    with harmonics."""
+    powers = {p for p, trig in base.terms if trig}
+    largest: dict[str, int] = {}
+    sines: set[str] = set()
+    for _, trig in base.terms:
+        for angle, kind, m in trig:
+            largest[angle] = max(largest.get(angle, 0), m)
+            if kind == SIN:
+                sines.add(angle)
+
+    def parts(k: int) -> int:
+        harmonics = math.prod((2 if a in sines else 1) * k * m + 1 for a, m in largest.items())
+        return math.comb(len(powers) + k - 1, k) * harmonics
+
+    # replay the binary powering on exponents: result = base^r, square = base^s
+    worst, r, s = 0, 0, 1
+    while exponent:
+        if exponent & 1:
+            if r:
+                worst = max(worst, parts(r) * parts(s))
+            r += s
+        exponent >>= 1
+        if exponent:
+            worst = max(worst, parts(s) ** 2)
+            s *= 2
+    return worst
 
 
 def _as_rational(f: Scalar) -> Fraction | None:

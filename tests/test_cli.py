@@ -195,6 +195,12 @@ def test_load_errors_name_their_input(tmp_path, capsys, error, key, value, messa
         pytest.param(
             ParseError, "poisson", {"q^p": "cos(th)^400"}, id="ParseError-harmonic-power"
         ),
+        pytest.param(
+            ParseError,
+            "poisson",
+            {"q^p": "(cos(th)+q*sin(th))^50"},
+            id="ParseError-multi-term-harmonic-power",
+        ),
     ],
 )
 def test_every_library_error_is_an_input_error(tmp_path, capsys, error, key, value):

@@ -132,6 +132,18 @@ TWO_ANGLES = Chart(("x1", "x2"), ("q", "p"), ("th", "ph"))
             ParseError,
             "a term with harmonics to the power 5000 may expand to more than 10000 terms",
         ),
+        (
+            "(cos(th)+cos(ph))^50",
+            ParseError,
+            "a 2-term expression with harmonics to the power 50 may expand to more "
+            "than 10000 terms",
+        ),
+        (
+            "(cos(th)+sin(ph)+cos(2*th))^40",
+            ParseError,
+            "a 3-term expression with harmonics to the power 40 may expand to more "
+            "than 10000 terms",
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
