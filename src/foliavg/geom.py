@@ -233,6 +233,7 @@ class _Graded:
 class VectorField(_Graded):
     """A vector field: the degree-one tensor with components keyed (i,)."""
 
+    __slots__ = ()
     _basis_prefix = "d/d"
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, Scalar]) -> None:
@@ -273,6 +274,8 @@ class VectorField(_Graded):
 class DiffForm(_Graded):
     """A differential k-form with canonical components on coordinate wedges."""
 
+    __slots__ = ()
+
     @staticmethod
     def zero(chart: Chart, degree: int) -> "DiffForm":
         return DiffForm(chart, degree, {})
@@ -296,6 +299,7 @@ class DiffForm(_Graded):
 class Multivector(_Graded):
     """A k-vector field with components on coordinate wedge products."""
 
+    __slots__ = ()
     _basis_prefix = "d/d"
 
     @staticmethod
@@ -316,6 +320,7 @@ class Multivector(_Graded):
 class VecValuedForm(_Graded):
     """A k-form with vector-field values, stored per coordinate wedge."""
 
+    __slots__ = ()
     _zero_value = staticmethod(VectorField.zero)
 
     @staticmethod
