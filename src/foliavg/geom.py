@@ -181,9 +181,8 @@ class _Graded:
         zero = Scalar.zero(self.chart)
         total = self._zero_value(self.chart)
         for idx, value in self.comps.items():
-            det = _det([[arg.comps.get((i,), zero) for i in idx] for arg in args])
-            if not det.is_zero:
-                total = total + value * det
+            rows = [[arg.comps.get((i,), zero) for i in idx] for arg in args]
+            total = total + value * _det(rows)
         return total
 
     @classmethod
@@ -274,8 +273,6 @@ class VectorField(_Graded):
 class DiffForm(_Graded):
     """A differential k-form with canonical components on coordinate wedges."""
 
-    __slots__ = ()
-
     @staticmethod
     def zero(chart: Chart, degree: int) -> "DiffForm":
         return DiffForm(chart, degree, {})
@@ -299,7 +296,6 @@ class DiffForm(_Graded):
 class Multivector(_Graded):
     """A k-vector field with components on coordinate wedge products."""
 
-    __slots__ = ()
     _basis_prefix = "d/d"
 
     @staticmethod
@@ -320,7 +316,6 @@ class Multivector(_Graded):
 class VecValuedForm(_Graded):
     """A k-form with vector-field values, stored per coordinate wedge."""
 
-    __slots__ = ()
     _zero_value = staticmethod(VectorField.zero)
 
     @staticmethod
