@@ -34,7 +34,7 @@ from .geom import (
     pullback,
 )
 from .poisson import PoissonBivector
-from .symcalc import Chart, Scalar, Substitution
+from .symcalc import AngleCombination, Chart, Scalar, Substitution
 
 Tensor = "Scalar | VectorField | DiffForm | Multivector | VecValuedForm"
 
@@ -98,7 +98,7 @@ def _compose(outer: Substitution, inner: Substitution) -> dict[str, Scalar]:
 class FlowFactor:
     """One circle factor, given as a flow in a single angle symbol."""
 
-    __slots__ = ("chart", "angle", "mapping", "_flow")
+    __slots__ = ("chart", "angle", "mapping", "_flow", "_at_zero")
 
     def __init__(self, chart: Chart, angle: str, mapping: Mapping[str, Scalar]) -> None:
         chart.require_angle(angle)
@@ -126,10 +126,10 @@ class FlowFactor:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "mapping", clean)
-        inverse = {
-            name: value.substitute_angle(angle, [(angle, -1)])
-            for name, value in clean.items()
-        }
+        # one expansion of each harmonic per combination, shared by the images
+        object.__setattr__(self, "_at_zero", AngleCombination(chart, []))
+        negated = AngleCombination(chart, [(angle, -1)])
+        inverse = {name: value.substitute_angle(angle, negated) for name, value in clean.items()}
         object.__setattr__(self, "_flow", ChartMap(chart, clean, inverse))
         self._check_identity()
         self._check_group_law()
@@ -145,14 +145,14 @@ class FlowFactor:
         """Angle derivative of the flow at angle zero."""
         comps = {}
         for name, value in self.mapping.items():
-            comp = value.diff(self.angle).substitute_angle(self.angle, [])
+            comp = value.diff(self.angle).substitute_angle(self.angle, self._at_zero)
             if not comp.is_zero:
                 comps[name] = comp
         return VectorField.from_dict(self.chart, comps)
 
     def _check_identity(self) -> None:
         for name, value in self.mapping.items():
-            if value.substitute_angle(self.angle, []) != Scalar.var(self.chart, name):
+            if value.substitute_angle(self.angle, self._at_zero) != Scalar.var(self.chart, name):
                 raise InvariantViolation(
                     f"flow in {self.angle!r} is not the identity at angle zero"
                 )
@@ -163,13 +163,14 @@ class FlowFactor:
             aux = aux + "_s"
         ext = self.chart.with_extra_angles((aux,))
         lifted = {n: v.on_chart(ext) for n, v in self.mapping.items()}
+        shifted = AngleCombination(ext, [(aux, 1)])
+        summed = AngleCombination(ext, [(self.angle, 1), (aux, 1)])
         inner = Substitution(
-            ext,
-            {n: v.substitute_angle(self.angle, [(aux, 1)]) for n, v in lifted.items()},
+            ext, {n: v.substitute_angle(self.angle, shifted) for n, v in lifted.items()}
         )
         for name, value in lifted.items():
             composed = value.substitute(inner)
-            expected = value.substitute_angle(self.angle, [(self.angle, 1), (aux, 1)])
+            expected = value.substitute_angle(self.angle, summed)
             if composed != expected:
                 raise InvariantViolation(
                     f"flow in {self.angle!r} breaks the group law on {name!r}"
@@ -276,9 +277,7 @@ def _map_coefficients(target, fn):
 
 
 def _has_bare_angle(f: Scalar, angle: str) -> bool:
-    return any(
-        any(name == angle for name, _ in powers) for powers, _ in f.terms
-    )
+    return any(name == angle for powers, _ in f.nums for name, _ in powers)
 
 
 def _average_factor(factor: FlowFactor, target):

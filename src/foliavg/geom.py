@@ -257,10 +257,9 @@ class VectorField(_Graded):
     def apply(self, f: Scalar) -> Scalar:
         """Directional derivative of a scalar."""
         coords = self.chart.coords
-        items = []
-        for (i,), comp in self.comps.items():
-            items.extend((comp * f.diff(coords[i])).terms.items())
-        return Scalar._new(self.chart, items)
+        return Scalar.sum(
+            self.chart, (comp * f.diff(coords[i]) for (i,), comp in self.comps.items())
+        )
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """The Lie bracket, [X, Y]^i = X(Y^i) - Y(X^i)."""

@@ -8,23 +8,37 @@ with ``c`` rational, ``x*`` chart coordinates and ``trig`` either ``sin`` or
 ``cos`` applied to a positive integer multiple of one chart angle.  The
 canonical form keeps at most one trigonometric factor per angle: products of
 harmonics in the same angle are rewritten to linear harmonics with the
-product-to-sum identities, so equality of expressions is equality of the
-term dictionaries and ``zero`` is the empty sum.  No floating point enters
-any operation here; coefficients live in Q adjoined the symbol ``pi``,
-which only appears through exact averages of bare angle powers.
+product-to-sum identities.  No floating point enters any operation here;
+coefficients live in Q adjoined the symbol ``pi``, which only appears
+through exact averages of bare angle powers.
 
 Bare (polynomial) angle powers are not produced by the input grammar, but
 they arise internally as antiderivatives of constant Fourier terms and are
 fully supported by differentiation, substitution and exact averaging.
+
+Coefficients follow the layout of FLINT's ``fmpq_poly``: a scalar keeps one
+integer numerator per monomial and one positive denominator shared by all
+of them, coprime to the gcd of the numerators and 1 for zero.  Equality of
+expressions is then equality of (chart, numerators, denominator), and
+``zero`` is the empty sum over 1.  Every operation runs on integers and ends
+with one content pass that divides out the gcd: a sum merges numerators
+over the lcm of the two denominators; a derivative keeps the denominator;
+averages, antiderivatives and substitutions put their per-term rational
+factors over one lcm.  Fractions appear only at the edge: in
+:meth:`Scalar.const`, in numbers the parser reads, and in the read-only
+:attr:`Scalar.terms` view that rendering and numerical evaluation use.
 
 Products follow the Poisson-series layout: two monomials multiply by
 merging their power tuples (an empty side leaves the other as it is) and
 multiplying their trig parts.  A trig part times an empty one is itself,
 with factor 1; only two non-empty trig parts need the product-to-sum
 rewrite, and :func:`_product_items` does it once per distinct pair, in a
-table local to the call.  The pairs of one product repeat many times, but
-a table that outlived the call would carry state from one product to the
-next and grow without bound, so each product starts with an empty one.
+table local to the call.  Each rewrite in a shared angle halves, so a
+product is kept over d1 * d2 * 2^h, h being the number of angles in which
+both factors have harmonics, and every pair contributes integer multiples.
+The pairs of one product repeat many times, but a table that outlived the
+call would carry state from one product to the next and grow without
+bound, so each product starts with an empty one.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
 
@@ -154,26 +168,25 @@ class Chart:
         )
 
 
-def _norm_harmonic(kind: str, m: int) -> tuple[Fraction, str | None, int]:
+def _norm_harmonic(kind: str, m: int) -> tuple[int, str | None, int]:
     """Reduce trig(m*th) to sign * trig(|m|*th) with m >= 0."""
     if m == 0:
-        return (Fraction(1), None, 0) if kind == COS else (Fraction(0), None, 0)
+        return (1, None, 0) if kind == COS else (0, None, 0)
     if m < 0:
-        return (Fraction(1), COS, -m) if kind == COS else (Fraction(-1), SIN, -m)
-    return Fraction(1), kind, m
+        return (1, COS, -m) if kind == COS else (-1, SIN, -m)
+    return 1, kind, m
 
 
-def _trig_pair(kind1: str, m1: int, kind2: str, m2: int) -> list[tuple[Fraction, str | None, int]]:
-    """Product-to-sum rewrite of trig(m1*th)*trig(m2*th), same angle."""
-    half = Fraction(1, 2)
+def _trig_pair(kind1: str, m1: int, kind2: str, m2: int) -> list[tuple[int, str | None, int]]:
+    """Product-to-sum rewrite of trig(m1*th)*trig(m2*th), same angle, times 2."""
     if kind1 == COS and kind2 == COS:
-        raw = [(half, COS, m1 - m2), (half, COS, m1 + m2)]
+        raw = [(1, COS, m1 - m2), (1, COS, m1 + m2)]
     elif kind1 == SIN and kind2 == SIN:
-        raw = [(half, COS, m1 - m2), (-half, COS, m1 + m2)]
+        raw = [(1, COS, m1 - m2), (-1, COS, m1 + m2)]
     elif kind1 == SIN and kind2 == COS:
-        raw = [(half, SIN, m1 + m2), (half, SIN, m1 - m2)]
+        raw = [(1, SIN, m1 + m2), (1, SIN, m1 - m2)]
     else:  # cos * sin
-        raw = [(half, SIN, m1 + m2), (-half, SIN, m1 - m2)]
+        raw = [(1, SIN, m1 + m2), (-1, SIN, m1 - m2)]
     out = []
     for coef, kind, m in raw:
         sign, nkind, nm = _norm_harmonic(kind, m)
@@ -195,12 +208,14 @@ def _merge_powers(p1: Powers, p2: Powers) -> Powers:
     return tuple(sorted(merged.items()))
 
 
-def _mul_trig(t1: Trig, t2: Trig) -> list[tuple[Trig, Fraction]]:
-    """Product-to-sum rewrite of two trig parts, as (trig part, factor) pairs."""
+def _mul_trig(t1: Trig, t2: Trig, shift: int) -> list[tuple[Trig, int]]:
+    """Product-to-sum rewrite of two trig parts, as (trig part, numerator)
+    pairs over 2^shift.  Each shared angle halves, so ``shift`` is at least
+    the number of angles the two parts share."""
     trig1 = dict((a, (kind, m)) for a, kind, m in t1)
     trig2 = dict((a, (kind, m)) for a, kind, m in t2)
-    # (coefficient, {angle: (kind, m)}) partial products
-    partial: list[tuple[Fraction, dict[str, tuple[str, int]]]] = [(Fraction(1), {})]
+    # (numerator, {angle: (kind, m)}) partial products
+    partial: list[tuple[int, dict[str, tuple[str, int]]]] = [(1 << shift, {})]
     for angle in sorted(set(trig1) | set(trig2)):
         if angle in trig1 and angle in trig2:
             expansions = _trig_pair(*trig1[angle], *trig2[angle])
@@ -210,7 +225,7 @@ def _mul_trig(t1: Trig, t2: Trig) -> list[tuple[Trig, Fraction]]:
                     t = dict(trig)
                     if kind is not None:
                         t[angle] = (kind, m)
-                    nxt.append((coef * c2, t))
+                    nxt.append((coef // 2 * c2, t))
             partial = nxt
         else:
             kind, m = trig1.get(angle) or trig2[angle]
@@ -222,83 +237,137 @@ def _mul_trig(t1: Trig, t2: Trig) -> list[tuple[Trig, Fraction]]:
     ]
 
 
-def _product_items(
-    left: Iterable[tuple[Key, Fraction]], right: Iterable[tuple[Key, Fraction]]
-) -> list[tuple[Key, Fraction]]:
-    """Uncollected terms of the product of two sums of terms.
+def _harmonic_angles(items: Iterable[tuple[Key, int]]) -> set[str]:
+    return {a for (_, trig), _ in items for a, _, _ in trig}
 
-    Each pair of trig parts is rewritten once per call: the table lives
-    only as long as this product.
+
+def _product_items(
+    left: Iterable[tuple[Key, int]], right: Iterable[tuple[Key, int]]
+) -> tuple[list[tuple[Key, int]], int]:
+    """Uncollected terms of the product of two sums of integer terms, and the
+    shift h such that the product is their sum over 2^h.
+
+    h is the number of angles in which both sides have harmonics, so every
+    pair of trig parts rewrites to integers over 2^h.  ``left`` is read
+    twice.  Each pair of trig parts is rewritten once per call: the table
+    lives only as long as this product.
     """
     right = list(right)
-    table: dict[tuple[Trig, Trig], list[tuple[Trig, Fraction]]] = {}
-    items: list[tuple[Key, Fraction]] = []
+    angles = _harmonic_angles(left)
+    shift = len(angles & _harmonic_angles(right)) if angles else 0
+    table: dict[tuple[Trig, Trig], list[tuple[Trig, int]]] = {}
+    items: list[tuple[Key, int]] = []
     append = items.append
     for (p1, t1), c1 in left:
         for (p2, t2), c2 in right:
             powers = _merge_powers(p1, p2)
             if not t2:
-                append(((powers, t1), c1 * c2))
+                append(((powers, t1), c1 * c2 << shift))
             elif not t1:
-                append(((powers, t2), c1 * c2))
+                append(((powers, t2), c1 * c2 << shift))
             else:
                 pairs = table.get((t1, t2))
                 if pairs is None:
-                    pairs = table[t1, t2] = _mul_trig(t1, t2)
+                    pairs = table[t1, t2] = _mul_trig(t1, t2, shift)
                 c = c1 * c2
                 for trig, factor in pairs:
                     append(((powers, trig), c * factor))
-    return items
+    return items, shift
+
+
+def _over_lcm(
+    parts: Iterable[tuple[Iterable[tuple[Key, int]], int]]
+) -> tuple[list[tuple[Key, int]], int]:
+    """Integer terms over one denominator, the lcm of those of the parts,
+    from (integer terms, denominator) parts."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d in parts))
+    items: list[tuple[Key, int]] = []
+    for part, d in parts:
+        scale = den // d
+        if scale == 1:
+            items.extend(part)
+        else:
+            items.extend((key, n * scale) for key, n in part)
+    return items, den
+
+
+class _Terms(Mapping):
+    """The coefficients of a scalar as fractions: a read-only view."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[Key, int], den: int) -> None:
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key: Key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
 
 
 class Scalar:
-    """An exact scalar function on a chart, kept in canonical form."""
+    """An exact scalar function on a chart, kept in canonical form.
 
-    __slots__ = ("chart", "terms", "_hash")
+    ``nums`` maps each monomial key to a nonzero integer numerator, and
+    ``den`` is the one positive denominator they share, coprime to the gcd
+    of the numerators and 1 for zero.  :attr:`terms` reads the coefficients
+    as fractions.
+    """
 
-    def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None) -> None:
+    __slots__ = ("chart", "nums", "den", "_hash")
+
+    def __init__(
+        self,
+        chart: Chart,
+        terms: Mapping[Key, Number] | Iterable[tuple[Key, Number]] = (),
+    ) -> None:
+        """A scalar from rational coefficients, given as a mapping or as
+        (key, coefficient) pairs whose repeated keys add."""
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        coefs = [(key, Fraction(c)) for key, c in terms]
+        den = math.lcm(*(c.denominator for _, c in coefs))
+        f = _collect(chart, [(key, c.numerator * (den // c.denominator)) for key, c in coefs], den)
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", dict(terms or {}))
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "nums", f.nums)
+        object.__setattr__(self, "den", f.den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        return _Terms(self.nums, self.den)
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
-    def _new(chart: Chart, items: Iterable[tuple[Key, Fraction]]) -> "Scalar":
-        acc: dict[Key, Fraction] = {}
-        for key, coef in items:
-            if not coef:
-                continue
-            prev = acc.get(key)
-            total = coef if prev is None else prev + coef
-            if total:
-                acc[key] = total
-            elif prev is not None:
-                del acc[key]
-        return Scalar(chart, acc)
-
-    @staticmethod
     def zero(chart: Chart) -> "Scalar":
-        return Scalar(chart)
+        return _make(chart, {}, 1)
 
     @staticmethod
     def const(chart: Chart, value: Number | str) -> "Scalar":
         coef = Fraction(value)
-        return Scalar._new(chart, [(_EMPTY_KEY, coef)])
+        if not coef:
+            return _make(chart, {}, 1)
+        return _make(chart, {_EMPTY_KEY: coef.numerator}, coef.denominator)
 
     @staticmethod
     def one(chart: Chart) -> "Scalar":
-        return Scalar.const(chart, 1)
+        return _make(chart, {_EMPTY_KEY: 1}, 1)
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Scalar":
         if not chart.is_symbol(name):
             raise UnknownSymbol(f"{name!r} is not a symbol of {chart}")
-        return Scalar._new(chart, [(((((name, 1),)), ()), Fraction(1))])
+        return _make(chart, {(((name, 1),), ()): 1}, 1)
 
     @staticmethod
     def harmonic(chart: Chart, kind: str, angle: str, multiple: int = 1) -> "Scalar":
@@ -310,8 +379,7 @@ class Scalar:
         sign, nkind, nm = _norm_harmonic(kind, multiple)
         if nkind is None:
             return Scalar.const(chart, sign)
-        key: Key = ((), ((angle, nkind, nm),))
-        return Scalar._new(chart, [(key, sign)])
+        return _make(chart, {((), ((angle, nkind, nm),)): sign}, 1)
 
     @staticmethod
     def sin(chart: Chart, angle: str, multiple: int = 1) -> "Scalar":
@@ -323,7 +391,14 @@ class Scalar:
 
     @staticmethod
     def pi(chart: Chart) -> "Scalar":
-        return Scalar._new(chart, [((((PI, 1),), ()), Fraction(1))])
+        return _make(chart, {(((PI, 1),), ()): 1}, 1)
+
+    @staticmethod
+    def sum(chart: Chart, parts: Iterable["Scalar"]) -> "Scalar":
+        """The sum of scalars on a chart, collected once over the lcm of
+        their denominators."""
+        items, den = _over_lcm((f.nums.items(), f.den) for f in parts)
+        return _collect(chart, items, den)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -344,16 +419,31 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not rhs.terms:
+        if not rhs.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return rhs
-        return Scalar._new(self.chart, list(self.terms.items()) + list(rhs.terms.items()))
+        den, rden = self.den, rhs.den
+        if den == rden:
+            nums = dict(self.nums)
+            scale = 1
+        else:
+            lcm = den // math.gcd(den, rden) * rden
+            scale, lscale, den = lcm // rden, lcm // den, lcm
+            nums = {key: n * lscale for key, n in self.nums.items()}
+        get = nums.get
+        for key, n in rhs.nums.items():
+            total = get(key, 0) + n * scale
+            if total:
+                nums[key] = total
+            else:
+                del nums[key]
+        return _make(self.chart, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.chart, {k: -c for k, c in self.terms.items()})
+        return _make(self.chart, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: object) -> "Scalar":
         rhs = self._coerce(other)
@@ -371,13 +461,12 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self.terms:
+        if not self.nums:
             return self
-        if not rhs.terms:
+        if not rhs.nums:
             return rhs
-        return Scalar._new(
-            self.chart, _product_items(self.terms.items(), rhs.terms.items())
-        )
+        items, shift = _product_items(self.nums.items(), rhs.nums.items())
+        return _collect(self.chart, items, self.den * rhs.den << shift)
 
     __rmul__ = __mul__
 
@@ -401,22 +490,26 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return (
-            self.chart is other.chart or self.chart == other.chart
-        ) and self.terms == other.terms
+            (self.chart is other.chart or self.chart == other.chart)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            canon = tuple(sorted(self.terms.items()))
-            object.__setattr__(self, "_hash", hash((self.chart, canon)))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.chart, tuple(sorted(self.nums.items())), self.den))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def free_symbols(self) -> set[str]:
         names: set[str] = set()
-        for powers, trig in self.terms:
+        for powers, trig in self.nums:
             names.update(name for name, _ in powers)
             names.update(angle for angle, _, _ in trig)
         return names
@@ -429,32 +522,30 @@ class Scalar:
 
     def diff(self, name: str) -> "Scalar":
         """Exact partial derivative with respect to a coordinate or angle."""
-        if not (self.chart.is_coord(name) or self.chart.is_angle(name)):
+        is_angle = self.chart.is_angle(name)
+        if not (is_angle or self.chart.is_coord(name)):
             raise UnknownSymbol(f"cannot differentiate along {name!r}")
-        items: list[tuple[Key, Fraction]] = []
-        for (powers, trig), coef in self.terms.items():
-            power_map = dict(powers)
+        # each factor is replaced in place, which keeps the keys sorted
+        items: list[tuple[Key, int]] = []
+        for (powers, trig), n in self.nums.items():
             # bare power factor
-            exp = power_map.get(name, 0)
-            if exp:
-                reduced = dict(power_map)
-                if exp == 1:
-                    del reduced[name]
-                else:
-                    reduced[name] = exp - 1
-                items.append(((tuple(sorted(reduced.items())), trig), coef * exp))
-            # harmonic factor (angles only)
+            for i, (symbol, exp) in enumerate(powers):
+                if symbol == name:
+                    lowered = ((name, exp - 1),) if exp > 1 else ()
+                    items.append(((powers[:i] + lowered + powers[i + 1 :], trig), n * exp))
+                    break
+            if not is_angle:
+                continue
+            # harmonic factor
             for i, (angle, kind, m) in enumerate(trig):
-                if angle != name:
-                    continue
-                rest = trig[:i] + trig[i + 1 :]
-                if kind == COS:
-                    newtrig = tuple(sorted(rest + ((angle, SIN, m),)))
-                    items.append(((powers, newtrig), -coef * m))
-                else:
-                    newtrig = tuple(sorted(rest + ((angle, COS, m),)))
-                    items.append(((powers, newtrig), coef * m))
-        return Scalar._new(self.chart, items)
+                if angle == name:
+                    if kind == COS:
+                        turned, coef = (angle, SIN, m), -n * m
+                    else:
+                        turned, coef = (angle, COS, m), n * m
+                    items.append(((powers, trig[:i] + (turned,) + trig[i + 1 :]), coef))
+                    break
+        return _collect(self.chart, items, self.den)
 
     def substitute(self, rules: Mapping[str, "Scalar | Number"]) -> "Scalar":
         """Simultaneous substitution of coordinates by scalars.
@@ -468,84 +559,65 @@ class Scalar:
         return rules.apply(self)
 
     def substitute_angle(
-        self, angle: str, combo: Sequence[tuple[str, int]]
+        self, angle: str, combo: "Sequence[tuple[str, int]] | AngleCombination"
     ) -> "Scalar":
         """Replace an angle by an integer combination of angles.
 
         ``combo`` lists (angle, coefficient) pairs; the empty combination
         sets the angle to zero.  Harmonics are expanded with the angle
-        addition formulas, bare powers multinomially.
+        addition formulas, bare powers multinomially.  An
+        :class:`AngleCombination` is used as given, so the expansions it
+        keeps serve every scalar it is applied to; any other sequence is
+        validated into a throwaway one.
         """
         self.chart.require_angle(angle)
-        merged: dict[str, int] = {}
-        for other, c in combo:
-            self.chart.require_angle(other)
-            merged[other] = merged.get(other, 0) + c
-        terms = tuple((a, c) for a, c in sorted(merged.items()) if c)
-        linear = Scalar.zero(self.chart)
-        for a, c in terms:
-            linear = linear + c * Scalar.var(self.chart, a)
-        # each power of the combination and each harmonic of it, once per call
-        linear_powers: dict[int, Scalar] = {}
-        harmonics: dict[tuple[str, int], Scalar] = {}
-        total = Scalar.zero(self.chart)
-        for (powers, trig), coef in self.terms.items():
-            kept_powers = tuple((n, e) for n, e in powers if n != angle)
-            kept_trig = tuple(t for t in trig if t[0] != angle)
-            piece = Scalar._new(self.chart, [((kept_powers, kept_trig), coef)])
-            for n, e in powers:
-                if n == angle:
-                    image = linear_powers.get(e)
-                    if image is None:
-                        image = linear_powers[e] = linear**e
-                    piece = piece * image
-            for a, kind, m in trig:
-                if a == angle:
-                    image = harmonics.get((kind, m))
-                    if image is None:
-                        image = harmonics[kind, m] = _harmonic_of_combo(
-                            self.chart, kind, m, terms
-                        )
-                    piece = piece * image
-            total = total + piece
-        return total
+        if not isinstance(combo, AngleCombination):
+            combo = AngleCombination(self.chart, combo)
+        elif combo.chart is not self.chart and combo.chart != self.chart:
+            raise ChartMismatch(f"{self.chart} vs {combo.chart}")
+        # terms grouped by their monomial in the angle: (power, kind, multiple)
+        groups: dict[tuple, list[tuple[Key, int]]] = {}
+        for (powers, trig), n in self.nums.items():
+            e, entry, powers, trig = _split_angle(powers, trig, angle)
+            if entry is not None:
+                hit = (e, entry[1], entry[2])
+            else:
+                hit = (e, None, 0) if e else ()
+            groups.setdefault(hit, []).append(((powers, trig), n))
+        return _substitute_groups(self, groups, combo.image)
 
     def average_over_angle(self, angle: str) -> "Scalar":
         """Exact Haar average (1/2pi) * integral over one full period."""
         self.chart.require_angle(angle)
-        items: list[tuple[Key, Fraction]] = []
-        for (powers, trig), coef in self.terms.items():
-            power_map = dict(powers)
-            k = power_map.pop(angle, 0)
-            entry = next((t for t in trig if t[0] == angle), None)
-            rest_trig = tuple(t for t in trig if t[0] != angle)
+        # (powers, trig, numerator, {pi power: value numerator}, value denominator)
+        pieces = []
+        for (powers, trig), n in self.nums.items():
+            k, entry, powers, trig = _split_angle(powers, trig, angle)
             if entry is None:
-                values = _avg_power(k)
+                values, vden = _avg_power(k)
             else:
-                values = _avg_power_trig(k, entry[1], entry[2])
-            for pi_pow, val in values.items():
-                if pi_pow:
-                    power_map2 = dict(power_map)
-                    power_map2[PI] = power_map2.get(PI, 0) + pi_pow
-                else:
-                    power_map2 = power_map
-                key = (tuple(sorted(power_map2.items())), rest_trig)
-                items.append((key, coef * val))
-        return Scalar._new(self.chart, items)
+                values, vden = _avg_power_trig(k, entry[1], entry[2])
+            if values:
+                pieces.append((powers, trig, n, values, vden))
+        den = math.lcm(*(piece[4] for piece in pieces))
+        items: list[tuple[Key, int]] = []
+        for powers, trig, n, values, vden in pieces:
+            n *= den // vden
+            for pi_pow, v in values.items():
+                key_powers = _merge_powers(powers, ((PI, pi_pow),)) if pi_pow else powers
+                items.append(((key_powers, trig), n * v))
+        return _collect(self.chart, items, self.den * den)
 
     def antiderivative_from_zero(self, angle: str) -> "Scalar":
         """Integral from 0 to the angle of this scalar in that angle."""
         self.chart.require_angle(angle)
-        items: list[tuple[Key, Fraction]] = []
-        for (powers, trig), coef in self.terms.items():
-            power_map = dict(powers)
-            k = power_map.get(angle, 0)
-            entry = next((t for t in trig if t[0] == angle), None)
-            rest_trig = tuple(t for t in trig if t[0] != angle)
+        # (key, numerator, divisor)
+        pieces: list[tuple[Key, int, int]] = []
+        for (powers, trig), n in self.nums.items():
+            k, entry, rest_powers, rest_trig = _split_angle(powers, trig, angle)
             if entry is None:
-                power_map[angle] = k + 1
-                key = (tuple(sorted(power_map.items())), trig)
-                items.append((key, coef / (k + 1)))
+                raised = _merge_powers(rest_powers, ((angle, k + 1),))
+                pieces.append(((raised, trig), n, k + 1))
                 continue
             if k:
                 raise NonPolynomialIntegrand(
@@ -554,19 +626,21 @@ class Scalar:
             _, kind, m = entry
             if kind == COS:
                 newtrig = tuple(sorted(rest_trig + ((angle, SIN, m),)))
-                items.append(((powers, newtrig), coef / m))
+                pieces.append(((powers, newtrig), n, m))
             else:
-                items.append(((powers, rest_trig), coef / m))
+                pieces.append(((powers, rest_trig), n, m))
                 newtrig = tuple(sorted(rest_trig + ((angle, COS, m),)))
-                items.append(((powers, newtrig), -coef / m))
-        return Scalar._new(self.chart, items)
+                pieces.append(((powers, newtrig), -n, m))
+        den = math.lcm(*(d for _, _, d in pieces))
+        items = [(key, n * (den // d)) for key, n, d in pieces]
+        return _collect(self.chart, items, self.den * den)
 
     def on_chart(self, chart: Chart) -> "Scalar":
         """Rebind to a chart declaring a superset of the used symbols."""
         for name in self.free_symbols():
             if name != PI and not chart.is_symbol(name):
                 raise UnknownSymbol(f"{name!r} is not a symbol of {chart}")
-        return Scalar(chart, dict(self.terms))
+        return _make(chart, self.nums, self.den)
 
     def evaluate(self, point: Mapping[str, float | Number]) -> float:
         """Numerical evaluation; only used by cross-checking oracles."""
@@ -591,17 +665,92 @@ class Scalar:
     __repr__ = __str__
 
 
+def _split_angle(
+    powers: Powers, trig: Trig, angle: str
+) -> tuple[int, tuple[str, str, int] | None, Powers, Trig]:
+    """The bare power of an angle in a monomial, its harmonic (None if it
+    has none), and the power and trig parts without them."""
+    e = 0
+    for i, (name, exp) in enumerate(powers):
+        if name == angle:
+            e = exp
+            powers = powers[:i] + powers[i + 1 :]
+            break
+    entry = None
+    for i, t in enumerate(trig):
+        if t[0] == angle:
+            entry = t
+            trig = trig[:i] + trig[i + 1 :]
+            break
+    return e, entry, powers, trig
+
+
+def _make(chart: Chart, nums: dict[Key, int], den: int) -> Scalar:
+    """A scalar from nonzero numerators over a positive denominator, made
+    canonical by one content pass: numerators and denominator are divided
+    by their gcd."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {key: n // g for key, n in nums.items()}
+                den //= g
+    f = _new_object(Scalar)
+    _set_chart(f, chart)
+    _set_nums(f, nums)
+    _set_den(f, den)
+    return f
+
+
+# The slots' own setters, past the immutability guard of Scalar.__setattr__.
+_new_object = object.__new__
+_set_chart, _set_nums, _set_den = Scalar.chart.__set__, Scalar.nums.__set__, Scalar.den.__set__
+
+
+def _collect(chart: Chart, items: Iterable[tuple[Key, int]], den: int) -> Scalar:
+    """The scalar sum(n * key) / den of integer terms whose repeated keys add."""
+    nums: dict[Key, int] = {}
+    get = nums.get
+    for key, n in items:
+        nums[key] = get(key, 0) + n
+    if 0 in nums.values():
+        nums = {key: n for key, n in nums.items() if n}
+    return _make(chart, nums, den)
+
+
+def _substitute_groups(
+    f: Scalar, groups: Mapping[tuple, list[tuple[Key, int]]], image: Callable[[tuple], Scalar]
+) -> Scalar:
+    """``f`` with each group of its terms multiplied once by the image of
+    the group's monomial (the empty one left as it is), collected over one
+    lcm of denominators."""
+    parts = []
+    for hit, kept in groups.items():
+        if not hit:
+            parts.append((kept, 1))
+            continue
+        value = image(hit)
+        items, shift = _product_items(kept, value.nums.items())
+        parts.append((items, value.den << shift))
+    items, den = _over_lcm(parts)
+    return _collect(f.chart, items, f.den * den)
+
+
 class Substitution(Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
     As a mapping it sends every coordinate of the chart to its image, the
     coordinate itself where no rule moves it.  Only the moved coordinates
     take part in :meth:`apply`.  For each of them it keeps the powers of
-    the image built so far (a ladder grown on first use), so one
-    substitution applied to many scalars builds each power once.
+    the image built so far (a ladder grown on first use), and for each
+    monomial in them that it meets, that monomial's image, so one
+    substitution applied to many scalars builds each power and each
+    product once.
     """
 
-    __slots__ = ("chart", "_moved", "_ladders")
+    __slots__ = ("chart", "_moved", "_ladders", "_images")
 
     def __init__(self, chart: Chart, rules: Mapping[str, "Scalar | Number"]) -> None:
         moved: dict[str, Scalar] = {}
@@ -614,11 +763,12 @@ class Substitution(Mapping):
                 value = Scalar.const(chart, value)
             else:
                 raise ChartMismatch(f"substitution value for {name!r} is not a Scalar")
-            if value.terms != {(((name, 1),), ()): 1}:
+            if value.den != 1 or value.nums != {(((name, 1),), ()): 1}:
                 moved[name] = value
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "_moved", moved)
         object.__setattr__(self, "_ladders", {})
+        object.__setattr__(self, "_images", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Substitution is immutable")
@@ -646,6 +796,16 @@ class Substitution(Mapping):
             ladder.append(ladder[-1] * ladder[0])
         return ladder[exponent - 1]
 
+    def _image(self, hit: Powers) -> Scalar:
+        """The image of a monomial in the moved coordinates, kept."""
+        image = self._images.get(hit)
+        if image is None:
+            image = self._power(*hit[0])
+            for name, e in hit[1:]:
+                image = image * self._power(name, e)
+            self._images[hit] = image
+        return image
+
     def apply(self, f: Scalar) -> Scalar:
         """Substitute into ``f``.
 
@@ -658,22 +818,55 @@ class Substitution(Mapping):
         moved = self._moved
         if not moved:
             return f
-        groups: dict[tuple[tuple[str, int], ...], list[tuple[Key, Fraction]]] = {}
-        for (powers, trig), coef in f.terms.items():
-            hit = tuple((n, e) for n, e in powers if n in moved)
+        groups: dict[Powers, list[tuple[Key, int]]] = {}
+        for (powers, trig), n in f.nums.items():
+            hit = tuple((name, e) for name, e in powers if name in moved)
             if hit:
-                powers = tuple((n, e) for n, e in powers if n not in moved)
-            groups.setdefault(hit, []).append(((powers, trig), coef))
-        items: list[tuple[Key, Fraction]] = []
-        for hit, kept in groups.items():
-            if not hit:
-                items.extend(kept)
-                continue
-            image = self._power(*hit[0])
-            for name, e in hit[1:]:
-                image = image * self._power(name, e)
-            items.extend(_product_items(kept, image.terms.items()))
-        return Scalar._new(chart, items)
+                powers = tuple((name, e) for name, e in powers if name not in moved)
+            groups.setdefault(hit, []).append(((powers, trig), n))
+        return _substitute_groups(f, groups, self._image)
+
+
+class AngleCombination:
+    """An integer combination of chart angles that an angle is replaced by.
+
+    It lists (angle, coefficient) pairs, validated once; the empty
+    combination is zero.  For each monomial th^e * trig(m*th) of a replaced
+    angle th that it meets, it keeps the image, so one combination applied
+    to many scalars expands each harmonic and each power once.
+    """
+
+    __slots__ = ("chart", "pairs", "_images")
+
+    def __init__(self, chart: Chart, combo: Sequence[tuple[str, int]]) -> None:
+        merged: dict[str, int] = {}
+        for angle, c in combo:
+            chart.require_angle(angle)
+            merged[angle] = merged.get(angle, 0) + c
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(
+            self, "pairs", tuple((a, c) for a, c in sorted(merged.items()) if c)
+        )
+        object.__setattr__(self, "_images", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("AngleCombination is immutable")
+
+    def image(self, hit: tuple[int, str | None, int]) -> Scalar:
+        """The image of th^e * trig(m*th), given as (e, kind, m), kind None
+        for no harmonic."""
+        image = self._images.get(hit)
+        if image is None:
+            e, kind, m = hit
+            chart = self.chart
+            image = Scalar.one(chart)
+            if e:
+                linear = Scalar.sum(chart, (c * Scalar.var(chart, a) for a, c in self.pairs))
+                image = linear**e
+            if kind is not None:
+                image = image * _harmonic_of_combo(chart, kind, m, self.pairs)
+            self._images[hit] = image
+        return image
 
 
 def _harmonic_of_combo(
@@ -697,25 +890,28 @@ def _expand_harmonic(chart: Chart, kind: str, terms: tuple[tuple[str, int], ...]
     return cos_a * cos_r - sin_a * sin_r
 
 
-def _avg_power(k: int) -> dict[int, Fraction]:
-    """Haar average of th^k: (2pi)^k / (k+1), as {pi power: coefficient}."""
+@functools.lru_cache(maxsize=None)
+def _avg_power(k: int) -> tuple[dict[int, int], int]:
+    """Haar average of th^k: (2pi)^k / (k+1), as ({pi power: numerator},
+    denominator)."""
     if k == 0:
-        return {0: Fraction(1)}
-    return {k: Fraction(2**k, k + 1)}
+        return {0: 1}, 1
+    return {k: 2**k}, k + 1
 
 
 @functools.lru_cache(maxsize=None)
-def _avg_power_trig(k: int, kind: str, m: int) -> dict[int, Fraction]:
-    """Haar average of th^k * trig(m*th) by integration by parts."""
+def _avg_power_trig(k: int, kind: str, m: int) -> tuple[dict[int, int], int]:
+    """Haar average of th^k * trig(m*th) by integration by parts, as
+    ({pi power: numerator}, denominator)."""
     if k == 0:
-        return {}
+        return {}, 1
+    inner, den = _avg_power_trig(k - 1, SIN if kind == COS else COS, m)
     if kind == COS:
-        inner = _avg_power_trig(k - 1, SIN, m)
-        return {p: -Fraction(k, m) * v for p, v in inner.items()}
-    out = {k - 1: -Fraction(2 ** (k - 1), m)}
-    for p, v in _avg_power_trig(k - 1, COS, m).items():
-        out[p] = out.get(p, Fraction(0)) + Fraction(k, m) * v
-    return {p: v for p, v in out.items() if v}
+        return {p: -k * v for p, v in inner.items()}, den * m
+    out = {k - 1: -(2 ** (k - 1)) * den}
+    for p, v in inner.items():
+        out[p] = out.get(p, 0) + k * v
+    return {p: v for p, v in out.items() if v}, den * m
 
 
 # ----------------------------------------------------------------------
@@ -736,11 +932,12 @@ def _render_key(key: Key) -> str:
 
 def render(f: Scalar) -> str:
     """Canonical textual form, parseable by :func:`parse`."""
-    if not f.terms:
+    terms = f.terms
+    if not terms:
         return "0"
     pieces = []
-    for key in sorted(f.terms):
-        coef = f.terms[key]
+    for key in sorted(terms):
+        coef = terms[key]
         body = _render_key(key)
         mag = abs(coef)
         if not body:
@@ -837,7 +1034,7 @@ class _Parser:
             if kind == "op" and tok == "*":
                 self.take()
                 rhs = self.factor()
-                m, n = len(value.terms), len(rhs.terms)
+                m, n = len(value.nums), len(rhs.nums)
                 if m * n > _MAX_PARSED_TERMS:
                     raise ParseError(
                         f"a product of {m} and {n} terms may expand to more "
@@ -934,14 +1131,14 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     or 2 * k * M_a + 1 when a appears in a sine.  Each squaring and product
     of the binary powering is refused by the m * n rule on these counts.
     """
-    t = len(base.terms)
+    t = len(base.nums)
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
         raise ParseError(
             f"a {t}-term expression to the power {exponent} may expand to more "
             f"than {_MAX_PARSED_TERMS} terms"
         )
     if t == 1:
-        ((_, trig),) = base.terms
+        ((_, trig),) = base.nums
         half = (exponent // 4 + 1) ** len(trig)
         if trig and half * half > _MAX_PARSED_TERMS:
             raise ParseError(
@@ -960,10 +1157,10 @@ def _harmonic_growth(base: Scalar, exponent: int) -> int:
     """The largest m * n over the products :meth:`Scalar.__pow__` makes,
     m and n bounding the terms of the two factors' powers of the terms
     with harmonics."""
-    powers = {p for p, trig in base.terms if trig}
+    powers = {p for p, trig in base.nums if trig}
     largest: dict[str, int] = {}
     sines: set[str] = set()
-    for _, trig in base.terms:
+    for _, trig in base.nums:
         for angle, kind, m in trig:
             largest[angle] = max(largest.get(angle, 0), m)
             if kind == SIN:
@@ -988,10 +1185,11 @@ def _harmonic_growth(base: Scalar, exponent: int) -> int:
 
 
 def _as_rational(f: Scalar) -> Fraction | None:
-    if not f.terms:
+    terms = f.terms
+    if not terms:
         return Fraction(0)
-    if list(f.terms) == [_EMPTY_KEY]:
-        return f.terms[_EMPTY_KEY]
+    if list(terms) == [_EMPTY_KEY]:
+        return terms[_EMPTY_KEY]
     return None
 
 

@@ -16,7 +16,15 @@ from foliavg.errors import (
     ParseError,
     UnknownSymbol,
 )
-from foliavg.symcalc import Chart, Scalar, Substitution, _product_items, parse, render
+from foliavg.symcalc import (
+    AngleCombination,
+    Chart,
+    Scalar,
+    Substitution,
+    _product_items,
+    parse,
+    render,
+)
 
 from conftest import CHART, polynomials, sc, scalars
 
@@ -260,17 +268,27 @@ def term_lists(draw, max_terms=4):
     return items
 
 
+def integer_terms(items):
+    """Rational terms as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for _, c in items))
+    return [(key, c.numerator * (den // c.denominator)) for key, c in items], den
+
+
 @given(term_lists(), term_lists())
 def test_product_kernel_matches_reference(left, right):
-    assert Scalar._new(TWO_ANGLES, _product_items(left, right)) == Scalar._new(
+    (left_nums, left_den), (right_nums, right_den) = integer_terms(left), integer_terms(right)
+    items, shift = _product_items(left_nums, right_nums)
+    den = left_den * right_den << shift
+    assert Scalar(TWO_ANGLES, [(key, Fraction(n, den)) for key, n in items]) == Scalar(
         TWO_ANGLES, product_reference(left, right)
     )
 
 
 @given(term_lists(), term_lists(), term_lists(), term_lists())
 def test_product_kernel_keeps_no_state_between_calls(left, right, other_left, other_right):
+    left, right = integer_terms(left)[0], integer_terms(right)[0]
     first = _product_items(left, right)
-    _product_items(other_left, other_right)
+    _product_items(*(integer_terms(terms)[0] for terms in (other_left, other_right)))
     assert _product_items(left, right) == first
 
 
@@ -492,6 +510,58 @@ def test_power_matches_repeated_product():
     for e in range(10):
         assert f**e == product
         product = product * f
+
+
+# ----------------------------------------------------------------------
+# integer numerators over one denominator
+
+
+def assert_canonical(f):
+    assert f.den > 0
+    assert all(isinstance(n, int) and n for n in f.nums.values())
+    assert math.gcd(f.den, *f.nums.values()) == 1
+    if f.is_zero:
+        assert f.den == 1
+
+
+@given(
+    scalars_with_bare_angles(),
+    scalars_with_bare_angles(),
+    scalars(),
+    substitution_rules(),
+    st.sampled_from(CHART.coords + CHART.angles),
+)
+def test_every_ring_result_is_canonical(f, g, h, rules, name):
+    results = [
+        f + g, f - g, f - f, f * g, -f, f * Fraction(-6, 4), g**2, Scalar.sum(CHART, [f, g, h]),
+        f.diff(name), f.average_over_angle("th"), h.antiderivative_from_zero("th"),
+        f.substitute(rules), f.substitute_angle("th", [("th", 2)]),
+        f.substitute_angle("th", []), Scalar(CHART, f.terms), Scalar.const(CHART, "-4/6"),
+    ]
+    for result in results:
+        assert_canonical(result)
+
+
+@given(scalars_with_bare_angles(), scalars(), scalars())
+def test_routes_to_one_value_are_equal_and_hash_alike(f, g, h):
+    routes = [
+        ((f * g) * h, f * (g * h)),
+        (f + g - g, f),
+        (f * (g + h), f * g + f * h),
+        (Scalar.sum(CHART, [f, g, h]), h + (g + f)),
+        (f * Fraction(2, 3) * 3, f + f),
+        (Scalar(CHART, f.terms), f),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+@given(st.lists(scalars_with_bare_angles(), min_size=1, max_size=4))
+def test_one_angle_combination_serves_many_scalars(fs):
+    shared = AngleCombination(CHART, [("th", 2), ("th", -1)])
+    for f in fs + fs[::-1]:
+        assert f.substitute_angle("th", shared) == f.substitute_angle("th", [("th", 1)]) == f
 
 
 # ----------------------------------------------------------------------

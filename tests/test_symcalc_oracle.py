@@ -61,7 +61,7 @@ def poisson_series(draw, angles=ANGLES, max_terms=3, bare=True):
                 trig.append((angle, kind, draw(st.integers(1, 3))))
         key = (tuple(sorted((n, e) for n, e in powers.items() if e)), tuple(sorted(trig)))
         items.append((key, coef))
-    return Scalar._new(CHART, items)
+    return Scalar(CHART, items)
 
 
 @given(
@@ -99,7 +99,7 @@ def test_average_matches_sympy_integral(f, angle):
 def test_antiderivative_matches_sympy_integral(f, angle):
     # a bare power times a harmonic of the same angle has no polynomial
     # antiderivative; those terms are dropped
-    f = Scalar._new(
+    f = Scalar(
         CHART,
         [
             ((powers, trig), coef)
