@@ -559,9 +559,10 @@ def test_routes_to_one_value_are_equal_and_hash_alike(f, g, h):
 
 @given(st.lists(scalars_with_bare_angles(), min_size=1, max_size=4))
 def test_one_angle_combination_serves_many_scalars(fs):
-    shared = AngleCombination(CHART, [("th", 2), ("th", -1)])
+    doubled = AngleCombination(CHART, [("th", 3), ("th", -1)])
     for f in fs + fs[::-1]:
-        assert f.substitute_angle("th", shared) == f.substitute_angle("th", [("th", 1)]) == f
+        assert f.substitute_angle("th", doubled) == f.substitute_angle("th", [("th", 2)])
+    assert fs[0].substitute_angle("th", AngleCombination(CHART, [("th", 1)])) == fs[0]
 
 
 # ----------------------------------------------------------------------
