@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -90,9 +90,9 @@ def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
 # the action
 
 
-def _compose(outer: Substitution, inner: Substitution) -> dict[str, Scalar]:
-    """Substitute inner into the image of every coordinate under outer."""
-    return {name: value.substitute(inner) for name, value in outer.items()}
+def _compose(outer: Substitution, inner: Substitution, names: Iterable[str]) -> dict[str, Scalar]:
+    """Substitute inner into the image of each named coordinate under outer."""
+    return {name: outer[name].substitute(inner) for name in names}
 
 
 class FlowFactor:
@@ -201,7 +201,9 @@ class TorusAction:
             seen.add(factor.angle)
         for a, b in combinations(factors, 2):
             ma, mb = a.flow().mapping, b.flow().mapping
-            if _compose(ma, mb) != _compose(mb, ma):
+            # a coordinate neither flow moves is fixed by both compositions
+            names = ma.moved.keys() | mb.moved.keys()
+            if _compose(ma, mb, names) != _compose(mb, ma, names):
                 raise InvariantViolation(
                     f"factors {a.angle!r} and {b.angle!r} do not commute"
                 )
@@ -214,9 +216,6 @@ class TorusAction:
     @property
     def angles(self) -> tuple[str, ...]:
         return tuple(factor.angle for factor in self.factors)
-
-    def generators(self) -> list[VectorField]:
-        return [factor.generator() for factor in self.factors]
 
     def __repr__(self) -> str:
         return "TorusAction(" + ", ".join(repr(f) for f in self.factors) + ")"
@@ -322,12 +321,15 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
 
     Per factor, on the partially averaged frame, the value is minus the
     average over the angle of the integral from zero of the pulled-back
-    bracket of the frame field with the generator.
+    bracket of the frame field with the generator.  The frame is shifted
+    before each factor after the first, so the walk ends at its last piece.
     """
     chart = conn.chart
     current = conn
     total = VecValuedForm.zero(chart, 1)
-    for factor in action.factors:
+    for k, factor in enumerate(action.factors):
+        if k:
+            current = current.shifted(piece)
         angle = factor.angle
         flow = factor.flow()
         gen = factor.generator()
@@ -341,7 +343,6 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
             if not value.is_zero:
                 items.append(((chart.coord_index(base),), value))
         piece = VecValuedForm._make(chart, 1, items)
-        current = current.shifted(piece)
         total = total + piece
     return total
 
@@ -390,13 +391,16 @@ def hamiltonian_potential(
     Per factor, on the partially averaged frame, the coefficient on each
     base differential is minus the average over the angle of the integral
     from zero of the pulled-back pairing of the frame field with the
-    base-degree part of the momentum one-form.
+    base-degree part of the momentum one-form.  The frame is averaged
+    before each factor after the first, so the walk ends at its last factor.
     """
     _require_momenta(action, moments)
     chart = conn.chart
     current = conn
     total = DiffForm.zero(chart, 1)
-    for factor, mu in zip(action.factors, moments):
+    for k, (factor, mu) in enumerate(zip(action.factors, moments)):
+        if k:
+            current = _average_factor(action.factors[k - 1], current)
         angle = factor.angle
         flow = factor.flow()
         horizontal = bigrade(current, mu).component(1, 0)
@@ -407,7 +411,6 @@ def hamiltonian_potential(
             if not value.is_zero:
                 items.append(((chart.coord_index(base),), value))
         total = total + DiffForm._make(chart, 1, items)
-        current = _average_factor(factor, current)
     return total
 
 

@@ -48,20 +48,6 @@ class Section:
     def __setattr__(self, name, value):
         raise AttributeError("Section is immutable")
 
-    def __add__(self, other: "Section") -> "Section":
-        return Section(self.X + other.X, self.alpha + other.alpha)
-
-    def __sub__(self, other: "Section") -> "Section":
-        return Section(self.X - other.X, self.alpha - other.alpha)
-
-    def __neg__(self) -> "Section":
-        return Section(-self.X, -self.alpha)
-
-    def __mul__(self, factor) -> "Section":
-        return Section(self.X * factor, self.alpha * factor)
-
-    __rmul__ = __mul__
-
     @property
     def is_zero(self) -> bool:
         return self.X.is_zero and self.alpha.is_zero

@@ -29,10 +29,11 @@ from .geom import (
 from .symcalc import Chart, Scalar
 
 
+# Chart.coords lists the horizontal coordinates first, so an index is
+# vertical exactly when it is at least len(chart.horizontal).
 def is_vertical_field(field: VectorField) -> bool:
-    chart = field.chart
-    horizontal = {chart.coord_index(name) for name in chart.horizontal}
-    return not any(i in horizontal for (i,) in field.comps)
+    first_vertical = len(field.chart.horizontal)
+    return all(i >= first_vertical for (i,) in field.comps)
 
 
 def is_vertical_valued(vvf: VecValuedForm) -> bool:
@@ -41,9 +42,8 @@ def is_vertical_valued(vvf: VecValuedForm) -> bool:
 
 def is_horizontal_form(form: DiffForm | VecValuedForm) -> bool:
     """True when the (valued) form vanishes on every vertical argument."""
-    chart = form.chart
-    vertical = {chart.coord_index(name) for name in chart.vertical}
-    return all(not (set(idx) & vertical) for idx in form.comps)
+    first_vertical = len(form.chart.horizontal)
+    return all(i < first_vertical for idx in form.comps for i in idx)
 
 
 class Connection:
@@ -82,27 +82,24 @@ class Connection:
         that fixes every d/dv fixes every vertical field.  Then
         gamma = sum_v eta_v (x) d/dv with eta_v = dv - sum_b A_b^v dx_b, so
         its component on dx_b is -sum_v A_b^v d/dv; the coefficients are
-        read off those components.
+        read off the stored components, in chart order.
         """
         chart = gamma.chart
         if gamma.degree != 1:
             raise UnsupportedDegree("a projection must be a valued one-form")
         if not is_vertical_valued(gamma):
             raise NotVertical("projection takes values outside the vertical bundle")
-        for vert in chart.vertical:
-            if gamma.coefficient(vert) != VectorField.basis(chart, vert):
-                raise NotComplementary(f"projection is not the identity on d/d{vert}")
+        coords = chart.coords
+        first_vertical = len(chart.horizontal)
+        for v in range(first_vertical, chart.dim):
+            if gamma.comps.get((v,)) != VectorField.basis(chart, coords[v]):
+                raise NotComplementary(f"projection is not the identity on d/d{coords[v]}")
         coeffs = {}
-        for base in chart.horizontal:
-            image = gamma.coefficient(base)
-            for vert in chart.vertical:
-                coeffs[(base, vert)] = -image.coefficient(vert)
+        for (b,), image in sorted(gamma.comps.items()):
+            if b < first_vertical:
+                for (v,), value in sorted(image.comps.items()):
+                    coeffs[(coords[b], coords[v])] = -value
         return Connection(chart, coeffs)
-
-    def coefficient(self, base: str, vert: str) -> Scalar:
-        self.chart.require_coord(base)
-        self.chart.require_coord(vert)
-        return self.coeffs.get((base, vert), Scalar.zero(self.chart))
 
     @property
     def frame(self) -> Mapping[str, VectorField]:

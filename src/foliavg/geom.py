@@ -13,6 +13,13 @@ rewrites each basis index as a combination of others, expands the wedge and
 collects by sorted index.  Its callers are :meth:`ChartMap.pull_vector`,
 :meth:`ChartMap.pull_form`, :meth:`ChartMap.pull_multivector`,
 :meth:`ChartMap.pull_valued_form` and :func:`foliavg.foliation.bigrade`.
+
+Derivatives and pullbacks are sparse by construction.  :func:`_gradient`
+differentiates a scalar only along the coordinates it contains;
+:func:`exterior_derivative` and the two image builders of :class:`ChartMap`
+use it, and those builders give images only to the coordinates the map
+moves.  :meth:`VectorField.apply` differentiates only along the coordinates
+that both the field and the scalar contain.
 """
 
 from __future__ import annotations
@@ -60,6 +67,17 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
         cofactor = _det(minor)
         total = total + (entry * cofactor if col % 2 == 0 else -(entry * cofactor))
     return total
+
+
+def _gradient(f: Scalar) -> list[tuple[int, Scalar]]:
+    """The nonzero partials (c, df/dx_c) of a scalar, in chart order.
+
+    Only the coordinates f contains are differentiated along; each of those
+    partials is nonzero, since lowering one exponent keeps distinct
+    monomials distinct.
+    """
+    names = f.free_symbols()
+    return [(c, f.diff(name)) for c, name in enumerate(f.chart.coords) if name in names]
 
 
 def _check_chart(a, b) -> None:
@@ -255,10 +273,13 @@ class VectorField(_Graded):
         )
 
     def apply(self, f: Scalar) -> Scalar:
-        """Directional derivative of a scalar."""
+        """Directional derivative of a scalar, along the coordinates that
+        both the field and f contain."""
         coords = self.chart.coords
+        names = f.free_symbols()
         return Scalar.sum(
-            self.chart, (comp * f.diff(coords[i]) for (i,), comp in self.comps.items())
+            self.chart,
+            (comp * f.diff(coords[i]) for (i,), comp in self.comps.items() if coords[i] in names),
         )
 
     def bracket(self, other: "VectorField") -> "VectorField":
@@ -385,10 +406,7 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
         return DiffForm.zero(chart, chart.dim)
     items = []
     for idx, value in a.comps.items():
-        for c, name in enumerate(chart.coords):
-            dv = value.diff(name)
-            if dv.is_zero:
-                continue
+        for c, dv in _gradient(value):
             sorted_sign = _sort_index((c,) + idx)
             if sorted_sign is None:
                 continue
@@ -517,18 +535,25 @@ def fn_bracket(K: VecValuedForm, X: VectorField) -> VecValuedForm:
 class ChartMap:
     """A polynomial coordinate map of the chart into itself.
 
-    ``mapping`` is a :class:`~foliavg.symcalc.Substitution` sending each
-    manifold coordinate to its image expression; unmapped coordinates stay
+    ``mapping`` and ``inverse_mapping`` are
+    :class:`~foliavg.symcalc.Substitution` objects sending each manifold
+    coordinate to its image expression; coordinates they do not move stay
     fixed.  Angles never move, they may only appear as parameters of the
     images.  Pulling back vector fields and multivectors requires
     ``inverse_mapping``.
 
+    A pullback rewrites basis indices through the images of the coordinate
+    differentials (forms) or of the coordinate fields (fields and
+    multivectors), built only for what the map moves: dc goes to the
+    gradient of the image of a moved c, and d/de to the entries of the
+    moved coordinates whose inverse images contain e, plus d/de itself when
+    e is fixed.  Every other index stays as it is.
+
     Everything a pullback reuses depends only on the map, so the map keeps
     it: ``mapping`` keeps the powers of each moved coordinate's image, and
-    the images of the coordinate fields and of the coordinate differentials
-    are kept too.  All of it is built on first use: a flow pulls back many
-    tensors, and building it when the map is made would charge that work to
-    loading a scenario.
+    both image tables are kept too.  All of it is built on first use: a flow
+    pulls back many tensors, and building it when the map is made would
+    charge that work to loading a scenario.
     """
 
     __slots__ = ("chart", "mapping", "inverse_mapping", "_field_images", "_images")
@@ -541,13 +566,8 @@ class ChartMap:
     ) -> None:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "mapping", Substitution(chart, mapping))
-        if inverse_mapping is None:
-            object.__setattr__(self, "inverse_mapping", None)
-        else:
-            inv = {}
-            for name in chart.coords:
-                inv[name] = inverse_mapping.get(name, Scalar.var(chart, name))
-            object.__setattr__(self, "inverse_mapping", inv)
+        inverse = None if inverse_mapping is None else Substitution(chart, inverse_mapping)
+        object.__setattr__(self, "inverse_mapping", inverse)
         object.__setattr__(self, "_field_images", None)
         object.__setattr__(self, "_images", None)
 
@@ -557,38 +577,40 @@ class ChartMap:
     def inverse(self) -> "ChartMap":
         if self.inverse_mapping is None:
             raise MissingInverse("this chart map has no inverse attached")
-        return ChartMap(self.chart, self.inverse_mapping, self.mapping)
+        return ChartMap(self.chart, self.inverse_mapping.moved, self.mapping.moved)
 
     def pull_scalar(self, f: Scalar) -> Scalar:
         return f.substitute(self.mapping)
 
-    def _jacobian_of(self, mapping: Mapping[str, Scalar]) -> list[list[Scalar]]:
-        coords = self.chart.coords
-        return [
-            [mapping[c].diff(e) for e in coords]
-            for c in coords
-        ]
-
-    def _vector_images(self) -> dict[int, list[tuple[int, Scalar]]]:
+    def _vector_images(self) -> dict[int, list[tuple[int, Scalar | None]]]:
         """The pulled coordinate fields as basis images: d/de goes to
-        sum_c (d(inverse)^c / d e, composed with the map) d/dc."""
-        if self.inverse_mapping is None:
+        sum_c (d(inverse)^c / d e, composed with the map) d/dc, and only a
+        coordinate c that the inverse moves gives an entry off the diagonal."""
+        inverse = self.inverse_mapping
+        if inverse is None:
             raise MissingInverse("pulling back vector fields needs the inverse map")
         if self._field_images is None:
-            jac = self._jacobian_of(self.inverse_mapping)
-            matrix = [[entry.substitute(self.mapping) for entry in row] for row in jac]
-            object.__setattr__(self, "_field_images", _basis_images(zip(*matrix)))
+            moved = {self.chart.coord_index(n): image for n, image in inverse.moved.items()}
+            columns: dict[int, dict[int, Scalar | None]] = {c: {} for c in moved}
+            for c, image in moved.items():
+                for e, entry in _gradient(image):
+                    # a fixed e keeps its own d/de, the factor None standing for 1
+                    column = columns.setdefault(e, {} if e in moved else {e: None})
+                    column[c] = entry.substitute(self.mapping)
+            images = {e: sorted(column.items()) for e, column in columns.items()}
+            object.__setattr__(self, "_field_images", images)
         return self._field_images
 
     def _form_images(self) -> dict[int, list[tuple[int, Scalar]]]:
-        """The pulled coordinate differentials d(mapping^c) as basis images."""
+        """The pulled differentials d(mapping^c) of the moved coordinates c
+        as basis images."""
         if self._images is None:
-            object.__setattr__(
-                self, "_images", _basis_images(self._jacobian_of(self.mapping))
-            )
+            coord_index = self.chart.coord_index
+            images = {coord_index(n): _gradient(image) for n, image in self.mapping.moved.items()}
+            object.__setattr__(self, "_images", images)
         return self._images
 
-    def _pull(self, a: _Graded, images: Mapping[int, Sequence[tuple[int, Scalar]]]):
+    def _pull(self, a: _Graded, images: Mapping[int, Sequence[tuple[int, Scalar | None]]]):
         """Pull back a tensor with scalar components through basis images."""
         items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
         return type(a)._rebase(self.chart, a.degree, items, images)
@@ -605,18 +627,6 @@ class ChartMap:
     def pull_valued_form(self, a: VecValuedForm) -> VecValuedForm:
         items = [(idx, self.pull_vector(vec)) for idx, vec in a.comps.items()]
         return VecValuedForm._rebase(self.chart, a.degree, items, self._form_images())
-
-
-def _basis_images(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[tuple[int, Scalar]]]:
-    """Basis images for :meth:`_Graded._rebase`, row i being the image of
-    index i; identity rows are left out, so those indices stay as they are.
-    """
-    images = {}
-    for i, row in enumerate(rows):
-        image = [(j, entry) for j, entry in enumerate(row) if not entry.is_zero]
-        if image != [(i, 1)]:
-            images[i] = image
-    return images
 
 
 def pullback(phi: ChartMap, target):

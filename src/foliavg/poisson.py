@@ -47,9 +47,9 @@ class PoissonBivector:
         if mv.degree != 2:
             raise UnsupportedDegree("a Poisson structure here is a bivector")
         chart = mv.chart
-        vertical = {chart.coord_index(name) for name in chart.vertical}
+        # indices are increasing and the vertical ones come last
         for idx in mv.comps:
-            if not set(idx) <= vertical:
+            if idx[0] < len(chart.horizontal):
                 raise NotVertical(
                     "bivector must be tangent to the fibers, got component "
                     + "^".join(chart.coords[i] for i in idx)

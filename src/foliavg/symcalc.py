@@ -742,15 +742,16 @@ class Substitution(Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
     As a mapping it sends every coordinate of the chart to its image, the
-    coordinate itself where no rule moves it.  Only the moved coordinates
-    take part in :meth:`apply`.  For each of them it keeps the powers of
-    the image built so far (a ladder grown on first use), and for each
-    monomial in them that it meets, that monomial's image, so one
-    substitution applied to many scalars builds each power and each
-    product once.
+    coordinate itself where no rule moves it.  ``moved`` maps just the
+    coordinates a rule moves to their images (read it, never change it);
+    :meth:`apply` and the pullbacks of :mod:`foliavg.geom` read only those.
+    For each moved coordinate it keeps the powers of the image built so far
+    (a ladder grown on first use), and for each monomial in them that it
+    meets, that monomial's image, so one substitution applied to many
+    scalars builds each power and each product once.
     """
 
-    __slots__ = ("chart", "_moved", "_ladders", "_images")
+    __slots__ = ("chart", "moved", "_ladders", "_images")
 
     def __init__(self, chart: Chart, rules: Mapping[str, "Scalar | Number"]) -> None:
         moved: dict[str, Scalar] = {}
@@ -766,7 +767,7 @@ class Substitution(Mapping):
             if value.den != 1 or value.nums != {(((name, 1),), ()): 1}:
                 moved[name] = value
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_moved", moved)
+        object.__setattr__(self, "moved", moved)
         object.__setattr__(self, "_ladders", {})
         object.__setattr__(self, "_images", {})
 
@@ -774,7 +775,7 @@ class Substitution(Mapping):
         raise AttributeError("Substitution is immutable")
 
     def __getitem__(self, name: str) -> Scalar:
-        image = self._moved.get(name)
+        image = self.moved.get(name)
         if image is not None:
             return image
         if self.chart.is_coord(name):
@@ -791,7 +792,7 @@ class Substitution(Mapping):
         """The image of ``name`` to a positive power, from the kept ladder."""
         ladder = self._ladders.get(name)
         if ladder is None:
-            ladder = self._ladders[name] = [self._moved[name]]
+            ladder = self._ladders[name] = [self.moved[name]]
         while len(ladder) < exponent:
             ladder.append(ladder[-1] * ladder[0])
         return ladder[exponent - 1]
@@ -815,7 +816,7 @@ class Substitution(Mapping):
         chart = self.chart
         if f.chart is not chart and f.chart != chart:
             raise ChartMismatch(f"{f.chart} vs {chart}")
-        moved = self._moved
+        moved = self.moved
         if not moved:
             return f
         groups: dict[Powers, list[tuple[Key, int]]] = {}

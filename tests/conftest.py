@@ -1,5 +1,7 @@
 """Shared charts, model data and exact-value strategies for the test suite."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,3 +116,22 @@ def forms(draw, degree, chart=CHART, **kwargs):
     for index in combinations(chart.coords, degree):
         comps[index] = draw(polynomials(chart, **kwargs))
     return DiffForm.from_dict(chart, degree, comps)
+
+
+def perturbed_pairing_form(doc, seed):
+    """A copy of a generated rot(m, n, d) document whose x1^x2 pairing-form
+    entry gains a seeded base term c * x_k, k >= 3.
+
+    A function of the base coordinates is a Casimir, so the curvature stays
+    the Hamiltonian field of the pairing form; but d of the pairing form
+    gains c dx_k ^ dx1 ^ dx2, which breaks admissibility and with it the
+    involutivity of the coupling Dirac structure.
+    """
+    rng = random.Random(seed)
+    coef = Fraction(rng.choice([n for n in range(-5, 6) if n]), rng.randint(1, 5))
+    term = f"({coef})*{rng.choice(doc['chart']['horizontal'][2:])}"
+    out = copy.deepcopy(doc)
+    out["name"] = f"{doc['name']}_perturbed"
+    out["description"] = f"{doc['description']}, plus {term} on x1^x2"
+    out["pairing_form"]["x1^x2"] += f" + {term}"
+    return out

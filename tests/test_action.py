@@ -225,6 +225,46 @@ def test_potential_on_two_factors():
     assert difference_from_potential(P, Q) == connection_difference(action, conn)
 
 
+TRIPLES = Chart(("x1",), ("q1", "p1", "q2", "p2", "q3", "p3"), ("th1", "th2", "th3"))
+
+
+def test_walks_advance_the_frame_only_between_factors(monkeypatch):
+    """The potential averages its frame, and the flow integral shifts it,
+    before each factor after the first and never after the last."""
+    import foliavg.action as action_mod
+
+    def sct(text):
+        return parse(TRIPLES, text)
+
+    pairs = [("th1", "q1", "p1"), ("th2", "q2", "p2"), ("th3", "q3", "p3")]
+    action = TorusAction(TRIPLES, [rotation_factor(TRIPLES, *pair) for pair in pairs])
+    conn = Connection(TRIPLES, {("x1", "p1"): sct("x1"), ("x1", "p3"): sct("x1^2")})
+    moments = [differential(sct(f"({q}^2 + {p}^2)/2")) for _, q, p in pairs]
+    averaged, shifted = [], []
+    average_factor, shift = action_mod._average_factor, Connection.shifted
+
+    def counted_average(factor, target):
+        if isinstance(target, Connection):
+            averaged.append(factor.angle)
+        return average_factor(factor, target)
+
+    def counted_shift(conn, xi):
+        shifted.append(xi)
+        return shift(conn, xi)
+
+    monkeypatch.setattr(action_mod, "_average_factor", counted_average)
+    monkeypatch.setattr(Connection, "shifted", counted_shift)
+    Q = hamiltonian_potential(action, conn, moments)
+    via_flows = difference_via_flow_integral(action, conn)
+    assert averaged == ["th1", "th2"]
+    assert len(shifted) == 2
+    monkeypatch.undo()
+    assert Q == DiffForm.from_dict(TRIPLES, 1, {("x1",): sct("-x1*q1 - x1^2*q3")})
+    P = PoissonBivector.from_dict(TRIPLES, {(q, p): Scalar.one(TRIPLES) for _, q, p in pairs})
+    xi = connection_difference(action, conn)
+    assert via_flows == xi == difference_from_potential(P, Q)
+
+
 # ----------------------------------------------------------------------
 # premomentum
 

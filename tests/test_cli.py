@@ -261,6 +261,22 @@ def test_non_periodic_flow_is_an_input_error(tmp_path, capsys):
     assert "not periodic" in err
 
 
+def test_a_flow_that_moves_the_base_gets_verdicts(tmp_path, capsys):
+    # the flow integral's last piece is not vertical here; no frame is ever
+    # shifted by it, so the routes disagree instead of the check stopping
+    raw = dict(load_scenario("hb4d").raw)
+    raw["action"] = [{
+        "angle": "th",
+        "flow": {"x1": "x1*cos(th) - x2*sin(th)", "x2": "x1*sin(th) + x2*cos(th)"},
+    }]
+    path = tmp_path / "base_rotation.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "✗ action: leaf_tangent" in out
+    assert "✗ averaging: difference_two_routes" in out
+
+
 # ----------------------------------------------------------------------
 # average
 

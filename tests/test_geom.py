@@ -1,5 +1,6 @@
 """Exterior calculus, brackets and pullbacks on a fixed chart."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -477,11 +478,157 @@ def test_chart_map_lists_every_image(rotation):
     assert flow.mapping["p"] == sc("q*sin(th) + p*cos(th)")
     assert flow.mapping["x1"] == sc("x1")
     assert flow.mapping["x2"] == sc("x2")
+    assert list(flow.mapping.moved) == list(flow.inverse_mapping.moved) == ["q", "p"]
+    assert list(flow.inverse_mapping) == list(CHART.coords)
+    assert flow.inverse_mapping["q"] == sc("q*cos(th) + p*sin(th)")
+    assert flow.inverse_mapping["x1"] == sc("x1")
     fixed = ChartMap(CHART, {"q": sc("q")})
+    assert not fixed.mapping.moved
     assert {c: fixed.mapping[c] for c in CHART.coords} == {
         c: Scalar.var(CHART, c) for c in CHART.coords
     }
     assert flow.inverse() is not flow.inverse()
+
+
+# ----------------------------------------------------------------------
+# the dense path, kept as a reference for the sparse one
+
+
+def jacobian_reference(chart, mapping):
+    """The dense Jacobian: row c holds d mapping^c / d e for every e."""
+    coords = chart.coords
+    return [[mapping[c].diff(e) for e in coords] for c in coords]
+
+
+def basis_images_reference(rows):
+    """Basis images for ``_rebase``, row i being the image of index i;
+    identity rows are left out, so those indices stay as they are."""
+    images = {}
+    for i, row in enumerate(rows):
+        image = [(j, entry) for j, entry in enumerate(row) if not entry.is_zero]
+        if image != [(i, 1)]:
+            images[i] = image
+    return images
+
+
+def pullback_reference(phi, target):
+    """The pullback through images read off dense Jacobians: the rows of
+    the map's for differentials, the columns of the inverse's, composed
+    with the map, for coordinate fields."""
+    chart = phi.chart
+    form_images = basis_images_reference(jacobian_reference(chart, phi.mapping))
+    inverse = jacobian_reference(chart, phi.inverse_mapping)
+    matrix = [[entry.substitute(phi.mapping) for entry in row] for row in inverse]
+    field_images = basis_images_reference(zip(*matrix))
+
+    def pull(a, images):
+        items = [(idx, phi.pull_scalar(value)) for idx, value in a.comps.items()]
+        return type(a)._rebase(chart, a.degree, items, images)
+
+    if isinstance(target, DiffForm):
+        return pull(target, form_images)
+    if isinstance(target, VecValuedForm):
+        items = [(idx, pull(vec, field_images)) for idx, vec in target.comps.items()]
+        return VecValuedForm._rebase(chart, target.degree, items, form_images)
+    return pull(target, field_images)
+
+
+def exterior_derivative_reference(a):
+    """d by differentiating every component along every coordinate."""
+    chart = a.chart
+    if a.degree == chart.dim:
+        return DiffForm.zero(chart, chart.dim)
+    items = []
+    for idx, value in a.comps.items():
+        for c, name in enumerate(chart.coords):
+            dv = value.diff(name)
+            if dv.is_zero:
+                continue
+            sorted_sign = _sort_index((c,) + idx)
+            if sorted_sign is None:
+                continue
+            sidx, sign = sorted_sign
+            items.append((sidx, dv if sign > 0 else -dv))
+    return DiffForm._make(chart, a.degree + 1, items)
+
+
+def apply_reference(X, f):
+    """X(f) summed over every coordinate."""
+    zero = Scalar.zero(X.chart)
+    total = zero
+    for i, name in enumerate(X.chart.coords):
+        total = total + X.comps.get((i,), zero) * f.diff(name)
+    return total
+
+
+@st.composite
+def base_polynomials(draw):
+    """Polynomials in the base coordinates x1, x2 alone."""
+    total = Scalar.zero(CHART)
+    for _ in range(draw(st.integers(0, 3))):
+        coef = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        term = Scalar.const(CHART, coef)
+        for name in ("x1", "x2"):
+            term = term * Scalar.var(CHART, name) ** draw(st.integers(0, 2))
+        total = total + term
+    return total
+
+
+@st.composite
+def shears(draw):
+    """q -> q + f(x1, x2), p -> p + g(x1, x2), inverted by subtracting: the
+    images of d/dx1 and d/dx2 gain q and p entries, although x1 and x2 do
+    not move."""
+    f, g = draw(base_polynomials()), draw(base_polynomials())
+    q, p = sc("q"), sc("p")
+    return ChartMap(CHART, {"q": q + f, "p": p + g}, {"q": q - f, "p": p - g})
+
+
+@st.composite
+def trig_forms(draw, degree):
+    return DiffForm(CHART, degree, draw(multivectors(degree)).comps)
+
+
+@given(shears(), vector_fields(), st.integers(0, 4).flatmap(trig_forms),
+       st.integers(1, 3).flatmap(multivectors), valued_one_forms())
+def test_pullbacks_match_the_dense_reference_on_shears(phi, X, a, m, K):
+    for target in (X, a, m, K):
+        assert pullback(phi, target) == pullback_reference(phi, target)
+        assert pullback(phi.inverse(), target) == pullback_reference(phi.inverse(), target)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_pullbacks_match_the_dense_reference_on_bundled_flows(name):
+    s = load_scenario(name)
+    targets = [s.P.mv, s.conn.projection, *s.conn.frame.values(), *(s.momenta or ())]
+    targets += [form for form in (s.sigma, s.casimir) if form is not None]
+    for factor in s.action.factors:
+        for phi in (factor.flow(), factor.flow().inverse()):
+            for target in targets:
+                assert pullback(phi, target) == pullback_reference(phi, target)
+
+
+@given(st.integers(0, 4).flatmap(trig_forms))
+def test_exterior_derivative_matches_the_dense_reference(a):
+    assert exterior_derivative(a) == exterior_derivative_reference(a)
+
+
+@given(vector_fields(), scalars())
+def test_apply_matches_the_dense_reference(X, f):
+    assert X.apply(f) == apply_reference(X, f)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_sparse_derivatives_match_the_dense_references_on_bundled_data(name):
+    s = load_scenario(name)
+    data = [*(s.momenta or ()), *(form for form in (s.sigma, s.casimir) if form is not None)]
+    for form in data:
+        assert exterior_derivative(form) == exterior_derivative_reference(form)
+    coefficients = [v for form in data for v in form.comps.values()]
+    coefficients += s.P.mv.comps.values()
+    for lift in s.conn.frame.values():
+        for f in coefficients:
+            assert lift.apply(f) == apply_reference(lift, f)
 
 
 @given(forms(1), vector_fields())

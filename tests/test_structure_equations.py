@@ -9,19 +9,27 @@ independent code: ``verify_involutive`` evaluates Courant brackets of the
 generators, while the four equations are tensor identities.
 """
 
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import foliavg
 from foliavg.dirac import build_coupling_dirac, verify_involutive
 from foliavg.geom import DiffForm
 from foliavg.hamcurv import verify_admissible, verify_hamiltonian_curvature
 from foliavg.poisson import verify_jacobi, verify_poisson_connection
-from foliavg.scenarios import _Pipeline, load_scenario
+from foliavg.scenarios import _Pipeline, load_scenario, run_checks, scenario_from_dict
 
-from conftest import polynomials
+from conftest import perturbed_pairing_form, polynomials
+
+DATA = Path(__file__).parent / "data"
 
 BUNDLED = ["ext3", "ext3adm", "hb4d", "hb4d_inv", "t2pairs", "triv", "triv_shifted"]
 SCENARIOS = {name: load_scenario(name) for name in BUNDLED}
@@ -81,3 +89,47 @@ def test_agreement_under_pairing_form_perturbations(name, data):
     conn, sigma, P = input_data(SCENARIOS[name])
     extra = data.draw(horizontal_two_forms(conn.chart))
     assert_agreement(conn, sigma + extra, P)
+
+
+# ----------------------------------------------------------------------
+# a failing family at width
+
+
+def test_the_committed_perturbed_chart_is_the_seeded_one():
+    doc = json.loads((DATA / "rot_4_4_0.json").read_text())
+    committed = json.loads((DATA / "rot_4_4_0_perturbed.json").read_text())
+    assert committed == perturbed_pairing_form(doc, 0)
+
+
+# seed 0 adds a multiple of x3, seed 5 a multiple of x4
+@pytest.mark.parametrize("source, seed", [("rot_4_4_0", 0), ("rot_4_4_0", 5), ("rot_3_1_12", 0)])
+def test_a_base_term_in_the_pairing_form_breaks_only_admissibility(source, seed):
+    doc = perturbed_pairing_form(json.loads((DATA / f"{source}.json").read_text()), seed)
+    s = scenario_from_dict(doc)
+    report = run_checks(s)
+    failed = [f"{c.stage}: {c.check}" for c in report.checks if not c.passed]
+    # admissibility_preserved runs only on an admissible input pairing form
+    assert len(report.checks) == 22
+    assert failed == ["curvature_form: admissible", "dirac: involutive"]
+    data = input_data(s)
+    equations = structure_equations(*data)
+    assert [name for name, witness in equations.items() if witness] == ["admissible"]
+    assert not assert_agreement(*data)
+
+
+def test_perturbed_witnesses_do_not_depend_on_the_hash_seed():
+    path = os.pathsep.join(
+        p for p in (str(Path(foliavg.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-m", "foliavg.cli", "check", str(DATA / "rot_4_4_0_perturbed.json"),
+               "--witness", "--format", "json"]
+    texts = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1, proc.stderr
+        doc = json.loads(proc.stdout)
+        del doc["elapsed_ms"]
+        assert doc["failures"] == 2
+        texts.append(json.dumps(doc, indent=2))
+    assert texts[0] == texts[1]
