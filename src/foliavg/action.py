@@ -150,6 +150,16 @@ class FlowFactor:
                 comps[name] = comp
         return VectorField.from_dict(self.chart, comps)
 
+    def mixed_base(self) -> str | None:
+        """The first base coordinate whose image depends on a fiber
+        coordinate, or None when the flow preserves the foliation."""
+        vertical = set(self.chart.vertical)
+        for name in self.chart.horizontal:
+            image = self.mapping.get(name)
+            if image is not None and image.free_symbols() & vertical:
+                return name
+        return None
+
     def _check_identity(self) -> None:
         for name, value in self.mapping.items():
             if value.substitute_angle(self.angle, self._at_zero) != Scalar.var(self.chart, name):
@@ -223,26 +233,18 @@ class TorusAction:
 
 def verify_action(action: TorusAction, P: PoissonBivector) -> dict[str, str | None]:
     """Per-property witnesses: leaves preserved, base fixed, bivector kept."""
-    chart = action.chart
-    vertical = set(chart.vertical)
     verdict: dict[str, str | None] = {
         "foliation_preserving": None,
         "leaf_tangent": None,
         "canonical": None,
     }
     for factor in action.factors:
-        for name in chart.horizontal:
-            image = factor.mapping.get(name)
-            if image is None:
-                continue
-            if verdict["foliation_preserving"] is None and image.free_symbols() & vertical:
-                verdict["foliation_preserving"] = (
-                    f"{factor.angle} flow mixes fiber data into {name}"
-                )
-            if verdict["leaf_tangent"] is None:
-                verdict["leaf_tangent"] = (
-                    f"{factor.angle} flow moves the base point {name}"
-                )
+        mixed = factor.mixed_base()
+        if verdict["foliation_preserving"] is None and mixed is not None:
+            verdict["foliation_preserving"] = f"{factor.angle} flow mixes fiber data into {mixed}"
+        moved = next((n for n in action.chart.horizontal if n in factor.mapping), None)
+        if verdict["leaf_tangent"] is None and moved is not None:
+            verdict["leaf_tangent"] = f"{factor.angle} flow moves the base point {moved}"
         if verdict["canonical"] is None:
             if pullback(factor.flow(), P.mv) != P.mv:
                 verdict["canonical"] = (
@@ -281,6 +283,12 @@ def _has_bare_angle(f: Scalar, angle: str) -> bool:
 
 def _average_factor(factor: FlowFactor, target):
     if isinstance(target, Connection):
+        mixed = factor.mixed_base()
+        if mixed is not None:
+            raise InvariantViolation(
+                f"{factor.angle} flow does not preserve the foliation: "
+                f"it mixes fiber data into {mixed}"
+            )
         return Connection.from_projection(_average_factor(factor, target.projection))
     angle = factor.angle
     for coef in _coefficients(target):

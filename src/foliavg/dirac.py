@@ -5,11 +5,15 @@ The distribution is spanned by sections sharpening the connection coframe
 and by frame lifts coupled through the pairing form.  It is Lagrangian by
 construction, so membership reduces to pairing against the generators;
 involutivity, gauge shifts and group invariance are all decided exactly.
+:class:`DiracData` indexes the generators' entries by coordinate, so a
+section is paired with all of them by multiplying only the entries that meet.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .action import TorusAction
@@ -91,9 +95,11 @@ def courant_bracket(s: Section, t: Section) -> Section:
 
 
 class DiracData:
-    """Generator presentation of the coupling distribution."""
+    """Generator presentation of the coupling distribution.  ``_fields`` and
+    ``_forms`` map each coordinate index i to the pairs (k, entry) of the
+    generators k whose field, or form, stores an entry at i."""
 
-    __slots__ = ("conn", "sigma", "P", "generators")
+    __slots__ = ("conn", "sigma", "P", "generators", "_fields", "_forms")
 
     def __init__(
         self,
@@ -105,7 +111,16 @@ class DiracData:
         object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "generators", tuple(generators))
+        generators = tuple(generators)
+        fields: dict[int, list[tuple[int, Scalar]]] = {}
+        forms: dict[int, list[tuple[int, Scalar]]] = {}
+        for k, gen in enumerate(generators):
+            for index, tensor in ((fields, gen.X), (forms, gen.alpha)):
+                for (i,), entry in tensor.comps.items():
+                    index.setdefault(i, []).append((k, entry))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_forms", forms)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiracData is immutable")
@@ -137,27 +152,39 @@ def build_coupling_dirac(
     return DiracData(conn, sigma, P, generators)
 
 
+def _pairings(D: DiracData, s: Section) -> list[Scalar]:
+    """The pairing of s with each generator, multiplying only the entries
+    that share a coordinate index."""
+    if s.chart != D.chart:
+        raise ChartMismatch("sections live on different charts")
+    parts: list[list[Scalar]] = [[] for _ in D.generators]
+    for own, index in ((s.X, D._forms), (s.alpha, D._fields)):
+        for (i,), value in own.comps.items():
+            for k, entry in index.get(i, ()):
+                parts[k].append(entry * value)
+    zero = Scalar.zero(D.chart)
+    return [reduce(add, terms) if terms else zero for terms in parts]
+
+
 def verify_lagrangian(D: DiracData) -> str | None:
     """Generator count equals the chart dimension and all pairings vanish."""
     if len(D.generators) != D.chart.dim:
         return (
             f"{len(D.generators)} generators for a {D.chart.dim}-dimensional chart"
         )
-    for i, j in combinations(range(len(D.generators)), 2):
-        value = pairing(D.generators[i], D.generators[j])
-        if not value.is_zero:
-            return f"generators {i} and {j} pair to {value}"
-    for i, gen in enumerate(D.generators):
-        value = pairing(gen, gen)
-        if not value.is_zero:
-            return f"generator {i} pairs with itself to {value}"
+    rows = [_pairings(D, gen) for gen in D.generators]
+    for i, j in combinations(range(len(rows)), 2):
+        if not rows[i][j].is_zero:
+            return f"generators {i} and {j} pair to {rows[i][j]}"
+    for i, row in enumerate(rows):
+        if not row[i].is_zero:
+            return f"generator {i} pairs with itself to {row[i]}"
     return None
 
 
 def is_member(D: DiracData, s: Section) -> str | None:
     """Membership via vanishing pairing with every generator."""
-    for i, gen in enumerate(D.generators):
-        value = pairing(s, gen)
+    for i, value in enumerate(_pairings(D, s)):
         if not value.is_zero:
             return f"pairing with generator {i} is {value}"
     return None

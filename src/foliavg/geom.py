@@ -6,7 +6,8 @@ are parameters and carry no components).  Component indices are strictly
 increasing tuples of coordinate positions, and only nonzero components are
 stored, so two tensors are equal exactly when their component dictionaries
 are equal.  Vector fields are the degree-one case of the same container,
-keyed ``(i,)``.
+keyed ``(i,)``.  The public constructors check every index; the library's
+own results go through :meth:`_Graded._make`, which trusts its indices.
 
 Every change of basis goes through one kernel, :meth:`_Graded._rebase`: it
 rewrites each basis index as a combination of others, expands the wedge and
@@ -19,11 +20,14 @@ differentiates a scalar only along the coordinates it contains;
 :func:`exterior_derivative` and the two image builders of :class:`ChartMap`
 use it, and those builders give images only to the coordinates the map
 moves.  :meth:`VectorField.apply` differentiates only along the coordinates
-that both the field and the scalar contain.
+that both the field and the scalar contain, and :meth:`_Graded._contract`,
+behind the three ``evaluate`` methods, visits only stored entries.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -85,6 +89,14 @@ def _check_chart(a, b) -> None:
         raise ChartMismatch(f"{a.chart} vs {b.chart}")
 
 
+def _summed(items: Iterable[tuple[Index, object]]) -> dict[Index, object]:
+    """The values of the items added up per index."""
+    acc: dict[Index, object] = {}
+    for idx, value in items:
+        acc[idx] = acc[idx] + value if idx in acc else value
+    return acc
+
+
 class _Graded:
     """Shared container behaviour of fields, forms, multivectors and valued
     forms."""
@@ -100,28 +112,27 @@ class _Graded:
             raise DegreeUnderflow("negative degree")
         if degree > chart.dim:
             raise DegreeOverflow(f"degree {degree} exceeds dimension {chart.dim}")
-        clean = {}
-        for idx, value in comps.items():
+        for idx in comps:
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad component index {idx}")
-            if not value.is_zero:
-                clean[idx] = value
+        self._fill(chart, degree, comps)
+
+    def _fill(self, chart: Chart, degree: int, comps: Mapping[Index, object]) -> None:
+        """Set the slots, keeping only the nonzero components."""
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
+        object.__setattr__(self, "comps", {i: v for i, v in comps.items() if not v.is_zero})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _make(cls, chart: Chart, degree: int, items: Iterable[tuple[Index, object]]):
-        acc: dict[Index, object] = {}
-        for idx, value in items:
-            if idx in acc:
-                acc[idx] = acc[idx] + value
-            else:
-                acc[idx] = value
-        return cls(chart, degree, acc)
+        """The tensor of the summed items; each index must be sorted and of
+        length ``degree``, as nothing checks it here."""
+        out = object.__new__(cls)
+        out._fill(chart, degree, _summed(items))
+        return out
 
     @classmethod
     def from_dict(cls, chart: Chart, degree: int, comps: Mapping[Sequence[str], object]):
@@ -134,7 +145,7 @@ class _Graded:
                 raise ValueError(f"repeated coordinate in {names}")
             sidx, sign = sorted_sign
             items.append((sidx, value if sign > 0 else -value))
-        return cls._make(chart, degree, items)
+        return cls(chart, degree, _summed(items))
 
     def coefficient(self, *names: str):
         """The component on the named coordinates, signed by their order."""
@@ -167,11 +178,11 @@ class _Graded:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {i: -v for i, v in self.comps.items()})
+        return type(self)._make(self.chart, self.degree, ((i, -v) for i, v in self.comps.items()))
 
     def __mul__(self, factor):
-        return type(self)(
-            self.chart, self.degree, {i: v * factor for i, v in self.comps.items()}
+        return type(self)._make(
+            self.chart, self.degree, ((i, v * factor) for i, v in self.comps.items())
         )
 
     __rmul__ = __mul__
@@ -193,15 +204,27 @@ class _Graded:
         where each argument is a degree-one tensor (a field or a one-form)
         and its entry at i is its component (i,).  With no arguments this is
         the degree-0 component.
+
+        Only stored entries are visited: one argument gives the dot product
+        over the indices both store, and a component is skipped when an
+        argument stores none of its indices or its determinant vanishes.
         """
         if not args:
-            return self.comps.get((), self._zero_value(self.chart))
-        zero = Scalar.zero(self.chart)
-        total = self._zero_value(self.chart)
-        for idx, value in self.comps.items():
-            rows = [[arg.comps.get((i,), zero) for i in idx] for arg in args]
-            total = total + value * _det(rows)
-        return total
+            parts = [self.comps[()]] if () in self.comps else []
+        elif len(args) == 1:
+            entries = args[0].comps
+            parts = [value * entries[idx] for idx, value in self.comps.items() if idx in entries]
+        else:
+            parts = []
+            zero = Scalar.zero(self.chart)
+            for idx, value in self.comps.items():
+                rows = [[arg.comps.get((i,), zero) for i in idx] for arg in args]
+                if any(all(e is zero for e in row) for row in rows):
+                    continue
+                det = _det(rows)
+                if not det.is_zero:
+                    parts.append(value * det)
+        return reduce(add, parts) if parts else self._zero_value(self.chart)
 
     @classmethod
     def _rebase(

@@ -277,6 +277,23 @@ def test_a_flow_that_moves_the_base_gets_verdicts(tmp_path, capsys):
     assert "✗ averaging: difference_two_routes" in out
 
 
+@pytest.mark.parametrize("verb", ["check", "average"])
+def test_a_flow_that_mixes_base_and_fiber_is_named(tmp_path, capsys, verb):
+    # the averaged projection would leave the vertical bundle; the error
+    # names the flow that breaks the foliation, not the connection
+    raw = dict(load_scenario("hb4d").raw)
+    raw["action"] = [{
+        "angle": "th",
+        "flow": {"x1": "x1*cos(th) - q*sin(th)", "q": "x1*sin(th) + q*cos(th)"},
+    }]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(raw))
+    assert main([verb, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "foliavg: error: th flow does not preserve the foliation: it mixes fiber data into x1\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # average
 

@@ -1,12 +1,16 @@
 """Courant sections and the coupling distribution of a connection pair."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from foliavg.action import hamiltonian_potential, hannay_berry
 from foliavg.dirac import (
     DiracData,
     Section,
+    _pairings,
     build_coupling_dirac,
     courant_bracket,
     gauge_transform,
@@ -29,9 +33,12 @@ from foliavg.geom import (
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
+from foliavg.scenarios import bundled_names, load_scenario
 from foliavg.symcalc import Scalar, _as_rational
 
-from conftest import CHART, polynomials, sc
+from conftest import CHART, forms, polynomials, sc, vector_fields
+
+DATA = Path(__file__).parent / "data"
 
 
 def d(name):
@@ -130,7 +137,23 @@ def test_perturbed_generator_breaks_isotropy(invariant_dirac, invariant_conn, bi
         (Section(h1, interior_product(h1, SIGMA_INV)),)
         + invariant_dirac.generators[1:],
     )
-    assert verify_lagrangian(bad) is not None
+    assert verify_lagrangian(bad) == "generators 0 and 1 pair to p^2 + q^2"
+
+
+def test_off_diagonal_pairs_are_reported_before_self_pairings(trivial_dirac, bivector):
+    # generator 0 pairs with itself to 2, but the pair (1, 3) is tested first
+    gens = list(trivial_dirac.generators)
+    gens[0] = Section(vf("x1"), d("x1"))
+    gens[3] = Section(-vf("q"), d("p") + d("x2"))
+    bad = DiracData(trivial_dirac.conn, trivial_dirac.sigma, bivector, gens)
+    assert verify_lagrangian(bad) == "generators 1 and 3 pair to 1"
+
+
+def test_a_self_pairing_alone_breaks_isotropy(trivial_dirac, bivector):
+    gens = list(trivial_dirac.generators)
+    gens[2] = Section(vf("p"), d("q") + d("p") * sc("x1"))
+    bad = DiracData(trivial_dirac.conn, trivial_dirac.sigma, bivector, gens)
+    assert verify_lagrangian(bad) == "generator 2 pairs with itself to 2*x1"
 
 
 def test_curvature_law_violation_breaks_involutivity(invariant_conn, bivector):
@@ -205,6 +228,34 @@ def test_function_combinations_stay_members(f1, f2, g1, g2):
     alpha = conn.coframe["q"] * g1 + conn.coframe["p"] * g2
     section = Section(X + P.sharp(alpha), alpha - interior_product(X, SIGMA_INV))
     assert is_member(D, section) is None
+
+
+def _coupling(source):
+    s = load_scenario(source)
+    sigma = s.sigma if s.sigma is not None else DiffForm.zero(s.chart, 2)
+    return build_coupling_dirac(s.conn, sigma, s.P)
+
+
+COUPLINGS = {
+    name: _coupling(source)
+    for name, source in [(n, n) for n in bundled_names()]
+    + [("rot_4_4_0_perturbed", str(DATA / "rot_4_4_0_perturbed.json"))]
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+@given(data=st.data())
+def test_pairings_with_every_generator_match_pairing(name, data):
+    D = COUPLINGS[name]
+    chart = D.chart
+    small = {"chart": chart, "coord_degree": 1, "max_terms": 2}
+    X = data.draw(vector_fields(**small))
+    alpha = data.draw(forms(1, **small))
+    k = data.draw(st.integers(0, len(D.generators) - 1))
+    # a drawn section, and one that shares every entry of a generator
+    for s in (Section(X, alpha), Section(X + D.generators[k].X, alpha - D.generators[k].alpha)):
+        values = _pairings(D, s)
+        assert values == [pairing(s, gen) for gen in D.generators]
 
 
 def test_membership_witness(trivial_dirac):

@@ -1,5 +1,6 @@
 """Exterior calculus, brackets and pullbacks on a fixed chart."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -642,3 +643,56 @@ def test_pullback_is_natural_on_pairings(a, X):
 def test_det_example():
     rows = [[sc("q"), sc("p")], [sc("1"), sc("q")]]
     assert _det(rows) == sc("q^2 - p")
+
+
+# ----------------------------------------------------------------------
+# contraction: the determinant loop over every component, kept as a
+# reference for the kernel that visits only stored entries
+
+
+def contract_reference(t, args):
+    """Sum of value * det(args at idx) over all components of t, with a
+    zero for every entry an argument does not store."""
+    if not args:
+        return t.comps.get((), t._zero_value(t.chart))
+    zero = Scalar.zero(t.chart)
+    total = t._zero_value(t.chart)
+    for idx, value in t.comps.items():
+        rows = [[arg.comps.get((i,), zero) for i in idx] for arg in args]
+        total = total + value * _det(rows)
+    return total
+
+
+@st.composite
+def sparse_tensors(draw, cls, degree, values=polynomials):
+    """A tensor storing a drawn few of its components."""
+    indices = list(combinations(range(CHART.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=3))
+    return cls(CHART, degree, {idx: draw(values()) for idx in chosen})
+
+
+@given(st.integers(0, 3), st.data())
+def test_contraction_matches_the_reference(degree, data):
+    fields = [data.draw(sparse_tensors(VectorField, 1)) for _ in range(degree)]
+    one_forms = [data.draw(sparse_tensors(DiffForm, 1)) for _ in range(degree)]
+    a = data.draw(sparse_tensors(DiffForm, degree))
+    m = data.draw(sparse_tensors(Multivector, degree))
+    K = data.draw(
+        sparse_tensors(VecValuedForm, degree, lambda: sparse_tensors(VectorField, 1))
+    )
+    assert a.evaluate(*fields) == contract_reference(a, fields)
+    assert m.evaluate(*one_forms) == contract_reference(m, one_forms)
+    assert K.evaluate(*fields) == contract_reference(K, fields)
+
+
+def test_the_public_constructor_checks_every_index():
+    one = Scalar.one(CHART)
+    for idx in [(1, 0), (0, 0), (0,), (0, 1, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad component index {idx}")):
+            DiffForm(CHART, 2, {idx: one})
+    with pytest.raises(ValueError, match=re.escape("bad component index (0,)")):
+        DiffForm.from_dict(CHART, 2, {("x1",): one})
+    with pytest.raises(ValueError, match="repeated coordinate"):
+        DiffForm.from_dict(CHART, 2, {("x1", "x1"): one})
+    with pytest.raises(DegreeOverflow):
+        Multivector.from_dict(CHART, 5, {})

@@ -1,15 +1,21 @@
 """Output surface pinned byte for byte: averaged documents, generator tables
-and one wide check report.
+and check reports.
 
 ``reference_outputs.json`` holds, per scenario, the ``average`` document and
-the ``dirac`` generator table of the 7 bundled scenarios and of two charts
-generated by ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
-(rot(4,4,0): dimension 12, four circle factors) and ``data/rot_3_1_12.json``
-(rot(3,1,12): dimension 5, frame degree 12), plus the check report with
-witnesses of each generated chart.  The bundled and rot(4,4,0) entries were
-written before vector fields became sparse tensors, the rot(3,1,12) entry
-before scalars kept integer numerators over one denominator.  Each
-comparison is of the indented JSON text, so key order counts too.
+the ``dirac`` generator table of the 7 bundled scenarios and of four charts
+built with ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
+(rot(4,4,0): dimension 12, four circle factors), ``data/rot_3_1_12.json``
+(rot(3,1,12): dimension 5, frame degree 12), ``data/rot_6_6_1.json``
+(rot(6,6,1): dimension 18, six circle factors) and
+``data/rot_4_4_0_perturbed.json`` (rot(4,4,0) with a base term in its
+pairing form).  It also holds the check report with witnesses of each
+generated chart and of the two failing bundled scenarios, ``ext3`` and
+``triv_shifted``.  The bundled and rot(4,4,0) entries were written before
+vector fields became sparse tensors, the rot(3,1,12) entry before scalars
+kept integer numerators over one denominator, and the failing reports and
+the rot(6,6,1) entries before contractions and Dirac membership visited only
+the stored entries.  Each comparison is of the indented JSON text, so key
+order counts too.
 """
 
 import json
@@ -30,8 +36,16 @@ REFERENCE = json.loads((HERE / "reference_outputs.json").read_text())
 SOURCES = {
     name: name for name in ("ext3", "ext3adm", "hb4d", "hb4d_inv", "t2pairs", "triv", "triv_shifted")
 }
-SOURCES["rot_4_4_0"] = str(HERE / "data" / "rot_4_4_0.json")
-SOURCES["rot_3_1_12"] = str(HERE / "data" / "rot_3_1_12.json")
+SOURCES.update(
+    (name, str(HERE / "data" / f"{name}.json"))
+    for name in ("rot_4_4_0", "rot_4_4_0_perturbed", "rot_3_1_12", "rot_6_6_1")
+)
+# the check count and the failed checks of each document built to fail
+FAILING = {
+    "ext3": (22, ["curvature_form: admissible", "dirac: involutive"]),
+    "triv_shifted": (24, ["adiabatic: horizontal_momentum_average"]),
+    "rot_4_4_0_perturbed": (22, ["curvature_form: admissible", "dirac: involutive"]),
+}
 
 
 def _text(doc) -> str:
@@ -59,7 +73,9 @@ def _assert_check_report_matches(name):
     doc = json.loads(render_report(report, "json", witness=True))
     del doc["elapsed_ms"]
     assert _text(doc) == _text(REFERENCE[name]["check"])
-    assert report.all_passed and len(report.checks) == 23
+    count, failed = FAILING.get(name, (23, []))
+    assert len(report.checks) == count
+    assert [f"{c.stage}: {c.check}" for c in report.checks if not c.passed] == failed
 
 
 def test_wide_check_report_matches_reference():
@@ -68,3 +84,12 @@ def test_wide_check_report_matches_reference():
 
 def test_deep_check_report_matches_reference():
     _assert_check_report_matches("rot_3_1_12")
+
+
+def test_wider_check_report_matches_reference():
+    _assert_check_report_matches("rot_6_6_1")
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_check_report_matches_reference(name):
+    _assert_check_report_matches(name)
