@@ -159,16 +159,10 @@ def averaging_identities(
     shifted = conn.shifted(difference_from_potential(P, potential))
     d_sigma = graded_derivative(conn, sigma, (1, 0))
     d_potential = graded_derivative(conn, potential, (1, 0))
+    balance = braided_wedge(P, potential, sigma)
     return {
-        "shifted_derivative": (
-            graded_derivative(shifted, sigma, (1, 0))
-            - d_sigma
-            - braided_wedge(P, potential, sigma)
-        ),
-        "second_derivative": (
-            graded_derivative(conn, d_potential, (1, 0))
-            - braided_wedge(P, potential, sigma)
-        ),
+        "shifted_derivative": graded_derivative(shifted, sigma, (1, 0)) - d_sigma - balance,
+        "second_derivative": graded_derivative(conn, d_potential, (1, 0)) - balance,
         "bracket_derivative": (
             graded_derivative(conn, braided_wedge(P, potential, potential) * _HALF, (1, 0))
             + braided_wedge(P, potential, d_potential)

@@ -147,9 +147,6 @@ class Chart:
         self.require_coord(name)
         return self.coords.index(name)
 
-    def with_extra_angles(self, extra: Sequence[str]) -> "Chart":
-        return Chart(self.horizontal, self.vertical, self.angles + tuple(extra))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Chart)

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from foliavg.action import (
     FlowFactor,
@@ -96,16 +97,135 @@ def test_flow_validation_rejects_non_periodic_flows():
 def test_factors_must_commute():
     rot = rotation_factor(WIDE, "th", "q", "p")
     tilt = rotation_factor(WIDE, "ph", "q", "x1")
-    with pytest.raises(InvariantViolation):
+    assert not commute_reference(rot, tilt)
+    with pytest.raises(InvariantViolation, match="factors 'th' and 'ph' do not commute"):
         TorusAction(WIDE, (rot, tilt))
-    independent = TorusAction(
-        PAIRS,
-        (
-            rotation_factor(PAIRS, "th1", "q1", "p1"),
-            rotation_factor(PAIRS, "th2", "q2", "p2"),
-        ),
+    pair = (
+        rotation_factor(PAIRS, "th1", "q1", "p1"),
+        rotation_factor(PAIRS, "th2", "q2", "p2"),
     )
-    assert len(independent.factors) == 2
+    assert commute_reference(*pair)
+    assert len(TorusAction(PAIRS, pair).factors) == 2
+
+
+# ----------------------------------------------------------------------
+# the composition checks the generator equation replaced
+
+
+def group_law_reference(chart, angle, mapping):
+    """The images, in order, on which the flow at th + s differs from the
+    flow at th after the flow at s; s is an auxiliary angle on an extended
+    chart.  The flow is a one-parameter group when the list is empty."""
+    aux = angle + "_s"
+    while chart.is_symbol(aux):
+        aux = aux + "_s"
+    ext = Chart(chart.horizontal, chart.vertical, chart.angles + (aux,))
+    lifted = {
+        name: value.on_chart(ext)
+        for name, value in mapping.items()
+        if value != Scalar.var(chart, name)
+    }
+    inner = {name: value.substitute_angle(angle, [(aux, 1)]) for name, value in lifted.items()}
+    return [
+        name
+        for name, value in lifted.items()
+        if value.substitute(inner) != value.substitute_angle(angle, [(angle, 1), (aux, 1)])
+    ]
+
+
+def _group_law_message(angle, name):
+    return f"flow in {angle!r} breaks the group law on {name!r}"
+
+
+def commute_reference(a, b):
+    """Whether the two flows, composed in either order, agree on every
+    coordinate either one moves."""
+    ma, mb = a.flow().mapping, b.flow().mapping
+    names = ma.moved.keys() | mb.moved.keys()
+
+    def compose(outer, inner):
+        return {name: outer[name].substitute(inner) for name in names}
+
+    return compose(ma, mb) == compose(mb, ma)
+
+
+FLOWS = Chart(("x1", "x2"), ("q", "p", "u", "v"), ("th", "ph"))
+CENTRES = [("0", "0"), ("x1", "x2^2"), ("x2", "0"), ("0", "x1*x2")]
+PERTURBATIONS = ["sin({a})", "x1*(cos({a})-1)", "p*sin({a})", "q*(cos(2*{a})-1)"]
+
+
+@st.composite
+def candidate_flows(draw, angle, perturbed=True):
+    """Rotations of fiber pairs by k*angle, k in {1, -1, 2}, about
+    base-dependent centres, possibly with one perturbation term added to
+    one image."""
+    order = draw(st.permutations(FLOWS.vertical))
+    images = {}
+    for i in range(draw(st.integers(1, 2))):
+        a, b = order[2 * i], order[2 * i + 1]
+        t = draw(st.sampled_from((angle, f"-{angle}", f"2*{angle}")))
+        ca, cb = draw(st.sampled_from(CENTRES))
+        images[a] = f"{ca} + ({a} - ({ca}))*cos({t}) - ({b} - ({cb}))*sin({t})"
+        images[b] = f"{cb} + ({a} - ({ca}))*sin({t}) + ({b} - ({cb}))*cos({t})"
+    if perturbed and draw(st.booleans()):
+        target = draw(st.sampled_from(FLOWS.coords))
+        term = draw(st.sampled_from(PERTURBATIONS)).format(a=angle)
+        images[target] = f"{images.get(target, target)} + {term}"
+    return {name: parse(FLOWS, text) for name, text in images.items()}
+
+
+def _flow_message(angle, mapping):
+    try:
+        FlowFactor(FLOWS, angle, mapping)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@given(candidate_flows("th"))
+def test_flow_validation_agrees_with_composition(mapping):
+    # a rejection names an image the composition breaks too; it is the
+    # first one when the broken images do not feed each other
+    broken = group_law_reference(FLOWS, "th", mapping)
+    message = _flow_message("th", mapping)
+    if broken:
+        assert message in [_group_law_message("th", name) for name in broken]
+    else:
+        assert message is None
+
+
+ROTATION = {
+    "q": parse(FLOWS, "x1 + (q - x1)*cos(th) - (p - x2^2)*sin(th)"),
+    "p": parse(FLOWS, "x2^2 + (q - x1)*sin(th) + (p - x2^2)*cos(th)"),
+}
+
+
+def test_flow_validation_agrees_on_both_verdicts():
+    assert group_law_reference(FLOWS, "th", ROTATION) == []
+    assert _flow_message("th", ROTATION) is None
+    broken = dict(ROTATION, p=ROTATION["p"] + parse(FLOWS, "q*(cos(2*th)-1)"))
+    assert group_law_reference(FLOWS, "th", broken) == ["q", "p"]
+    assert _flow_message("th", broken) == _group_law_message("th", "q")
+
+
+def test_a_broken_centre_is_named_where_the_equation_breaks():
+    # the image of q solves its own equation, so the first image that does
+    # not is p's, though the composition already breaks on q
+    drifting = dict(ROTATION, x1=parse(FLOWS, "x1 + sin(th)"))
+    assert group_law_reference(FLOWS, "th", drifting) == ["q", "p", "x1"]
+    assert _flow_message("th", drifting) == _group_law_message("th", "p")
+
+
+@given(candidate_flows("th", perturbed=False), candidate_flows("ph", perturbed=False))
+def test_commutation_agrees_with_composition(first, second):
+    a, b = FlowFactor(FLOWS, "th", first), FlowFactor(FLOWS, "ph", second)
+    try:
+        TorusAction(FLOWS, (a, b))
+    except InvariantViolation as exc:
+        assert str(exc) == "factors 'th' and 'ph' do not commute"
+        assert not commute_reference(a, b)
+    else:
+        assert commute_reference(a, b)
 
 
 def test_verify_action(rotation, bivector):

@@ -261,6 +261,45 @@ def test_non_periodic_flow_is_an_input_error(tmp_path, capsys):
     assert "not periodic" in err
 
 
+T2_ROTATION = {
+    "angle": "th1",
+    "flow": {"q1": "q1*cos(th1) - p1*sin(th1)", "p1": "q1*sin(th1) + p1*cos(th1)"},
+}
+T2_CROSSING = {
+    "angle": "th2",
+    "flow": {"p1": "p1*cos(th2) - q2*sin(th2)", "q2": "p1*sin(th2) + q2*cos(th2)"},
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "action", "message"),
+    [
+        pytest.param(
+            "triv", [{"angle": "th", "flow": {"q": "q + sin(th)"}}],
+            "flow in 'th' breaks the group law on 'q'",
+            id="group-law",
+        ),
+        pytest.param(
+            "triv", [{"angle": "th", "flow": {"q": "2*q"}}],
+            "flow in 'th' is not the identity at angle zero",
+            id="identity",
+        ),
+        pytest.param(
+            "t2pairs", [T2_ROTATION, T2_CROSSING],
+            "factors 'th1' and 'th2' do not commute",
+            id="commutation",
+        ),
+    ],
+)
+def test_a_flow_that_is_no_action_is_named_at_load(tmp_path, capsys, name, action, message):
+    raw = dict(load_scenario(name).raw)
+    raw["action"] = action
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"foliavg: error: {message}\n"
+
+
 def test_a_flow_that_moves_the_base_gets_verdicts(tmp_path, capsys):
     # the flow integral's last piece is not vertical here; no frame is ever
     # shifted by it, so the routes disagree instead of the check stopping

@@ -50,12 +50,6 @@ def test_chart_rejects_collisions():
             Chart(("x",), (name,), ("th",))
 
 
-def test_with_extra_angles(chart):
-    wider = chart.with_extra_angles(("s",))
-    assert wider.angles == ("th", "s")
-    assert wider.coords == chart.coords
-
-
 # ----------------------------------------------------------------------
 # parsing and rendering
 
