@@ -5,6 +5,9 @@ The distribution is spanned by sections sharpening the connection coframe
 and by frame lifts coupled through the pairing form.  It is Lagrangian by
 construction, so membership reduces to pairing against the generators;
 involutivity, gauge shifts and group invariance are all decided exactly.
+On a Lagrangian family the Courant bracket is the Dorfman bracket (Courant,
+"Dirac manifolds", Trans. AMS 319, 1990): each generator's form is
+differentiated once, not once per pair.
 :class:`DiracData` indexes the generators' entries by coordinate, so a
 section is paired with all of them by multiplying only the entries that meet.
 """
@@ -27,6 +30,7 @@ from .foliation import Connection, is_horizontal_form
 from .geom import (
     DiffForm,
     VectorField,
+    exterior_derivative,
     interior_product,
     lie_derivative,
     pullback,
@@ -88,6 +92,13 @@ def courant_bracket(s: Section, t: Section) -> Section:
         + differential(cross * half)
     )
     return Section(s.X.bracket(t.X), form)
+
+
+def _lagrangian_bracket(s: Section, t: Section, ds: DiffForm, dt: DiffForm) -> Section:
+    """The Courant bracket of sections that pair to zero, from the
+    differentials of their forms: ([X, Y], i_X dt - i_Y ds + d(t(X)))."""
+    form = interior_product(s.X, dt) - interior_product(t.X, ds)
+    return Section(s.X.bracket(t.X), form + differential(t.alpha.evaluate(s.X)))
 
 
 # ----------------------------------------------------------------------
@@ -191,12 +202,18 @@ def is_member(D: DiracData, s: Section) -> str | None:
 
 
 def verify_involutive(D: DiracData) -> str | None:
-    """Courant brackets of generator pairs must pair to zero throughout."""
+    """Courant brackets of generator pairs must pair to zero throughout.
+
+    A family that is not Lagrangian gets the Lagrangian witness.  On one
+    that is, each bracket is the Dorfman bracket (Courant 1990), built from
+    each generator's form differentiated once."""
     flat = verify_lagrangian(D)
     if flat is not None:
         return flat
-    for i, j in combinations(range(len(D.generators)), 2):
-        bracket = courant_bracket(D.generators[i], D.generators[j])
+    gens = D.generators
+    d_forms = [exterior_derivative(gen.alpha) for gen in gens]
+    for i, j in combinations(range(len(gens)), 2):
+        bracket = _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j])
         witness = is_member(D, bracket)
         if witness is not None:
             return f"bracket of generators {i} and {j} escapes: {witness}"

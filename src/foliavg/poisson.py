@@ -128,7 +128,9 @@ def braided_wedge(P: PoissonBivector, alpha: DiffForm, beta: DiffForm) -> DiffFo
     """Wedge of two horizontal forms with coefficients multiplied in the bracket.
 
     On decomposables ``a dx^I`` and ``b dx^J`` the result is
-    ``{a, b} dx^I ^ dx^J``; both inputs must be horizontal.
+    ``{a, b} dx^I ^ dx^J``; both inputs must be horizontal.  Each component
+    that meets a partner is differentiated once, and the bracket of a pair
+    pairs the two differentials; ``beta is alpha`` shares them.
     """
     if alpha.chart != beta.chart or alpha.chart != P.chart:
         raise ChartMismatch("operands live on different charts")
@@ -140,14 +142,20 @@ def braided_wedge(P: PoissonBivector, alpha: DiffForm, beta: DiffForm) -> DiffFo
     degree = alpha.degree + beta.degree
     if degree > chart.dim:
         raise DegreeOverflow("braided wedge degree exceeds dimension")
+    d_alpha: dict[tuple[int, ...], DiffForm] = {}
+    d_beta = d_alpha if beta is alpha else {}
     items = []
     for ia, va in alpha.comps.items():
         for ib, vb in beta.comps.items():
             sorted_sign = _sort_index(ia + ib)
             if sorted_sign is None:
                 continue
+            if ia not in d_alpha:
+                d_alpha[ia] = differential(va)
+            if ib not in d_beta:
+                d_beta[ib] = differential(vb)
             idx, sign = sorted_sign
-            value = P.bracket(va, vb)
+            value = P.pairing(d_alpha[ia], d_beta[ib])
             if value.is_zero:
                 continue
             items.append((idx, value if sign > 0 else -value))

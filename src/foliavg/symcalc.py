@@ -1071,7 +1071,11 @@ class _Parser:
     def atom(self) -> Scalar:
         kind, tok = self.take()
         if kind == "number":
-            return Scalar.const(self.chart, Fraction(tok))
+            try:
+                return Scalar.const(self.chart, Fraction(tok))
+            except ZeroDivisionError:
+                # the tokenizer reads "1/0" as one rational
+                raise ParseError("division is only allowed by nonzero rationals") from None
         if kind == "op" and tok == "(":
             value = self.expr()
             self.expect(")")

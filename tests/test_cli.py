@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +231,17 @@ def test_a_vertical_two_form_is_rejected_at_load(tmp_path, capsys, key):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"foliavg: error: {key}: expected a horizontal two-form\n"
+        )
+
+
+def test_a_literal_zero_denominator_is_an_input_error(capsys):
+    # the tokenizer reads "1/0" as one rational; it must not end in a traceback
+    path = Path(__file__).parent / "data" / "hb4d_zero_denominator.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: pairing_form.x1^x2: "
+            "division is only allowed by nonzero rationals\n"
         )
 
 

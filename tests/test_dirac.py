@@ -1,15 +1,19 @@
 """Courant sections and the coupling distribution of a connection pair."""
 
+import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import foliavg.dirac
 from foliavg.action import hamiltonian_potential, hannay_berry
 from foliavg.dirac import (
     DiracData,
     Section,
+    _lagrangian_bracket,
     _pairings,
     build_coupling_dirac,
     courant_bracket,
@@ -33,10 +37,10 @@ from foliavg.geom import (
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
-from foliavg.scenarios import bundled_names, load_scenario
+from foliavg.scenarios import bundled_names, load_scenario, scenario_from_dict
 from foliavg.symcalc import Scalar, _as_rational
 
-from conftest import CHART, forms, polynomials, sc, vector_fields
+from conftest import CHART, forms, perturbed_pairing_form, polynomials, sc, vector_fields
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,6 +55,10 @@ def vf(name):
 
 def zero1():
     return DiffForm.zero(CHART, 1)
+
+
+def zero2():
+    return DiffForm.zero(CHART, 2)
 
 
 def two_form(text):
@@ -256,6 +264,93 @@ def test_pairings_with_every_generator_match_pairing(name, data):
     for s in (Section(X, alpha), Section(X + D.generators[k].X, alpha - D.generators[k].alpha)):
         values = _pairings(D, s)
         assert values == [pairing(s, gen) for gen in D.generators]
+
+
+# ----------------------------------------------------------------------
+# the bracket of a Lagrangian family
+
+
+def all_pairs_agree(D):
+    """Assert that the Dorfman route equals the Courant bracket on every
+    generator pair of D."""
+    gens = D.generators
+    d_forms = [exterior_derivative(gen.alpha) for gen in gens]
+    for i, j in combinations(range(len(gens)), 2):
+        got = _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j])
+        assert got == courant_bracket(gens[i], gens[j]), (i, j)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_lagrangian_bracket_is_the_courant_bracket(name):
+    D = COUPLINGS[name]
+    assert verify_lagrangian(D) is None
+    all_pairs_agree(D)
+
+
+@pytest.mark.parametrize("name", ["ext3", "hb4d", "rot_4_4_0_perturbed"])
+def test_involutivity_differentiates_each_form_once(name, monkeypatch):
+    D = COUPLINGS[name]
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return exterior_derivative(form)
+
+    def refused(s, t):
+        raise AssertionError("the general bracket is not needed on a Lagrangian family")
+
+    monkeypatch.setattr(foliavg.dirac, "exterior_derivative", counted)
+    monkeypatch.setattr(foliavg.dirac, "courant_bracket", refused)
+    verify_involutive(D)
+    assert calls == [gen.alpha for gen in D.generators]
+
+
+@given(
+    source=st.sampled_from(["rot_3_1_12", "rot_4_4_0"]),
+    seed=st.integers(0, 2**16),
+)
+def test_lagrangian_bracket_on_perturbed_pairing_forms(source, seed):
+    doc = perturbed_pairing_form(json.loads((DATA / f"{source}.json").read_text()), seed)
+    s = scenario_from_dict(doc)
+    D = build_coupling_dirac(s.conn, s.sigma, s.P)
+    assert verify_lagrangian(D) is None
+    all_pairs_agree(D)
+
+
+@given(vector_fields(), forms(1), vector_fields(), forms(1))
+def test_the_two_brackets_differ_by_half_the_differential_of_the_pairing(X, alpha, Y, beta):
+    s, t = Section(X, alpha), Section(Y, beta)
+    got = _lagrangian_bracket(s, t, exterior_derivative(alpha), exterior_derivative(beta))
+    courant = courant_bracket(s, t)
+    half = Scalar.const(CHART, "1/2")
+    assert got == Section(courant.X, courant.alpha + differential(pairing(s, t) * half))
+
+
+def test_the_brackets_differ_off_a_lagrangian_family():
+    s, t = Section(vf("q"), zero1()), Section(vf("p"), d("q") * sc("x1"))
+    assert pairing(s, t) == sc("x1")
+    assert courant_bracket(s, t) == Section(VectorField.zero(CHART), d("x1") * sc("-1/2"))
+    assert _lagrangian_bracket(s, t, zero2(), exterior_derivative(t.alpha)).is_zero
+
+
+NOT_LAGRANGIAN = {
+    "too_few": lambda gens: gens[:-1],
+    "off_diagonal": lambda gens: [Section(vf("x1"), d("x1"))] + gens[1:],
+    "self_pairing": lambda gens: gens[:2]
+    + [Section(vf("p"), d("q") + d("p") * sc("x1"))]
+    + gens[3:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_LAGRANGIAN))
+def test_a_family_that_is_not_lagrangian_gets_the_lagrangian_witness(
+    case, trivial_dirac, bivector
+):
+    gens = NOT_LAGRANGIAN[case](list(trivial_dirac.generators))
+    bad = DiracData(trivial_dirac.conn, trivial_dirac.sigma, bivector, gens)
+    witness = verify_lagrangian(bad)
+    assert witness is not None
+    assert verify_involutive(bad) == witness
 
 
 def test_membership_witness(trivial_dirac):

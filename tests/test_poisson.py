@@ -1,11 +1,15 @@
 """Fiber-tangent Poisson structures: sharps, brackets, Casimirs."""
 
-import pytest
-from hypothesis import given
+from itertools import combinations
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import foliavg.poisson
 from foliavg.errors import NotHorizontal, NotVertical, UnsupportedDegree
 from foliavg.foliation import Connection
-from foliavg.geom import DiffForm, VectorField, wedge
+from foliavg.geom import DiffForm, VectorField, _sort_index, wedge
 from foliavg.poisson import (
     PoissonBivector,
     braided_wedge,
@@ -158,3 +162,99 @@ def test_braided_wedge_guards(bivector):
         braided_wedge(bivector, d("q"), d("x1"))
     with pytest.raises(UnsupportedDegree):
         braided_wedge(bivector, wedge(d("x1"), d("x2")), d("x1"))
+
+
+def braided_wedge_reference(P, alpha, beta):
+    """The braided wedge that brackets every pair of components afresh,
+    differentiating both coefficients each time."""
+    items = []
+    for ia, va in alpha.comps.items():
+        for ib, vb in beta.comps.items():
+            sorted_sign = _sort_index(ia + ib)
+            if sorted_sign is None:
+                continue
+            idx, sign = sorted_sign
+            value = P.bracket(va, vb)
+            if value.is_zero:
+                continue
+            items.append((idx, value if sign > 0 else -value))
+    return DiffForm._make(alpha.chart, alpha.degree + beta.degree, items)
+
+
+BASE3 = Chart(("x1", "x2", "x3"), ("q1", "p1", "q2", "p2"), ())
+P3 = PoissonBivector.from_dict(
+    BASE3, {("q1", "p1"): Scalar.one(BASE3), ("q2", "p2"): parse(BASE3, "x1 + q1")}
+)
+
+
+@st.composite
+def horizontal_forms(draw, degree, support):
+    """Horizontal forms of BASE3 with nonzero components on a drawn nonempty
+    subset of the given indices."""
+    names = draw(st.lists(st.sampled_from(support), min_size=1, unique=True))
+    coefficients = polynomials(BASE3, coord_degree=2, max_terms=2).filter(
+        lambda f: not f.is_zero
+    )
+    comps = {idx: draw(coefficients) for idx in names}
+    return DiffForm.from_dict(BASE3, degree, comps)
+
+
+@st.composite
+def braided_operands(draw):
+    """(alpha, beta): beta drawn freely, beta that is alpha, or beta whose
+    every index collides with every index of alpha."""
+    kind = draw(st.sampled_from(["free", "same", "colliding"]))
+    if kind == "colliding":
+        base = draw(st.sampled_from(BASE3.horizontal))
+        alpha = draw(horizontal_forms(1, [(base,)]))
+        degree = draw(st.integers(1, 2))
+        pairs = [idx for idx in combinations(BASE3.horizontal, degree) if base in idx]
+        return alpha, draw(horizontal_forms(degree, pairs))
+    alpha = draw(horizontal_forms(1, list(combinations(BASE3.horizontal, 1))))
+    if kind == "same":
+        return alpha, alpha
+    degree = draw(st.integers(1, 2))
+    return alpha, draw(horizontal_forms(degree, list(combinations(BASE3.horizontal, degree))))
+
+
+def meeting(alpha, beta):
+    """The components (operand, index) that meet a partner; one operand
+    when beta is alpha."""
+    out = set()
+    for ia in alpha.comps:
+        for ib in beta.comps:
+            if _sort_index(ia + ib) is not None:
+                out |= {("alpha", ia), ("alpha" if beta is alpha else "beta", ib)}
+    return out
+
+
+def base3_form(degree, comps):
+    return DiffForm.from_dict(BASE3, degree, {k: parse(BASE3, v) for k, v in comps.items()})
+
+
+# the second operand's dx1 meets alpha's dx2 after alpha's dx1 has met dx3:
+# a cache keyed by index alone, shared by both operands, would fail here
+SHARED_KEYS = (
+    base3_form(1, {("x1",): "q1", ("x2",): "p1"}),
+    base3_form(1, {("x1",): "p2", ("x3",): "q2"}),
+)
+THREE_TERMS = base3_form(1, {("x1",): "q1", ("x2",): "p1*q2", ("x3",): "x2*p2"})
+
+
+@given(braided_operands())
+@example(SHARED_KEYS)
+@example((THREE_TERMS, THREE_TERMS))
+def test_braided_wedge_matches_reference(operands):
+    alpha, beta = operands
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return differential(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliavg.poisson, "differential", counted)
+        got = braided_wedge(P3, alpha, beta)
+    assert got == braided_wedge_reference(P3, alpha, beta)
+    # each component that meets a partner is differentiated exactly once
+    assert len(calls) == len(meeting(alpha, beta))

@@ -90,6 +90,8 @@ TWO_ANGLES = Chart(("x1", "x2"), ("q", "p"), ("th", "ph"))
         ("sin(q)", UnknownSymbol, None),
         ("2^q", ParseError, "exponents must be non-negative integers"),
         ("q/p", ParseError, "division is only allowed by nonzero rationals"),
+        ("1/0", ParseError, "division is only allowed by nonzero rationals"),
+        ("0/0", ParseError, "division is only allowed by nonzero rationals"),
         ("q@p", ParseError, "unexpected character '@' at position 1"),
         ("", ParseError, None),
         pytest.param(
