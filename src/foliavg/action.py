@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -297,15 +297,28 @@ def average_tensor(action: TorusAction, target):
     periodic in its angle, the pulled-back coefficients are then
     trigonometric polynomials in it.
     """
-    result = target
+    *_, average = averaging_walk(action, target)
+    return average
+
+
+def averaging_walk(action: TorusAction, target) -> Iterator:
+    """``target``, then its averages over the first k circle factors for
+    k = 1, ..., n, each computed when it is asked for.
+
+    Entry k is the partially averaged object that factor k + 1 acts on, and
+    the last entry is the group average, so a caller that needs the partial
+    averages and the average takes both from one walk.
+    """
+    yield target
     for factor in action.factors:
-        result = _average_factor(factor, result)
-    return result
+        target = _average_factor(factor, target)
+        yield target
 
 
 def hannay_berry(action: TorusAction, conn: Connection) -> Connection:
     """The averaged connection."""
-    return average_tensor(action, conn)
+    *_, averaged = averaging_walk(action, conn)
+    return averaged
 
 
 def connection_difference(action: TorusAction, conn: Connection) -> VecValuedForm:
@@ -391,13 +404,20 @@ def hamiltonian_potential(
     base-degree part of the momentum one-form.  The frame is averaged
     before each factor after the first, so the walk ends at its last factor.
     """
+    return potential_along(action, averaging_walk(action, conn), moments)
+
+
+def potential_along(
+    action: TorusAction, walk: Iterable[Connection], moments: Sequence[DiffForm]
+) -> DiffForm:
+    """:func:`hamiltonian_potential` on the :func:`averaging_walk` of the
+    connection, reading the frame of factor k + 1 from the walk's entry k;
+    the last entry, the average, is never asked for, and a lazy walk is
+    only advanced once the momenta are checked."""
     _require_momenta(action, moments)
-    chart = conn.chart
-    current = conn
+    chart = action.chart
     total = DiffForm.zero(chart, 1)
-    for k, (factor, mu) in enumerate(zip(action.factors, moments)):
-        if k:
-            current = _average_factor(action.factors[k - 1], current)
+    for factor, mu, current in zip(action.factors, moments, walk):
         angle = factor.angle
         flow = factor.flow()
         horizontal = bigrade(current, mu).component(1, 0)

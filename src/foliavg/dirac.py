@@ -247,12 +247,17 @@ def gauge_transform(D: DiracData, B: DiffForm) -> DiracData:
 # group invariance
 
 
-def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
+def verify_g_invariance(
+    action: TorusAction, D: DiracData, bivector_kept: bool | None = None
+) -> str | None:
     """Pull every generator back by each symbolic flow and test membership.
 
     When the connection and the bivector are themselves invariant, the
     verdict is cross-checked against the vanishing of the pairing form's
     Lie derivative along each circle generator; the routes must agree.
+    ``bivector_kept`` says whether every flow preserves ``D.P``, when the
+    caller has decided it already (the ``canonical`` verdict of
+    :func:`~foliavg.action.verify_action`); by default it is decided here.
     """
     witness = None
     for factor in action.factors:
@@ -267,9 +272,12 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
                 break
         if witness is not None:
             break
-    structure_invariant = all(
+    if bivector_kept is None:
+        bivector_kept = all(
+            pullback(factor.flow(), D.P.mv) == D.P.mv for factor in action.factors
+        )
+    structure_invariant = bivector_kept and all(
         pullback(factor.flow(), D.conn.projection) == D.conn.projection
-        and pullback(factor.flow(), D.P.mv) == D.P.mv
         for factor in action.factors
     )
     if structure_invariant:

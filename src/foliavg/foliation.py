@@ -23,7 +23,6 @@ from .geom import (
     Index,
     VecValuedForm,
     VectorField,
-    _tensor,
     exterior_derivative,
 )
 from .symcalc import Chart, Scalar
@@ -134,12 +133,16 @@ class Connection:
 
     @property
     def projection(self) -> VecValuedForm:
+        """sum_v eta_v (x) d/dv: d/dv on dv, and -sum_v A_b^v d/dv on dx_b."""
         if self._projection is None:
             chart = self.chart
-            total = VecValuedForm.zero(chart, 1)
-            for vert, eta in self.coframe.items():
-                total = total + _tensor(eta, VectorField.basis(chart, vert))
-            object.__setattr__(self, "_projection", total)
+            index = chart.coord_index
+            columns: dict[int, list[tuple[Index, Scalar]]] = {}
+            for (base, vert), value in self.coeffs.items():
+                columns.setdefault(index(base), []).append(((index(vert),), -value))
+            items = [((index(vert),), VectorField.basis(chart, vert)) for vert in chart.vertical]
+            items += [((b,), VectorField._make(chart, 1, column)) for b, column in columns.items()]
+            object.__setattr__(self, "_projection", VecValuedForm._make(chart, 1, items))
         return self._projection
 
     def vertical_part(self, field: VectorField) -> VectorField:

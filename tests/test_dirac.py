@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import foliavg.dirac
-from foliavg.action import hamiltonian_potential, hannay_berry
+from foliavg.action import hamiltonian_potential, hannay_berry, verify_action
 from foliavg.dirac import (
     DiracData,
     Section,
@@ -421,6 +421,17 @@ def test_unaveraged_family_moves(rotation, shear_conn, bivector):
 def test_invariance_cross_check_runs(rotation, invariant_dirac, trivial_dirac):
     assert verify_g_invariance(rotation, invariant_dirac) is None
     assert verify_g_invariance(rotation, trivial_dirac) is None
+
+
+def test_a_shared_bivector_verdict_gives_the_same_witness(rotation, shear_conn, invariant_dirac):
+    # q d/dq ^ d/dp is Poisson on the fibre plane, and the rotation moves it
+    moved = PoissonBivector.from_dict(CHART, {("q", "p"): sc("q")})
+    cases = [(invariant_dirac, True), (build_coupling_dirac(shear_conn, SIGMA, moved), False)]
+    for D, kept in cases:
+        assert (verify_action(rotation, D.P)["canonical"] is None) is kept
+        shared = verify_g_invariance(rotation, D, bivector_kept=kept)
+        assert shared == verify_g_invariance(rotation, D)
+    assert shared is not None
 
 
 # ----------------------------------------------------------------------

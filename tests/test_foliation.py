@@ -196,6 +196,27 @@ def connections(draw, chart):
     return Connection(chart, coeffs)
 
 
+def projection_reference(conn):
+    """The projection as the sum over the fibre coordinates v of
+    eta_v (x) d/dv, one whole-form addition each."""
+    total = VecValuedForm.zero(conn.chart, 1)
+    for vert, eta in conn.coframe.items():
+        total = total + _tensor(eta, VectorField.basis(conn.chart, vert))
+    return total
+
+
+@given(connections(EXT3))
+def test_projection_matches_the_summed_reference(conn):
+    assert conn.projection == projection_reference(conn)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_projection_matches_the_summed_reference_on_bundled_data(name):
+    s = load_scenario(name)
+    for conn in (s.conn, hannay_berry(s.action, s.conn)):
+        assert conn.projection == projection_reference(conn)
+
+
 @given(connections(EXT3))
 def test_curvature_is_half_the_self_bracket_of_the_projection(conn):
     assert curvature(conn) == half_self_bracket(conn)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foliavg.action import hannay_berry
+from foliavg.action import FlowFactor, hannay_berry
 from foliavg.errors import DegreeOverflow, MissingInverse, UnsupportedDegree
 from foliavg.geom import (
     ChartMap,
@@ -27,10 +27,11 @@ from foliavg.geom import (
     wedge,
 )
 from foliavg.scenarios import bundled_names, load_scenario, run_checks, scenario_from_dict
-from foliavg.symcalc import Scalar
+from foliavg.symcalc import Chart, Scalar, Substitution, parse
 
 from conftest import CHART, forms, polynomials, sc, scalars, vector_fields
 from test_foliation import fn_bracket_reference
+from test_symcalc import naive_substitute
 
 
 def d(name):
@@ -524,14 +525,33 @@ def pullback_reference(phi, target):
 
     def pull(a, images):
         items = [(idx, phi.pull_scalar(value)) for idx, value in a.comps.items()]
-        return type(a)._rebase(chart, a.degree, items, images)
+        return rebase_reference(type(a), chart, a.degree, items, images)
 
     if isinstance(target, DiffForm):
         return pull(target, form_images)
     if isinstance(target, VecValuedForm):
         items = [(idx, pull(vec, field_images)) for idx, vec in target.comps.items()]
-        return VecValuedForm._rebase(chart, target.degree, items, form_images)
+        return rebase_reference(VecValuedForm, chart, target.degree, items, form_images)
     return pull(target, field_images)
+
+
+def rebase_reference(cls, chart, degree, items, images):
+    """The change of basis that expands the wedge of every component, moved
+    or not, and collects the terms by sorted index."""
+    out = []
+    for idx, value in items:
+        partial = [((), value)]
+        for i in idx:
+            partial = [
+                (head + (j,), coef if factor is None else coef * factor)
+                for j, factor in images.get(i, ((i, None),))
+                for head, coef in partial
+                if j not in head
+            ]
+        for new, coef in partial:
+            sidx, sign = _sort_index(new)
+            out.append((sidx, coef if sign > 0 else -coef))
+    return cls._make(chart, degree, out)
 
 
 def exterior_derivative_reference(a):
@@ -607,6 +627,116 @@ def test_pullbacks_match_the_dense_reference_on_bundled_flows(name):
         for phi in (factor.flow(), factor.flow().inverse()):
             for target in targets:
                 assert pullback(phi, target) == pullback_reference(phi, target)
+
+
+# ----------------------------------------------------------------------
+# a pullback costs what the map moves: the pass-through of unmoved scalars
+# and components, against the expansion of everything
+
+
+def expanded_pullback(phi, target):
+    """The pullback through the map's own basis images, each scalar
+    substituted term by term and each component's wedge expanded."""
+    moved = dict(phi.mapping.moved)
+
+    def pull(a, images):
+        items = [(idx, naive_substitute(value, moved)) for idx, value in a.comps.items()]
+        return rebase_reference(type(a), phi.chart, a.degree, items, images)
+
+    if isinstance(target, DiffForm):
+        return pull(target, phi._form_images())
+    if isinstance(target, VecValuedForm):
+        items = [(idx, pull(vec, phi._vector_images())) for idx, vec in target.comps.items()]
+        return rebase_reference(VecValuedForm, phi.chart, target.degree, items, phi._form_images())
+    return pull(target, phi._vector_images())
+
+
+# rot(3,2,1): three base coordinates and two rotating fibre pairs
+ROT = Chart(("x1", "x2", "x3"), ("q1", "p1", "q2", "p2"), ("th1", "th2"))
+
+
+def rot_flows():
+    return [
+        FlowFactor(ROT, f"th{j}", {
+            f"q{j}": parse(ROT, f"q{j}*cos(th{j}) - p{j}*sin(th{j})"),
+            f"p{j}": parse(ROT, f"q{j}*sin(th{j}) + p{j}*cos(th{j})"),
+        }).flow()
+        for j in (1, 2)
+    ]
+
+
+def pass_through_maps():
+    """The flows of rot(3,2,1) and of the bundled scenarios, the shear
+    q1 -> q1 + x2 that moves a fibre coordinate by a base one, and the
+    inverse of each."""
+    q1, x2 = Scalar.var(ROT, "q1"), Scalar.var(ROT, "x2")
+    maps = [*rot_flows(), ChartMap(ROT, {"q1": q1 + x2}, {"q1": q1 - x2})]
+    for name in bundled_names():
+        maps += [factor.flow() for factor in load_scenario(name).action.factors]
+    return [phi for flow in maps for phi in (flow, flow.inverse())]
+
+
+@st.composite
+def few_coordinate_polynomials(draw, chart):
+    """Up to two monomials in up to two drawn coordinates each, so that
+    many of them contain nothing a map moves."""
+    total = Scalar.zero(chart)
+    for _ in range(draw(st.integers(1, 2))):
+        coef = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 2)))
+        term = Scalar.const(chart, coef)
+        for name in draw(st.lists(st.sampled_from(chart.coords), max_size=2)):
+            term = term * Scalar.var(chart, name)
+        total = total + term
+    return total
+
+
+@st.composite
+def tensors_on(draw, chart, cls, degree):
+    """A tensor of a class and degree on a chart, storing a drawn few
+    components; a valued form's values are such vector fields."""
+    indices = list(combinations(range(chart.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True, min_size=1, max_size=3))
+    if cls is VecValuedForm:
+        values = tensors_on(chart, VectorField, 1)
+    else:
+        values = few_coordinate_polynomials(chart)
+    return cls(chart, degree, {idx: draw(values) for idx in chosen})
+
+
+@given(st.sampled_from(pass_through_maps()), st.data())
+def test_pass_through_pullbacks_match_the_full_expansion(phi, data):
+    chart = phi.chart
+    kinds = [(VectorField, 1, 1), (DiffForm, 0, 3), (Multivector, 1, 3), (VecValuedForm, 0, 2)]
+    for cls, low, high in kinds:
+        degree = data.draw(st.integers(low, min(high, chart.dim)))
+        target = data.draw(tensors_on(chart, cls, degree))
+        assert pullback(phi, target) == expanded_pullback(phi, target)
+
+
+def test_a_pullback_that_moves_nothing_returns_its_target():
+    flow = rot_flows()[0]
+    f = parse(ROT, "x1*q2 + p2^2/3")
+    assert flow.mapping.apply(f) is f
+    assert Substitution(ROT, {"q1": parse(ROT, "p1")}).apply(f) is f
+    assert pullback(flow, f) is f
+    field = VectorField.from_dict(ROT, {"x1": f, "q2": parse(ROT, "x3")})
+    targets = [
+        field,
+        DiffForm.from_dict(ROT, 2, {("x1", "q2"): f, ("p2", "x3"): parse(ROT, "x2")}),
+        Multivector.from_dict(ROT, 2, {("q2", "p2"): f}),
+        VecValuedForm.from_dict(ROT, 1, {("x2",): field, ("p2",): field * f}),
+    ]
+    for target in targets:
+        assert pullback(flow, target) is target
+    # one moved coordinate, in a value or in an index, rebuilds the tensor
+    for target in (
+        DiffForm.from_dict(ROT, 1, {("x1",): f, ("x2",): parse(ROT, "q1")}),
+        DiffForm.from_dict(ROT, 1, {("x1",): f, ("p1",): Scalar.one(ROT)}),
+        VectorField.from_dict(ROT, {"x1": f, "q1": Scalar.one(ROT)}),
+    ):
+        pulled = pullback(flow, target)
+        assert pulled is not target
+        assert pulled == expanded_pullback(flow, target)
 
 
 @given(st.integers(0, 4).flatmap(trig_forms))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foliavg import action, foliation, hamcurv
+from foliavg import action, dirac, foliation, hamcurv
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
@@ -14,6 +14,7 @@ from foliavg.errors import (
 )
 from foliavg.scenarios import (
     STAGE_NAMES,
+    _Pipeline,
     averaged_scenario,
     bundled_names,
     generator_table,
@@ -24,6 +25,7 @@ from foliavg.scenarios import (
 )
 
 BUNDLED = ["ext3", "ext3adm", "hb4d", "hb4d_inv", "t2pairs", "triv", "triv_shifted"]
+DATA = Path(__file__).parent / "data"
 
 EXPECTED_FAILURES = {
     "triv": set(),
@@ -62,29 +64,43 @@ def test_bundled_reports_match_reference(name):
 
 
 @pytest.fixture
-def hannay_berry_calls(monkeypatch):
-    """Count hannay_berry calls through both of its bindings."""
+def connection_walks(monkeypatch):
+    """Count the averaging walks of a connection through both bindings of
+    averaging_walk; hannay_berry and the potential walk through it too."""
     calls = []
-    original = action.hannay_berry
+    original = action.averaging_walk
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(act, target):
+        if isinstance(target, foliation.Connection):
+            calls.append(target)
+        return original(act, target)
 
-    monkeypatch.setattr(action, "hannay_berry", counted)
-    monkeypatch.setattr(hamcurv, "hannay_berry", counted)
+    monkeypatch.setattr(action, "averaging_walk", counted)
+    monkeypatch.setattr(hamcurv, "averaging_walk", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_connection_is_averaged_once_per_run(name, hannay_berry_calls):
+def test_connection_is_averaged_once_per_run(name, connection_walks):
     scenario = load_scenario(name)
     assert scenario.momenta is not None
     run_checks(scenario)
-    assert len(hannay_berry_calls) == 1
-    hannay_berry_calls.clear()
+    assert len(connection_walks) == 1
+    connection_walks.clear()
     averaged_scenario(scenario)
-    assert len(hannay_berry_calls) == 1
+    assert len(connection_walks) == 1
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, str(DATA / "rot_4_4_0.json")])
+def test_shared_objects_match_the_standalone_functions(name):
+    s = load_scenario(name)
+    p = _Pipeline(s)
+    assert p.averaged == action.hannay_berry(s.action, s.conn)
+    assert p.potential == action.hamiltonian_potential(s.action, s.conn, s.momenta)
+    D = p.coupling
+    assert dirac.verify_g_invariance(
+        s.action, D, bivector_kept=p.action_verdicts["canonical"] is None
+    ) == dirac.verify_g_invariance(s.action, D)
 
 
 @pytest.mark.parametrize("name", BUNDLED)

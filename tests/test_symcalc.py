@@ -148,6 +148,13 @@ TWO_ANGLES = Chart(("x1", "x2"), ("q", "p"), ("th", "ph"))
             "a 3-term expression with harmonics to the power 40 may expand to more "
             "than 10000 terms",
         ),
+        pytest.param(
+            "(q+p+cos(th))^60",
+            ParseError,
+            "a 3-term expression to the power 60 needs a product of 252 and 525 terms, "
+            "more than 100000 term pairs",
+            id="mixed-base-power",
+        ),
     ],
 )
 def test_parse_errors(bad, exc, message):
@@ -160,6 +167,8 @@ def test_parse_errors(bad, exc, message):
 def test_harmonic_powers_below_the_bound_parse():
     assert len(sc("cos(th)^40").terms) == 21
     assert len(sc("(q*cos(th)*sin(ph))^20", TWO_ANGLES).terms) == 121
+    # a mixed base whose largest product, 16 by 791 terms, is under the budget
+    assert len(sc("(q+p+x1+x2+cos(th))^10", TWO_ANGLES).terms) == 1792
 
 
 def test_power_binds_tighter_than_division():
