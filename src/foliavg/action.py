@@ -317,8 +317,7 @@ def averaging_walk(action: TorusAction, target) -> Iterator:
 
 def hannay_berry(action: TorusAction, conn: Connection) -> Connection:
     """The averaged connection."""
-    *_, averaged = averaging_walk(action, conn)
-    return averaged
+    return average_tensor(action, conn)
 
 
 def connection_difference(action: TorusAction, conn: Connection) -> VecValuedForm:
