@@ -3,18 +3,29 @@
 Each circle factor acts through a polynomial-trigonometric flow in one
 angle symbol, and is checked through its generator X: the flow must
 solve d/dth phi = X o phi, and two factors commute when the bracket of
-their generators vanishes.  Averaging pulls a tensor back by the
-symbolic flow and takes the exact Haar mean in that angle, one factor at
-a time.  The difference between a connection and its average is
+their generators vanishes.  Averaging takes the exact Haar mean in that
+angle of the tensor pulled back by the symbolic flow, one factor at a
+time.  The difference between a connection and its average is
 reproduced by a flow integral of frame brackets, and the matching
 potential one-form comes from the same integral applied to a momentum
 datum.
+
+Both functionals, the Haar mean and the mean of the running integral
+from zero, are linear over every scalar that does not depend on the
+angle.  So neither needs the pullback itself: each factor keeps, per
+functional, a table of the functional of each flow image of a monomial
+times basis factors that it has met (:class:`_PulledMeans`), and a
+coefficient contributes its angle-free rest times a table entry.  Full
+pullbacks remain where a check compares them, in :func:`verify_action`
+and :func:`foliavg.dirac.verify_g_invariance`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -53,7 +64,13 @@ _records: list[AverageRecord] | None = None
 
 @contextmanager
 def record_averages() -> Iterator[list[AverageRecord]]:
-    """Collect every Haar average taken while the context is active."""
+    """Collect every Haar average taken while the context is active.
+
+    Averages of pullbacks are read off the tables of the flow factors, so
+    each table entry is recorded once, when it is computed: its integrand
+    is a flow image of a monomial times basis factors, and a later use of
+    the entry records nothing.
+    """
     global _records
     previous, _records = _records, []
     try:
@@ -86,6 +103,54 @@ def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
     return mean * Scalar.pi(chart) + haar_average(remainder, angle)
 
 
+class _PulledMeans:
+    """One functional of the pullback along one flow, read off a table.
+
+    The functional is the Haar mean in the flow's angle, or with
+    ``running`` the mean of the running integral from zero.  Both are
+    linear over every scalar that does not depend on the angle.  So on a
+    target whose coefficients do not depend on it, the functional of the
+    pullback is a sum of such rests times the functional of a flow image
+    of a monomial times basis factors (:meth:`ChartMap.pull_linear`).
+    Those values depend on the flow alone; the table keeps each one it
+    computes, keyed by the monomial and the factors' key, and the
+    pullback of the target is never built.
+
+    The table keeps the flow and the angle, never the factor that owns
+    it, so a factor and its tables form no reference cycle.
+    """
+
+    __slots__ = ("flow", "angle", "running", "_entries")
+
+    def __init__(self, flow: ChartMap, angle: str, running: bool) -> None:
+        self.flow = flow
+        self.angle = angle
+        self.running = running
+        self._entries: dict[tuple, Scalar] = {}
+
+    def __call__(self, target):
+        """The functional of each coefficient of the pullback of ``target``."""
+        angle = self.angle
+        for coef in _coefficients(target):
+            if coef.depends_on(angle):
+                raise NonClosedOrbitCoefficients(
+                    f"input already depends on the action angle {angle!r}"
+                )
+        return self.flow.pull_linear(target, self._entry)
+
+    def _entry(self, hit, key, factors) -> Scalar:
+        value = self._entries.get((hit, key))
+        if value is None:
+            parts = (self.flow.mapping.image(hit), *factors) if hit else factors
+            integrand = reduce(mul, parts) if parts else Scalar.one(self.flow.chart)
+            if self.running:
+                value = average_of_running_integral(integrand, self.angle)
+            else:
+                value = haar_average(integrand, self.angle)
+            self._entries[hit, key] = value
+        return value
+
+
 # ----------------------------------------------------------------------
 # the action
 
@@ -100,9 +165,18 @@ class FlowFactor:
     checked on that equation, one image at a time.  Periodicity and the
     identity at zero are checked on the images themselves: the equation
     alone accepts ``q + th``.
+
+    The factor averages pullbacks along its flow through two tables, one
+    for the Haar mean and one for the mean of the running integral, each
+    filled on first use like the image powers of the flow's
+    :class:`~foliavg.symcalc.Substitution`.  They are kept apart, so the
+    two routes that decide ``difference_two_routes`` share no averaged
+    value.
     """
 
-    __slots__ = ("chart", "angle", "mapping", "_flow", "_generator")
+    __slots__ = (
+        "chart", "angle", "mapping", "_flow", "_generator", "_haar_means", "_running_means"
+    )
 
     def __init__(self, chart: Chart, angle: str, mapping: Mapping[str, Scalar]) -> None:
         chart.require_angle(angle)
@@ -152,6 +226,8 @@ class FlowFactor:
             chart, {name: comp for name, comp in comps.items() if not comp.is_zero}
         )
         object.__setattr__(self, "_generator", generator)
+        object.__setattr__(self, "_haar_means", _PulledMeans(flow, angle, running=False))
+        object.__setattr__(self, "_running_means", _PulledMeans(flow, angle, running=True))
 
     def __setattr__(self, name, value):
         raise AttributeError("FlowFactor is immutable")
@@ -254,18 +330,6 @@ def _coefficients(target) -> list[Scalar]:
     return list(target.comps.values())
 
 
-def _map_coefficients(target, fn):
-    if isinstance(target, Scalar):
-        return fn(target)
-    if isinstance(target, VecValuedForm):
-        items = [
-            (idx, _map_coefficients(vec, fn)) for idx, vec in target.comps.items()
-        ]
-        return VecValuedForm._make(target.chart, target.degree, items)
-    items = [(idx, fn(value)) for idx, value in target.comps.items()]
-    return type(target)._make(target.chart, target.degree, items)
-
-
 def _has_bare_angle(f: Scalar, angle: str) -> bool:
     return any(name == angle for powers, _ in f.nums for name, _ in powers)
 
@@ -279,14 +343,7 @@ def _average_factor(factor: FlowFactor, target):
                 f"it mixes fiber data into {mixed}"
             )
         return Connection.from_projection(_average_factor(factor, target.projection))
-    angle = factor.angle
-    for coef in _coefficients(target):
-        if coef.depends_on(angle):
-            raise NonClosedOrbitCoefficients(
-                f"input already depends on the action angle {angle!r}"
-            )
-    moved = pullback(factor.flow(), target)
-    return _map_coefficients(moved, lambda f: haar_average(f, angle))
+    return factor._haar_means(target)
 
 
 def average_tensor(action: TorusAction, target):
@@ -339,16 +396,10 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
     for k, factor in enumerate(action.factors):
         if k:
             current = current.shifted(piece)
-        angle = factor.angle
-        flow = factor.flow()
         gen = factor.generator()
         items = []
         for base, lift in current.frame.items():
-            integrand = pullback(flow, lift.bracket(gen))
-            value = -_map_coefficients(
-                integrand,
-                lambda f: average_of_running_integral(f, angle),
-            )
+            value = -factor._running_means(lift.bracket(gen))
             if not value.is_zero:
                 items.append(((chart.coord_index(base),), value))
         piece = VecValuedForm._make(chart, 1, items)
@@ -417,13 +468,10 @@ def potential_along(
     chart = action.chart
     total = DiffForm.zero(chart, 1)
     for factor, mu, current in zip(action.factors, moments, walk):
-        angle = factor.angle
-        flow = factor.flow()
         horizontal = bigrade(current, mu).component(1, 0)
         items = []
         for base, lift in current.frame.items():
-            paired = flow.pull_scalar(horizontal.evaluate(lift))
-            value = -average_of_running_integral(paired, angle)
+            value = -factor._running_means(horizontal.evaluate(lift))
             if not value.is_zero:
                 items.append(((chart.coord_index(base),), value))
         total = total + DiffForm._make(chart, 1, items)

@@ -9,12 +9,17 @@ are equal.  Vector fields are the degree-one case of the same container,
 keyed ``(i,)``.  The public constructors check every index; the library's
 own results go through :meth:`_Graded._make`, which trusts its indices.
 
-Every change of basis goes through one kernel, :meth:`_Graded._rebase`: it
-rewrites each basis index as a combination of others, expands the wedge and
-collects by sorted index.  A component none of whose indices has an image
-passes through it unexpanded.  Its callers are :meth:`ChartMap.pull_vector`,
-:meth:`ChartMap.pull_form`, :meth:`ChartMap.pull_multivector`,
-:meth:`ChartMap.pull_valued_form` and :func:`foliavg.foliation.bigrade`.
+Every change of basis expands through one generator, :func:`_expansions`:
+it rewrites each basis index as a combination of others and yields each
+term of the wedge as (sorted index, sign, path), the path naming the factor
+chosen for each index.  :meth:`_Graded._rebase` multiplies each component
+by its paths' factors and collects by sorted index; a component none of
+whose indices has an image passes through it unexpanded.  Its callers are
+:meth:`ChartMap.pull_vector`, :meth:`ChartMap.pull_form`,
+:meth:`ChartMap.pull_multivector`, :meth:`ChartMap.pull_valued_form` and
+:func:`foliavg.foliation.bigrade`.  :meth:`ChartMap.pull_linear` walks the
+same paths to apply a linear functional to a pullback without building it:
+the averages of :mod:`foliavg.action` use it.
 A pullback costs what the map moves: a scalar that contains no moved
 coordinate comes back as it is from
 :meth:`~foliavg.symcalc.Substitution.apply`, and a tensor none of whose
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -42,7 +47,7 @@ from .errors import (
     MissingInverse,
     UnsupportedDegree,
 )
-from .symcalc import Chart, Scalar, Substitution
+from .symcalc import Chart, Powers, Scalar, Substitution, recombine
 
 Index = tuple[int, ...]
 
@@ -100,6 +105,37 @@ def _summed(items: Iterable[tuple[Index, object]]) -> dict[Index, object]:
     for idx, value in items:
         acc[idx] = acc[idx] + value if idx in acc else value
     return acc
+
+
+def _expansions(
+    idx: Index, images: Mapping[int, Sequence[tuple[int, Scalar | None]]]
+) -> Iterator[tuple[Index, int, tuple[tuple[int, Scalar | None], ...]]]:
+    """The terms of the wedge of the basis images of the entries of a sorted
+    index, as (sorted index, sign, path).
+
+    Each entry i is rewritten as the combination images[i] of pairs
+    (j, factor), and an entry without an image as the pair (i, None); a
+    factor of None stands for 1.  The path lists the pair chosen for each
+    entry of ``idx``, in order, so the term is sign times the product of
+    the path's factors on the sorted index.  Choices that repeat an index
+    vanish and are not yielded.
+    """
+    if len(idx) == 1:
+        for pair in images.get(idx[0], ((idx[0], None),)):
+            yield (pair[0],), 1, (pair,)
+        return
+    # (the chosen indices, the path)
+    paths: list[tuple[Index, tuple[tuple[int, Scalar | None], ...]]] = [((), ())]
+    for i in idx:
+        paths = [
+            (head + (pair[0],), path + (pair,))
+            for pair in images.get(i, ((i, None),))
+            for head, path in paths
+            if pair[0] not in head
+        ]
+    for head, path in paths:
+        sidx, sign = _sort_index(head)
+        yield sidx, sign, path
 
 
 class _Graded:
@@ -239,31 +275,24 @@ class _Graded:
         items: Iterable[tuple[Index, object]],
         images: Mapping[int, Sequence[tuple[int, Scalar | None]]],
     ):
-        """Rewrite each basis index i of every component (idx, value) as the
-        combination images[i] of pairs (j, factor), expand the wedge and
-        collect the terms by sorted index.
+        """Rewrite each basis index of every component (idx, value) through
+        ``images``, as :func:`_expansions` does, and collect the terms by
+        sorted index.
 
-        Each ``idx`` must be sorted, as the keys of a tensor are.  An index
-        without an image stays as it is, so a component none of whose
-        indices has one passes straight through; a factor of None stands
-        for 1.  Expansions that repeat an index vanish.  ``value`` is a
-        Scalar or a VectorField.
+        Each ``idx`` must be sorted, as the keys of a tensor are.  A
+        component none of whose indices has an image passes straight
+        through.  ``value`` is a Scalar or a VectorField.
         """
         out = []
         for idx, value in items:
             if images.keys().isdisjoint(idx):
                 out.append((idx, value))
                 continue
-            partial = [((), value)]
-            for i in idx:
-                partial = [
-                    (head + (j,), coef if factor is None else coef * factor)
-                    for j, factor in images.get(i, ((i, None),))
-                    for head, coef in partial
-                    if j not in head
-                ]
-            for new, coef in partial:
-                sidx, sign = _sort_index(new)
+            for sidx, sign, path in _expansions(idx, images):
+                coef = value
+                for _, factor in path:
+                    if factor is not None:
+                        coef = coef * factor
                 out.append((sidx, coef if sign > 0 else -coef))
         return cls._make(chart, degree, out)
 
@@ -665,6 +694,79 @@ class ChartMap:
         if _untouched(a, items, images):
             return a
         return VecValuedForm._rebase(self.chart, a.degree, items, images)
+
+    def pull_linear(self, target, entry: Callable[[Powers, tuple, tuple], Scalar]):
+        """L applied to each coefficient of the pullback of ``target``, for a
+        map L of scalars that is linear over the scalars the caller's
+        coefficients leave after :meth:`~foliavg.symcalc.Substitution.split`;
+        the pullback itself is never built.
+
+        Each coefficient is split by its monomial m in the moved coordinates,
+        and each basis index is expanded through the basis images as a
+        pullback expands it (:func:`_expansions`).  ``entry(m, key, factors)``
+        must return L(image of m * product of factors), where ``factors`` are
+        the basis factors of one expansion path that are not 1 and ``key``
+        names them: one (images, i, j) per factor, with images "d" for the
+        form images and "v" for the field images.  Each group of the split
+        then contributes its rest times that value.
+        """
+        mapping, chart = self.mapping, self.chart
+        moved = mapping.moved
+        unit = entry((), (), ())
+
+        def mapped(value, key, factors):
+            if not key and not any(name in moved for powers, _ in value.nums for name, _ in powers):
+                # nothing to expand: L(value) = value * L(1)
+                return recombine(value, {(): list(value.nums.items())}, lambda hit: unit)
+            groups = mapping.split(value)
+            return recombine(value, groups, lambda hit: entry(hit, key, factors))
+
+        if isinstance(target, Scalar):
+            return mapped(target, (), ())
+        if isinstance(target, VecValuedForm):
+            fields = self._vector_images()
+            out: dict[Index, list[tuple[Index, Scalar]]] = {}
+            for idx, vec in target.comps.items():
+                outer = [
+                    (sidx, sign, *_path_key("d", idx, path))
+                    for sidx, sign, path in _expansions(idx, self._form_images())
+                ]
+                for k, value in vec.comps.items():
+                    for cidx, csign, cpath in _expansions(k, fields):
+                        ckey, cfactors = _path_key("v", k, cpath)
+                        for sidx, sign, key, factors in outer:
+                            mean = mapped(value, key + ckey, factors + cfactors)
+                            out.setdefault(sidx, []).append(
+                                (cidx, mean if sign * csign > 0 else -mean)
+                            )
+            return VecValuedForm._make(
+                chart,
+                target.degree,
+                ((sidx, VectorField._make(chart, 1, parts)) for sidx, parts in out.items()),
+            )
+        if isinstance(target, DiffForm):
+            images, name = self._form_images(), "d"
+        elif isinstance(target, (VectorField, Multivector)):
+            images, name = self._vector_images(), "v"
+        else:
+            raise TypeError(f"cannot pull back {type(target).__name__}")
+        items = []
+        for idx, value in target.comps.items():
+            for sidx, sign, path in _expansions(idx, images):
+                mean = mapped(value, *_path_key(name, idx, path))
+                items.append((sidx, mean if sign > 0 else -mean))
+        return type(target)._make(chart, target.degree, items)
+
+
+def _path_key(
+    name: str, idx: Index, path: Sequence[tuple[int, Scalar | None]]
+) -> tuple[tuple[tuple[str, int, int], ...], tuple[Scalar, ...]]:
+    """The key and the factors of an expansion path of ``idx`` through the
+    images called ``name``, for :meth:`ChartMap.pull_linear`."""
+    key = tuple((name, i, j) for i, (j, factor) in zip(idx, path) if factor is not None)
+    if not key:
+        return (), ()
+    return key, tuple(factor for _, factor in path if factor is not None)
 
 
 def _untouched(

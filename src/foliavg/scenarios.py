@@ -405,8 +405,10 @@ def _stage_averaging(p: _Pipeline) -> list[Check]:
     # the routes stay independent: each telescoped step is still decided
     # twice, once by the Haar average of the pulled-back projection and once
     # by the running integral of the pairing followed by sharp-d.  The flow
-    # integral runs on its own shifted frames.  Recomputing a partial average
-    # with the same function would prove nothing more.
+    # integral runs on its own shifted frames.  Each factor reads the two
+    # functionals off two separate tables, so no averaged value computed for
+    # one route is reused by the other; recomputing a partial average with
+    # the same function would prove nothing more.
     direct = s.conn.difference(p.averaged)
     via_flows = action_mod.difference_via_flow_integral(s.action, s.conn)
     checks = [(

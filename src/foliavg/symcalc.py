@@ -86,6 +86,7 @@ Trig = tuple[tuple[str, str, int], ...]
 Key = tuple[Powers, Trig]
 
 _EMPTY_KEY: Key = ((), ())
+_ONE = {_EMPTY_KEY: 1}
 
 
 class Chart:
@@ -586,7 +587,7 @@ class Scalar:
             else:
                 hit = (e, None, 0) if e else ()
             groups.setdefault(hit, []).append(((powers, trig), n))
-        return _substitute_groups(self, groups, combo.image)
+        return recombine(self, groups, lambda hit: combo.image(hit) if hit else None)
 
     def average_over_angle(self, angle: str) -> "Scalar":
         """Exact Haar average (1/2pi) * integral over one full period."""
@@ -722,18 +723,27 @@ def _collect(chart: Chart, items: Iterable[tuple[Key, int]], den: int) -> Scalar
     return _make(chart, nums, den)
 
 
-def _substitute_groups(
-    f: Scalar, groups: Mapping[tuple, list[tuple[Key, int]]], image: Callable[[tuple], Scalar]
+def recombine(
+    f: Scalar,
+    groups: Mapping[tuple, list[tuple[Key, int]]],
+    image: Callable[[tuple], "Scalar | None"],
 ) -> Scalar:
-    """``f`` with each group of its terms multiplied once by the image of
-    the group's monomial (the empty one left as it is), collected over one
-    lcm of denominators."""
+    """The sum over the groups of the terms of ``f`` of each group's terms
+    multiplied once by ``image`` of the group's monomial, collected over one
+    lcm of denominators.  A group whose image is None or one stays as it
+    is, and when that group is all of ``f``, ``f`` itself is returned.
+
+    ``groups`` maps monomials to the terms of ``f`` without them, as
+    :meth:`Substitution.split` gives them.
+    """
     parts = []
     for hit, kept in groups.items():
-        if not hit:
+        value = image(hit)
+        if value is None or (value.den == 1 and value.nums == _ONE):
+            if not hit and len(groups) == 1:
+                return f
             parts.append((kept, 1))
             continue
-        value = image(hit)
         items, shift = _product_items(kept, value.nums.items())
         parts.append((items, value.den << shift))
     items, den = _over_lcm(parts)
@@ -799,8 +809,11 @@ class Substitution(Mapping):
             ladder.append(ladder[-1] * ladder[0])
         return ladder[exponent - 1]
 
-    def _image(self, hit: Powers) -> Scalar:
-        """The image of a monomial in the moved coordinates, kept."""
+    def image(self, hit: Powers) -> Scalar | None:
+        """The image of a monomial in the moved coordinates, kept; None for
+        the empty monomial, which every substitution leaves as it is."""
+        if not hit:
+            return None
         image = self._images.get(hit)
         if image is None:
             image = self._power(*hit[0])
@@ -808,6 +821,22 @@ class Substitution(Mapping):
                 image = image * self._power(name, e)
             self._images[hit] = image
         return image
+
+    def split(self, f: Scalar) -> dict[Powers, list[tuple[Key, int]]]:
+        """The terms of ``f`` grouped by their monomial in the moved
+        coordinates, each term without that monomial: what :func:`recombine`
+        takes."""
+        chart = self.chart
+        if f.chart is not chart and f.chart != chart:
+            raise ChartMismatch(f"{f.chart} vs {chart}")
+        moved = self.moved
+        groups: dict[Powers, list[tuple[Key, int]]] = {}
+        for (powers, trig), n in f.nums.items():
+            hit = tuple((name, e) for name, e in powers if name in moved)
+            if hit:
+                powers = tuple((name, e) for name, e in powers if name not in moved)
+            groups.setdefault(hit, []).append(((powers, trig), n))
+        return groups
 
     def apply(self, f: Scalar) -> Scalar:
         """Substitute into ``f``.
@@ -822,13 +851,7 @@ class Substitution(Mapping):
         moved = self.moved
         if not any(name in moved for powers, _ in f.nums for name, _ in powers):
             return f
-        groups: dict[Powers, list[tuple[Key, int]]] = {}
-        for (powers, trig), n in f.nums.items():
-            hit = tuple((name, e) for name, e in powers if name in moved)
-            if hit:
-                powers = tuple((name, e) for name, e in powers if name not in moved)
-            groups.setdefault(hit, []).append(((powers, trig), n))
-        return _substitute_groups(f, groups, self._image)
+        return recombine(f, self.split(f), self.image)
 
 
 class AngleCombination:

@@ -1,0 +1,163 @@
+"""The averages of pullbacks read off per-flow tables, against the full route.
+
+A flow factor averages a pullback without building it: each coefficient
+is split by its monomial in the moved coordinates, and the Haar mean, or
+the mean of the running integral, of each flow image of a monomial times
+basis factors is kept in a table of the factor.  The reference below is
+the route the tables replaced: pull the whole tensor back, then take the
+functional of every coefficient.
+"""
+
+import gc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foliavg.action import average_of_running_integral, haar_average, record_averages
+from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
+from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
+from foliavg.symcalc import Scalar
+
+HERE = Path(__file__).parent
+
+# the bundled rotation; two rotations of rot(3,2,1); and hb4d moved by
+# p -> p + x1*q^2, whose flow depends on the base and has second harmonics
+FACTORS = {
+    "rotation": load_scenario("hb4d").action.factors[0],
+    "rot_3_2_1_th1": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[0],
+    "rot_3_2_1_th2": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[1],
+    "sheared": load_scenario(str(HERE / "data" / "hb4d_sheared.json")).action.factors[0],
+}
+FUNCTIONALS = {"haar": haar_average, "running": average_of_running_integral}
+
+
+def map_coefficients(target, fn):
+    if isinstance(target, Scalar):
+        return fn(target)
+    if isinstance(target, VecValuedForm):
+        items = [(idx, map_coefficients(vec, fn)) for idx, vec in target.comps.items()]
+        return VecValuedForm._make(target.chart, target.degree, items)
+    items = [(idx, fn(value)) for idx, value in target.comps.items()]
+    return type(target)._make(target.chart, target.degree, items)
+
+
+def reference(factor, target, functional):
+    """The functional of every coefficient of the whole pullback."""
+    moved = pullback(factor.flow(), target)
+    return map_coefficients(moved, lambda f: FUNCTIONALS[functional](f, factor.angle))
+
+
+def table(factor, functional):
+    return factor._haar_means if functional == "haar" else factor._running_means
+
+
+@st.composite
+def coefficients(draw, chart):
+    """Sparse angle-free polynomials: up to two terms of up to three
+    coordinates, each to a power of at most 2."""
+    total = Scalar.zero(chart)
+    for _ in range(draw(st.integers(1, 2))):
+        term = Scalar.const(chart, draw(st.sampled_from((-3, -1, 1, 2, 5))))
+        for name in draw(st.lists(st.sampled_from(chart.coords), max_size=3)):
+            term = term * Scalar.var(chart, name) ** draw(st.integers(1, 2))
+        total = total + term
+    return total
+
+
+@st.composite
+def indices(draw, chart, degree):
+    return tuple(sorted(draw(st.lists(
+        st.integers(0, chart.dim - 1), min_size=degree, max_size=degree, unique=True
+    ))))
+
+
+@st.composite
+def sparse(draw, cls, chart, degree):
+    comps = {}
+    for _ in range(draw(st.integers(1, 3))):
+        comps[draw(indices(chart, degree))] = draw(coefficients(chart))
+    return cls(chart, degree, comps)
+
+
+@st.composite
+def valued_forms(draw, chart, degree):
+    comps = {}
+    for _ in range(draw(st.integers(1, 2))):
+        comps[draw(indices(chart, degree))] = draw(sparse(VectorField, chart, 1))
+    return VecValuedForm(chart, degree, comps)
+
+
+KINDS = {
+    "scalar": lambda chart: coefficients(chart),
+    "field": lambda chart: sparse(VectorField, chart, 1),
+    "one_form": lambda chart: sparse(DiffForm, chart, 1),
+    "two_form": lambda chart: sparse(DiffForm, chart, 2),
+    "bivector": lambda chart: sparse(Multivector, chart, 2),
+    "valued_one_form": lambda chart: valued_forms(chart, 1),
+    "valued_two_form": lambda chart: valued_forms(chart, 2),
+}
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("name", sorted(FACTORS))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_table_route_equals_full_pullback(name, kind, functional, data):
+    factor = FACTORS[name]
+    target = data.draw(KINDS[kind](factor.chart))
+    assert table(factor, functional)(target) == reference(factor, target, functional)
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+@given(data=st.data())
+def test_one_factor_fed_a_field_then_a_form(functional, data):
+    """A field and a form share basis indices but not basis images; each
+    table entry must say which images its factors came from."""
+    factor = load_scenario(str(HERE / "data" / "hb4d_sheared.json")).action.factors[0]
+    chart = factor.chart
+    field = data.draw(sparse(VectorField, chart, 1))
+    form = DiffForm(chart, 1, field.comps)
+    means = table(factor, functional)
+    assert means(field) == reference(factor, field, functional)
+    assert means(form) == reference(factor, form, functional)
+
+
+def test_field_and_form_images_differ_on_the_sheared_flow():
+    """The field-then-form test means something: on the sheared flow, the
+    same coefficient on d/dp and on dp averages to different components."""
+    factor = FACTORS["sheared"]
+    chart = factor.chart
+    x1 = Scalar.var(chart, "x1")
+    field = VectorField.from_dict(chart, {"p": x1})
+    form = DiffForm.from_dict(chart, 1, {("p",): x1})
+    assert factor._haar_means(field).comps != factor._haar_means(form).comps
+
+
+def test_records_one_average_per_table_entry():
+    factor = load_scenario("hb4d").action.factors[0]
+    chart = factor.chart
+    target = DiffForm.from_dict(chart, 1, {("q",): Scalar.var(chart, "x1")})
+    with record_averages() as first:
+        factor._haar_means(target)
+    with record_averages() as again:
+        factor._haar_means(target * Scalar.var(chart, "x2"))
+    assert first and not again
+
+
+def test_a_run_leaves_no_reference_cycle():
+    """A factor's tables never refer back to it, so a scenario is freed by
+    reference counting alone once a run drops it."""
+    gc.collect()
+    gc.disable()
+    try:
+        for source in ("hb4d", "t2pairs", str(HERE / "data" / "rot_3_2_1.json")):
+            s = load_scenario(source)
+            run_checks(s)
+            averaged_scenario(s)
+            del s
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

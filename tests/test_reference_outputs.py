@@ -8,13 +8,16 @@ built with ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
 (rot(3,1,12): dimension 5, frame degree 12), ``data/rot_6_6_1.json``
 (rot(6,6,1): dimension 18, six circle factors) and
 ``data/rot_4_4_0_perturbed.json`` (rot(4,4,0) with a base term in its
-pairing form).  It also holds the check report with witnesses of each
-generated chart and of the two failing bundled scenarios, ``ext3`` and
-``triv_shifted``.  The bundled and rot(4,4,0) entries were written before
+pairing form), and of ``data/hb4d_sheared.json`` (hb4d moved by the shear
+p -> p + x1*q^2, see ``test_covariance.py``: its flow depends on the base and
+has second harmonics).  It also holds the check report with witnesses of
+each generated or sheared chart and of the two failing bundled scenarios,
+``ext3`` and ``triv_shifted``.  The bundled and rot(4,4,0) entries were written before
 vector fields became sparse tensors, the rot(3,1,12) entry before scalars
 kept integer numerators over one denominator, and the failing reports and
 the rot(6,6,1) entries before contractions and Dirac membership visited only
-the stored entries.  Each comparison is of the indented JSON text, so key
+the stored entries, and the hb4d_sheared entries before averages were read
+off per-flow tables instead of full pullbacks.  Each comparison is of the indented JSON text, so key
 order counts too.
 """
 
@@ -38,7 +41,7 @@ SOURCES = {
 }
 SOURCES.update(
     (name, str(HERE / "data" / f"{name}.json"))
-    for name in ("rot_4_4_0", "rot_4_4_0_perturbed", "rot_3_1_12", "rot_6_6_1")
+    for name in ("rot_4_4_0", "rot_4_4_0_perturbed", "rot_3_1_12", "rot_6_6_1", "hb4d_sheared")
 )
 # the check count and the failed checks of each document built to fail
 FAILING = {
@@ -88,6 +91,10 @@ def test_deep_check_report_matches_reference():
 
 def test_wider_check_report_matches_reference():
     _assert_check_report_matches("rot_6_6_1")
+
+
+def test_sheared_check_report_matches_reference():
+    _assert_check_report_matches("hb4d_sheared")
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))
