@@ -713,23 +713,24 @@ class ChartMap:
         mapping, chart = self.mapping, self.chart
         moved = mapping.moved
         unit = entry((), (), ())
+        keep = unit == Scalar.one(chart)
 
         def mapped(value, key, factors):
             if not key and not any(name in moved for powers, _ in value.nums for name, _ in powers):
                 # nothing to expand: L(value) = value * L(1)
-                return recombine(value, {(): list(value.nums.items())}, lambda hit: unit)
+                return value if keep else value * unit
             groups = mapping.split(value)
             return recombine(value, groups, lambda hit: entry(hit, key, factors))
 
         if isinstance(target, Scalar):
             return mapped(target, (), ())
         if isinstance(target, VecValuedForm):
-            fields = self._vector_images()
+            forms, fields = self._form_images(), self._vector_images()
             out: dict[Index, list[tuple[Index, Scalar]]] = {}
             for idx, vec in target.comps.items():
                 outer = [
                     (sidx, sign, *_path_key("d", idx, path))
-                    for sidx, sign, path in _expansions(idx, self._form_images())
+                    for sidx, sign, path in _expansions(idx, forms)
                 ]
                 for k, value in vec.comps.items():
                     for cidx, csign, cpath in _expansions(k, fields):

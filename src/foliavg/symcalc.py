@@ -86,7 +86,6 @@ Trig = tuple[tuple[str, str, int], ...]
 Key = tuple[Powers, Trig]
 
 _EMPTY_KEY: Key = ((), ())
-_ONE = {_EMPTY_KEY: 1}
 
 
 class Chart:
@@ -730,8 +729,7 @@ def recombine(
 ) -> Scalar:
     """The sum over the groups of the terms of ``f`` of each group's terms
     multiplied once by ``image`` of the group's monomial, collected over one
-    lcm of denominators.  A group whose image is None or one stays as it
-    is, and when that group is all of ``f``, ``f`` itself is returned.
+    lcm of denominators.  A group whose image is None stays as it is.
 
     ``groups`` maps monomials to the terms of ``f`` without them, as
     :meth:`Substitution.split` gives them.
@@ -739,9 +737,7 @@ def recombine(
     parts = []
     for hit, kept in groups.items():
         value = image(hit)
-        if value is None or (value.den == 1 and value.nums == _ONE):
-            if not hit and len(groups) == 1:
-                return f
+        if value is None:
             parts.append((kept, 1))
             continue
         items, shift = _product_items(kept, value.nums.items())
