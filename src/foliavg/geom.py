@@ -696,19 +696,18 @@ class ChartMap:
         return VecValuedForm._rebase(self.chart, a.degree, items, images)
 
     def pull_linear(self, target, entry: Callable[[Powers, tuple, tuple], Scalar]):
-        """L applied to each coefficient of the pullback of ``target``, for a
-        map L of scalars that is linear over the scalars the caller's
-        coefficients leave after :meth:`~foliavg.symcalc.Substitution.split`;
-        the pullback itself is never built.
+        """L applied to each coefficient of the pullback of ``target``,
+        without building the pullback.
 
-        Each coefficient is split by its monomial m in the moved coordinates,
-        and each basis index is expanded through the basis images as a
-        pullback expands it (:func:`_expansions`).  ``entry(m, key, factors)``
-        must return L(image of m * product of factors), where ``factors`` are
-        the basis factors of one expansion path that are not 1 and ``key``
-        names them: one (images, i, j) per factor, with images "d" for the
-        form images and "v" for the field images.  Each group of the split
-        then contributes its rest times that value.
+        Each coefficient is split by its monomial m in the moved coordinates
+        (:meth:`~foliavg.symcalc.Substitution.split`), and each basis index
+        is expanded through the basis images as a pullback expands it
+        (:func:`_expansions`).  ``entry(m, key, factors)`` must return
+        L(image of m * product of factors), where ``factors`` are the basis
+        factors of one expansion path that are not 1 and ``key`` names them:
+        one (images, i, j) per factor, with images "d" for the form images
+        and "v" for the field images.  Each group of the split contributes
+        its rest times that value, so L must be linear over those rests.
         """
         mapping, chart = self.mapping, self.chart
         moved = mapping.moved
