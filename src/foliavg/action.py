@@ -15,9 +15,12 @@ from zero, are linear over every scalar that does not depend on the
 angle.  So neither needs the pullback itself: each factor keeps, per
 functional, a table of the functional of each flow image of a monomial
 times basis factors that it has met (:class:`_PulledMeans`), and a
-coefficient contributes its angle-free rest times a table entry.  Full
-pullbacks remain where a check compares them, in :func:`verify_action`
-and :func:`foliavg.dirac.verify_g_invariance`.
+coefficient contributes its angle-free rest times a table entry.  An
+entry builds neither its integrand nor the image of a mixed monomial: it
+reads the functional of one ladder power times the rest of its parts off
+:func:`~foliavg.symcalc.mean_of_product`.  Full pullbacks remain where a
+check compares them, in :func:`verify_action` and
+:func:`foliavg.dirac.verify_g_invariance`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .geom import (
     pullback,
 )
 from .poisson import PoissonBivector
-from .symcalc import AngleCombination, Chart, Scalar
+from .symcalc import AngleCombination, Chart, Scalar, mean_of_product
 
 
 # ----------------------------------------------------------------------
@@ -67,9 +70,12 @@ def record_averages() -> Iterator[list[AverageRecord]]:
     """Collect every Haar average taken while the context is active.
 
     Averages of pullbacks are read off the tables of the flow factors, so
-    each table entry is recorded once, when it is computed: its integrand
-    is a flow image of a monomial times basis factors, and a later use of
-    the entry records nothing.
+    each table entry is recorded once, when it is computed, and a later use
+    of the entry records nothing.  The record's average is the Haar mean of
+    its integrand: for a Haar entry the flow image of a monomial times basis
+    factors, f; for a running entry pi * mean(f) + the integral from zero of
+    f - mean(f), periodic in the angle.  Integrands are built only while
+    recording, so the recorded averages check the values the tables use.
     """
     global _records
     previous, _records = _records, []
@@ -80,7 +86,8 @@ def record_averages() -> Iterator[list[AverageRecord]]:
 
 
 def haar_average(f: Scalar, angle: str) -> Scalar:
-    """Exact mean over one angle; every pipeline average funnels through here."""
+    """Exact mean over one angle, recorded while :func:`record_averages` is
+    active."""
     result = f.average_over_angle(angle)
     if _records is not None:
         _records.append(AverageRecord(angle, f, result))
@@ -88,19 +95,21 @@ def haar_average(f: Scalar, angle: str) -> Scalar:
 
 
 def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
-    """Haar average of the integral of f from zero up to the angle.
+    """Haar average of the integral of f from zero up to the angle, read off
+    the terms of f in one pass (:meth:`Scalar.average_of_running_integral`)."""
+    result = f.average_of_running_integral(angle)
+    if _records is not None:
+        _record_running(f, angle, result)
+    return result
 
-    The bare-angle part of the running integral is the mean of f times
-    the angle, so the result splits exactly into pi times that mean plus
-    the average of a periodic remainder.  Both recorded averages then
-    stay inside the trigonometric ring.
-    """
-    if _has_bare_angle(f, angle):
-        return haar_average(f.antiderivative_from_zero(angle), angle)
-    chart = f.chart
-    mean = haar_average(f, angle)
-    remainder = f.antiderivative_from_zero(angle) - mean * Scalar.var(chart, angle)
-    return mean * Scalar.pi(chart) + haar_average(remainder, angle)
+
+def _record_running(f: Scalar, angle: str, result: Scalar) -> None:
+    """Record ``result``, the mean of the running integral of f, as the Haar
+    mean of pi * mean(f) + the integral from zero of f - mean(f), which is
+    periodic in the angle when f has no bare power of it."""
+    mean = f.average_over_angle(angle)
+    integrand = mean * Scalar.pi(f.chart) + (f - mean).antiderivative_from_zero(angle)
+    _records.append(AverageRecord(angle, integrand, result))
 
 
 class _PulledMeans:
@@ -115,6 +124,14 @@ class _PulledMeans:
     Those values depend on the flow alone; the table keeps each one it
     computes, keyed by the monomial and the factors' key, and the
     pullback of the target is never built.
+
+    Nor is an entry's integrand.  Its parts are the ladder powers of the
+    monomial, from the flow's :class:`~foliavg.symcalc.Substitution`, and
+    the path's factors.  The part with the most terms, mostly a ladder
+    power, stays apart; the others are multiplied into one scalar, and
+    :func:`~foliavg.symcalc.mean_of_product` reads the functional of the
+    two's product.  So the image of a mixed monomial such as p1*q1^12 is
+    never built for an entry.
 
     The table keeps the flow and the angle, never the factor that owns
     it, so a factor and its tables form no reference cycle.
@@ -141,12 +158,20 @@ class _PulledMeans:
     def _entry(self, hit, key, factors) -> Scalar:
         value = self._entries.get((hit, key))
         if value is None:
-            parts = (self.flow.mapping.image(hit), *factors) if hit else factors
-            integrand = reduce(mul, parts) if parts else Scalar.one(self.flow.chart)
-            if self.running:
-                value = average_of_running_integral(integrand, self.angle)
-            else:
-                value = haar_average(integrand, self.angle)
+            power = self.flow.mapping.power
+            parts = [power(name, e) for name, e in hit]
+            parts.extend(factors)
+            one = Scalar.one(self.flow.chart)
+            a = one
+            if parts:
+                a = parts.pop(max(range(len(parts)), key=lambda i: len(parts[i].nums)))
+            b = reduce(mul, parts) if parts else one
+            value = mean_of_product(a, b, self.angle, self.running)
+            if _records is not None:
+                if self.running:
+                    _record_running(a * b, self.angle, value)
+                else:
+                    _records.append(AverageRecord(self.angle, a * b, value))
             self._entries[hit, key] = value
         return value
 

@@ -39,6 +39,15 @@ both factors have harmonics, and every pair contributes integer multiples.
 The pairs of one product repeat many times, but a table that outlived the
 call would carry state from one product to the next and grow without
 bound, so each product starts with an empty one.
+
+A functional that reads few harmonics of a product need not form it, the
+"middle product" of Hanrot, Quercia and Zimmermann (AAECC 14, 2004).
+:func:`mean_of_product` returns the Haar mean in one angle of a * b, or
+the mean of its running integral from zero, the two functionals of torus
+averaging.  It groups the terms of both sides by their harmonic in that
+angle and pairs only the groups whose product has a term the functional
+keeps, weighted through :func:`_trig_pair`; only the angle-free rests are
+multiplied, over one shift, one table of trig pairs and one lcm.
 """
 
 from __future__ import annotations
@@ -84,6 +93,8 @@ Number = Union[int, Fraction]
 Powers = tuple[tuple[str, int], ...]
 Trig = tuple[tuple[str, str, int], ...]
 Key = tuple[Powers, Trig]
+# A harmonic (kind, multiple) in one angle, None for no harmonic.
+Harmonic = Union[tuple[str, int], None]
 
 _EMPTY_KEY: Key = ((), ())
 
@@ -244,7 +255,10 @@ def _harmonic_angles(items: Iterable[tuple[Key, int]]) -> set[str]:
 
 
 def _product_items(
-    left: Iterable[tuple[Key, int]], right: Iterable[tuple[Key, int]]
+    left: Iterable[tuple[Key, int]],
+    right: Iterable[tuple[Key, int]],
+    shift: int | None = None,
+    table: dict[tuple[Trig, Trig], list[tuple[Trig, int]]] | None = None,
 ) -> tuple[list[tuple[Key, int]], int]:
     """Uncollected terms of the product of two sums of integer terms, and the
     shift h such that the product is their sum over 2^h.
@@ -252,12 +266,17 @@ def _product_items(
     h is the number of angles in which both sides have harmonics, so every
     pair of trig parts rewrites to integers over 2^h.  ``left`` is read
     twice.  Each pair of trig parts is rewritten once per call: the table
-    lives only as long as this product.
+    lives only as long as this product.  A caller that sums several
+    products over one denominator passes its own ``shift``, at least the
+    angles shared by any of its pairs of sides, and its own ``table``,
+    which then lives as long as that sum.
     """
     right = list(right)
-    angles = _harmonic_angles(left)
-    shift = len(angles & _harmonic_angles(right)) if angles else 0
-    table: dict[tuple[Trig, Trig], list[tuple[Trig, int]]] = {}
+    if shift is None:
+        angles = _harmonic_angles(left)
+        shift = len(angles & _harmonic_angles(right)) if angles else 0
+    if table is None:
+        table = {}
     items: list[tuple[Key, int]] = []
     append = items.append
     for (p1, t1), c1 in left:
@@ -637,6 +656,28 @@ class Scalar:
         items = [(key, n * (den // d)) for key, n, d in pieces]
         return _collect(self.chart, items, self.den * den)
 
+    def average_of_running_integral(self, angle: str) -> "Scalar":
+        """Haar average of the integral from 0 to the angle, in one pass
+        over the terms: th^j, the constant included, averages to
+        (2pi)^(j+1) / ((j+1)(j+2)), sin(k*th) to 1/k and cos(k*th) to 0."""
+        self.chart.require_angle(angle)
+        # (key, numerator, divisor)
+        pieces: list[tuple[Key, int, int]] = []
+        for (powers, trig), n in self.nums.items():
+            k, entry, powers, trig = _split_angle(powers, trig, angle)
+            if entry is None:
+                raised = _merge_powers(powers, ((PI, k + 1),))
+                pieces.append(((raised, trig), n << (k + 1), (k + 1) * (k + 2)))
+            elif k:
+                raise NonPolynomialIntegrand(
+                    f"mixed power and harmonic in {angle!r} has no polynomial antiderivative"
+                )
+            elif entry[1] == SIN:
+                pieces.append(((powers, trig), n, entry[2]))
+        den = math.lcm(*(d for _, _, d in pieces))
+        items = [(key, n * (den // d)) for key, n, d in pieces]
+        return _collect(self.chart, items, self.den * den)
+
     def on_chart(self, chart: Chart) -> "Scalar":
         """Rebind to a chart declaring a superset of the used symbols."""
         for name in self.free_symbols():
@@ -746,6 +787,110 @@ def recombine(
     return _collect(f.chart, items, f.den * den)
 
 
+def mean_of_product(a: Scalar, b: Scalar, angle: str, running: bool = False) -> Scalar:
+    """The Haar mean in ``angle`` of ``a * b`` or, with ``running``, the mean
+    of its integral from zero up to the angle, without forming ``a * b``.
+
+    Neither functional reads more than a few harmonics in the angle: the
+    Haar mean keeps the constant term, and the running mean keeps pi times
+    it plus 1/k times each sin(k*angle) coefficient.  So the terms of both
+    sides are grouped by their harmonic in the angle, and each group of
+    ``a`` meets only the groups of ``b`` whose product with it has a term
+    the functional keeps, weighted by what it keeps (:func:`_kept_weights`).
+    Only the rests, free of the angle, are multiplied, over one shift and
+    one table of trig pairs.  Neither side may hold a bare power of the
+    angle.
+    """
+    a._check(b)
+    chart = a.chart
+    chart.require_angle(angle)
+    left, right = _by_harmonic(a, angle), _by_harmonic(b, angle)
+    # (harmonic of a, harmonic of b, pi power, numerator, denominator)
+    weighted = []
+    for h1 in left:
+        if running:
+            # a product is a sum of sines when one side is a sine, else of
+            # cosines, of which the functional keeps only the constant
+            sine = h1 is not None and h1[0] == SIN
+            partners = [
+                h2 for h2 in right if h2 == h1 or (h2 is not None and h2[0] == SIN) != sine
+            ]
+        else:
+            partners = [h1] if h1 in right else []
+        for h2 in partners:
+            weighted.extend((h1, h2, *w) for w in _kept_weights(h1, h2, running))
+    if not weighted:
+        return Scalar.zero(chart)
+    den = math.lcm(*(w[4] for w in weighted))
+    # the terms of b each group of a meets, their weights multiplied in
+    met: dict[Harmonic, list[tuple[Key, int]]] = {}
+    for h1, h2, pi_pow, num, d in weighted:
+        scale = num * (den // d)
+        pi = ((PI, pi_pow),)
+        met.setdefault(h1, []).extend(
+            ((_merge_powers(powers, pi) if pi_pow else powers, trig), n * scale)
+            for (powers, trig), n in right[h2]
+        )
+    angles = _harmonic_angles(item for h1 in met for item in left[h1])
+    if angles:
+        angles &= _harmonic_angles(item for terms in met.values() for item in terms)
+    table: dict[tuple[Trig, Trig], list[tuple[Trig, int]]] = {}
+    items: list[tuple[Key, int]] = []
+    for h1, terms in met.items():
+        items.extend(_product_items(left[h1], terms, len(angles), table)[0])
+    return _collect(chart, items, a.den * b.den * den << len(angles))
+
+
+def _by_harmonic(f: Scalar, angle: str) -> dict[Harmonic, list[tuple[Key, int]]]:
+    """The terms of ``f`` grouped by their harmonic in the angle, each term
+    without it; a bare power of the angle is refused."""
+    groups: dict[Harmonic, list[tuple[Key, int]]] = {}
+    for (powers, trig), n in f.nums.items():
+        for name, _ in powers:
+            if name == angle:
+                raise NonPolynomialIntegrand(
+                    f"a bare power of {angle!r} is not a trigonometric polynomial in it"
+                )
+        harmonic = None
+        for i, (name, kind, m) in enumerate(trig):
+            if name == angle:
+                harmonic = kind, m
+                trig = trig[:i] + trig[i + 1 :]
+                break
+        group = groups.get(harmonic)
+        if group is None:
+            group = groups[harmonic] = []
+        group.append(((powers, trig), n))
+    return groups
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_weights(h1: Harmonic, h2: Harmonic, running: bool) -> tuple[tuple[int, int, int], ...]:
+    """What the Haar mean, or with ``running`` the mean of the running
+    integral, keeps of the product of two harmonics in one angle, None
+    standing for 1: (pi power, numerator, denominator) terms.
+
+    Two harmonics multiply by the product-to-sum rewrite :func:`_trig_pair`.
+    A constant c keeps c, or pi * c when running; c * sin(k*th) keeps c/k
+    when running; every other harmonic keeps nothing.
+    """
+    if h1 is None or h2 is None:
+        h = h1 or h2
+        terms, den = [(1, None, 0)] if h is None else [(1, *h)], 1
+    else:
+        terms, den = _trig_pair(*h1, *h2), 2
+    kept: dict[int, Fraction] = {}
+    for c, kind, m in terms:
+        if kind is None:
+            pi_pow, w = int(running), Fraction(c, den)
+        elif running and kind == SIN:
+            pi_pow, w = 0, Fraction(c, den * m)
+        else:
+            continue
+        kept[pi_pow] = kept.get(pi_pow, 0) + w
+    return tuple((pi_pow, w.numerator, w.denominator) for pi_pow, w in kept.items() if w)
+
+
 class Substitution(Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
@@ -796,7 +941,7 @@ class Substitution(Mapping):
     def __len__(self) -> int:
         return self.chart.dim
 
-    def _power(self, name: str, exponent: int) -> Scalar:
+    def power(self, name: str, exponent: int) -> Scalar:
         """The image of ``name`` to a positive power, from the kept ladder."""
         ladder = self._ladders.get(name)
         if ladder is None:
@@ -812,9 +957,9 @@ class Substitution(Mapping):
             return None
         image = self._images.get(hit)
         if image is None:
-            image = self._power(*hit[0])
+            image = self.power(*hit[0])
             for name, e in hit[1:]:
-                image = image * self._power(name, e)
+                image = image * self.power(name, e)
             self._images[hit] = image
         return image
 

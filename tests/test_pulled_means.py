@@ -5,7 +5,8 @@ is split by its monomial in the moved coordinates, and the Haar mean, or
 the mean of the running integral, of each flow image of a monomial times
 basis factors is kept in a table of the factor.  The reference below is
 the route the tables replaced: pull the whole tensor back, then take the
-functional of every coefficient.
+functional of every coefficient, the running one by its definition, the
+Haar mean of the integral from zero.
 """
 
 import gc
@@ -15,22 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliavg.action import average_of_running_integral, haar_average, record_averages
+from foliavg.action import _has_bare_angle, haar_average, record_averages
 from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
 from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
-from foliavg.symcalc import Scalar
+from foliavg.symcalc import Scalar, parse, render
 
 HERE = Path(__file__).parent
 
-# the bundled rotation; two rotations of rot(3,2,1); and hb4d moved by
-# p -> p + x1*q^2, whose flow depends on the base and has second harmonics
+# the bundled rotation; two rotations of rot(3,2,1); the rotation of
+# rot(3,1,12); and hb4d moved by p -> p + x1*q^2, whose flow depends on the
+# base and has second harmonics
 FACTORS = {
     "rotation": load_scenario("hb4d").action.factors[0],
     "rot_3_2_1_th1": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[0],
     "rot_3_2_1_th2": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[1],
+    "rot_3_1_12": load_scenario(str(HERE / "data" / "rot_3_1_12.json")).action.factors[0],
     "sheared": load_scenario(str(HERE / "data" / "hb4d_sheared.json")).action.factors[0],
 }
-FUNCTIONALS = {"haar": haar_average, "running": average_of_running_integral}
+FUNCTIONALS = {
+    "haar": haar_average,
+    "running": lambda f, angle: haar_average(f.antiderivative_from_zero(angle), angle),
+}
 
 
 def map_coefficients(target, fn):
@@ -134,6 +140,38 @@ def test_field_and_form_images_differ_on_the_sheared_flow():
     field = VectorField.from_dict(chart, {"p": x1})
     form = DiffForm.from_dict(chart, 1, {("p",): x1})
     assert factor._haar_means(field).comps != factor._haar_means(form).comps
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_an_entry_of_a_mixed_monomial(functional):
+    """p1*q1^12 on rot(3,1,12): the entry multiplies the ladder power
+    q1^12's image by p1's, never forming the image of p1*q1^12."""
+    factor = load_scenario(str(HERE / "data" / "rot_3_1_12.json")).action.factors[0]
+    chart = factor.chart
+    target = parse(chart, "x1*p1*q1^12")
+    means = table(factor, functional)
+    # the rotation keeps no odd monomial; the running mean keeps q1^13/13
+    pinned = {"haar": "0", "running": "1/13*q1^13*x1"}
+    assert render(means(target)) == pinned[functional]
+    assert means(target) == reference(factor, target, functional)
+    assert ((("p1", 1), ("q1", 12)), ()) in means._entries
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_each_new_entry_records_one_haar_mean_of_its_integrand(functional):
+    factor = load_scenario(str(HERE / "data" / "rot_3_1_12.json")).action.factors[0]
+    chart = factor.chart
+    target = DiffForm.from_dict(
+        chart, 1, {("p1",): parse(chart, "x1*p1*q1^12"), ("q1",): parse(chart, "x2*q1^3")}
+    )
+    means = table(factor, functional)
+    with record_averages() as records:
+        means(target)
+    assert len(records) == len(means._entries)
+    for rec in records:
+        assert rec.angle == factor.angle
+        assert rec.average == haar_average(rec.integrand, rec.angle)
+        assert not _has_bare_angle(rec.integrand, rec.angle)
 
 
 def test_records_one_average_per_table_entry():

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foliavg import symcalc
+from foliavg.action import haar_average
 from foliavg.errors import (
     ChartMismatch,
     NonPolynomialIntegrand,
@@ -22,6 +23,7 @@ from foliavg.symcalc import (
     Scalar,
     Substitution,
     _product_items,
+    mean_of_product,
     parse,
     render,
 )
@@ -390,6 +392,47 @@ def test_average_is_idempotent(f):
 @given(scalars(), scalars(angles=False))
 def test_average_is_linear_over_invariants(f, g):
     assert (f * g).average_over_angle("th") == f.average_over_angle("th") * g
+
+
+def test_running_mean_examples():
+    assert sc("1").average_of_running_integral("th") == Scalar.pi(CHART)
+    assert render(sc("q*sin(3*th)").average_of_running_integral("th")) == "1/3*q"
+    assert sc("cos(2*th)").average_of_running_integral("th").is_zero
+    assert render(sc("th^2").average_of_running_integral("th")) == "2/3*pi^3"
+    with pytest.raises(NonPolynomialIntegrand):
+        sc("th*cos(th)").average_of_running_integral("th")
+
+
+@given(scalars(TWO_ANGLES, freq=3), polynomials(TWO_ANGLES), st.integers(0, 3))
+def test_running_mean_in_one_pass_matches_its_definition(f, g, k):
+    f = f + g * Scalar.var(TWO_ANGLES, "th") ** k
+    expected = f.antiderivative_from_zero("th").average_over_angle("th")
+    assert f.average_of_running_integral("th") == expected
+
+
+@given(
+    scalars(TWO_ANGLES, freq=3, max_terms=4),
+    scalars(TWO_ANGLES, freq=3, max_terms=4),
+    st.sampled_from(TWO_ANGLES.angles),
+)
+def test_mean_of_product_matches_the_mean_of_the_product(a, b, angle):
+    """Both sides have harmonics in the averaged angle and in the other
+    one, whose shared harmonics go through the product's shift."""
+    product = a * b
+    assert mean_of_product(a, b, angle) == haar_average(product, angle)
+    running = haar_average(product.antiderivative_from_zero(angle), angle)
+    assert mean_of_product(a, b, angle, running=True) == running
+
+
+def test_mean_of_product_refuses_a_bare_power_of_the_angle():
+    th, q = Scalar.var(CHART, "th"), sc("q*cos(th)")
+    for a, b in ((th, q), (q, th * q)):
+        for running in (False, True):
+            with pytest.raises(NonPolynomialIntegrand, match="bare power of 'th'"):
+                mean_of_product(a, b, "th", running)
+    # a bare power of another angle is a coefficient like any other
+    other = Scalar.var(TWO_ANGLES, "ph") * parse(TWO_ANGLES, "cos(th)")
+    assert mean_of_product(other, other, "th") == Scalar.var(TWO_ANGLES, "ph") ** 2 * Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ identity holds when the difference of both sides vanishes in a normal form:
 harmonics are rewritten as exponentials and the result is expanded, which
 leaves a Laurent polynomial in exp(i*angle) with polynomial coefficients,
 zero exactly when the identity holds.  The operations are checked against
-sympy's own product, derivative, definite integral and substitution.
+sympy's own product, derivative, definite integral and substitution, and
+the two means of a product against sympy's integrals of that product.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ sp = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from foliavg.symcalc import COS, PI, SIN, Chart, Scalar  # noqa: E402
+from foliavg.symcalc import COS, PI, SIN, Chart, Scalar, mean_of_product  # noqa: E402
 
 ANGLES = ("th", "ph", "ps")
 CHART = Chart(("x",), ("q", "p"), ANGLES)
@@ -111,6 +112,24 @@ def test_antiderivative_matches_sympy_integral(f, angle):
     integral = sp.integrate(to_sympy(f).subs(th, t), (t, 0, th))
     assert vanishes(to_sympy(f.antiderivative_from_zero(angle)) - integral)
 
+
+
+@settings(max_examples=10)
+@given(
+    poisson_series(max_terms=2, bare=False),
+    poisson_series(max_terms=2, bare=False),
+    st.sampled_from(ANGLES),
+)
+def test_means_of_products_match_sympy_integrals(a, b, angle):
+    """(1/2pi) int_0^2pi a*b and (1/2pi) int_0^2pi int_0^th a*b, the
+    product formed by sympy, against the kernel that never forms it."""
+    th, t = SYM[angle], sp.Symbol("t", real=True)
+    product = to_sympy(a) * to_sympy(b)
+    mean = sp.integrate(product, (th, 0, 2 * sp.pi)) / (2 * sp.pi)
+    assert vanishes(to_sympy(mean_of_product(a, b, angle)) - mean)
+    running = sp.integrate(product.subs(th, t), (t, 0, th))
+    running_mean = sp.integrate(running, (th, 0, 2 * sp.pi)) / (2 * sp.pi)
+    assert vanishes(to_sympy(mean_of_product(a, b, angle, running=True)) - running_mean)
 
 @given(
     poisson_series(),
