@@ -90,7 +90,7 @@ def haar_average(f: Scalar, angle: str) -> Scalar:
     active."""
     result = f.average_over_angle(angle)
     if _records is not None:
-        _records.append(AverageRecord(angle, f, result))
+        _record(angle, f, result, running=False)
     return result
 
 
@@ -99,17 +99,19 @@ def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
     the terms of f in one pass (:meth:`Scalar.average_of_running_integral`)."""
     result = f.average_of_running_integral(angle)
     if _records is not None:
-        _record_running(f, angle, result)
+        _record(angle, f, result, running=True)
     return result
 
 
-def _record_running(f: Scalar, angle: str, result: Scalar) -> None:
-    """Record ``result``, the mean of the running integral of f, as the Haar
-    mean of pi * mean(f) + the integral from zero of f - mean(f), which is
-    periodic in the angle when f has no bare power of it."""
-    mean = f.average_over_angle(angle)
-    integrand = mean * Scalar.pi(f.chart) + (f - mean).antiderivative_from_zero(angle)
-    _records.append(AverageRecord(angle, integrand, result))
+def _record(angle: str, f: Scalar, result: Scalar, running: bool) -> None:
+    """Record ``result``, the Haar mean of f or with ``running`` the mean of
+    its running integral, as the Haar mean of an integrand: f itself, or
+    pi * mean(f) + the integral from zero of f - mean(f), which is periodic
+    in the angle when f has no bare power of it."""
+    if running:
+        mean = f.average_over_angle(angle)
+        f = mean * Scalar.pi(f.chart) + (f - mean).antiderivative_from_zero(angle)
+    _records.append(AverageRecord(angle, f, result))
 
 
 class _PulledMeans:
@@ -168,10 +170,7 @@ class _PulledMeans:
             b = reduce(mul, parts) if parts else one
             value = mean_of_product(a, b, self.angle, self.running)
             if _records is not None:
-                if self.running:
-                    _record_running(a * b, self.angle, value)
-                else:
-                    _records.append(AverageRecord(self.angle, a * b, value))
+                _record(self.angle, a * b, value, self.running)
             self._entries[hit, key] = value
         return value
 
