@@ -2,11 +2,13 @@
 and check reports.
 
 ``reference_outputs.json`` holds, per scenario, the ``average`` document and
-the ``dirac`` generator table of the 7 bundled scenarios and of four charts
+the ``dirac`` generator table of the 7 bundled scenarios and of six charts
 built with ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
 (rot(4,4,0): dimension 12, four circle factors), ``data/rot_3_1_12.json``
 (rot(3,1,12): dimension 5, frame degree 12), ``data/rot_6_6_1.json``
-(rot(6,6,1): dimension 18, six circle factors) and
+(rot(6,6,1): dimension 18, six circle factors), ``data/rot_3_2_2.json``
+(rot(3,2,2): two circle factors, frame degree 2), ``data/rot_4_2_40.json``
+(rot(4,2,40): frame degree 40, the deep regime) and
 ``data/rot_4_4_0_perturbed.json`` (rot(4,4,0) with a base term in its
 pairing form), and of ``data/hb4d_sheared.json`` (hb4d moved by the shear
 p -> p + x1*q^2, see ``test_covariance.py``: its flow depends on the base and
@@ -16,8 +18,10 @@ each generated or sheared chart and of the two failing bundled scenarios,
 vector fields became sparse tensors, the rot(3,1,12) entry before scalars
 kept integer numerators over one denominator, and the failing reports and
 the rot(6,6,1) entries before contractions and Dirac membership visited only
-the stored entries, and the hb4d_sheared entries before averages were read
-off per-flow tables instead of full pullbacks.  Each comparison is of the indented JSON text, so key
+the stored entries, the hb4d_sheared entries before averages were read
+off per-flow tables instead of full pullbacks, and the rot(3,2,2) and
+rot(4,2,40) entries before rotation flows read their table entries off
+Wallis' formula.  Each comparison is of the indented JSON text, so key
 order counts too.
 """
 
@@ -41,7 +45,15 @@ SOURCES = {
 }
 SOURCES.update(
     (name, str(HERE / "data" / f"{name}.json"))
-    for name in ("rot_4_4_0", "rot_4_4_0_perturbed", "rot_3_1_12", "rot_6_6_1", "hb4d_sheared")
+    for name in (
+        "rot_4_4_0",
+        "rot_4_4_0_perturbed",
+        "rot_3_1_12",
+        "rot_3_2_2",
+        "rot_4_2_40",
+        "rot_6_6_1",
+        "hb4d_sheared",
+    )
 )
 # the check count and the failed checks of each document built to fail
 FAILING = {
@@ -87,6 +99,11 @@ def test_wide_check_report_matches_reference():
 
 def test_deep_check_report_matches_reference():
     _assert_check_report_matches("rot_3_1_12")
+
+
+def test_deeper_check_reports_match_reference():
+    _assert_check_report_matches("rot_3_2_2")
+    _assert_check_report_matches("rot_4_2_40")
 
 
 def test_wider_check_report_matches_reference():
