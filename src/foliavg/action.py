@@ -21,6 +21,13 @@ reads the functional of one ladder power times the rest of its parts off
 :func:`~foliavg.symcalc.mean_of_product`.  Full pullbacks remain where a
 check compares them, in :func:`verify_action` and
 :func:`foliavg.dirac.verify_g_invariance`.
+
+Every bundled flow is a unit rotation of one coordinate pair.  There an
+entry's integrand is a binomial sum of coordinate monomials times
+cos^alpha * sin^beta of the angle, and Wallis' formula gives the mean of
+each such product, so the entry is read off in closed form
+(:func:`~foliavg.symcalc.rotation_mean`) and no ladder power is built.
+Every other flow keeps the route above.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .geom import (
     pullback,
 )
 from .poisson import PoissonBivector
-from .symcalc import AngleCombination, Chart, Scalar, mean_of_product
+from .symcalc import COS, SIN, AngleCombination, Chart, Scalar, mean_of_product, rotation_mean
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +142,28 @@ class _PulledMeans:
     two's product.  So the image of a mixed monomial such as p1*q1^12 is
     never built for an entry.
 
+    A table of a unit rotation, given as the pair ``rotation`` = (u, v)
+    with u -> u*cos(th) - v*sin(th) and v -> u*sin(th) + v*cos(th), skips
+    both: when every factor of a path is one term +-cos(th) or +-sin(th),
+    as the rotation's form and field images are, the entry is a binomial
+    sum of Wallis weights (:func:`~foliavg.symcalc.rotation_mean`).  While
+    :func:`record_averages` is active the integrand is still built, and
+    the closed-form value is recorded as its mean.  Every other flow and
+    path keeps the route above.
+
     The table keeps the flow and the angle, never the factor that owns
     it, so a factor and its tables form no reference cycle.
     """
 
-    __slots__ = ("flow", "angle", "running", "_entries")
+    __slots__ = ("flow", "angle", "running", "rotation", "_entries")
 
-    def __init__(self, flow: ChartMap, angle: str, running: bool) -> None:
+    def __init__(
+        self, flow: ChartMap, angle: str, running: bool, rotation: tuple[str, str] | None
+    ) -> None:
         self.flow = flow
         self.angle = angle
         self.running = running
+        self.rotation = rotation
         self._entries: dict[tuple, Scalar] = {}
 
     def __call__(self, target):
@@ -160,19 +179,77 @@ class _PulledMeans:
     def _entry(self, hit, key, factors) -> Scalar:
         value = self._entries.get((hit, key))
         if value is None:
-            power = self.flow.mapping.power
-            parts = [power(name, e) for name, e in hit]
-            parts.extend(factors)
-            one = Scalar.one(self.flow.chart)
-            a = one
-            if parts:
-                a = parts.pop(max(range(len(parts)), key=lambda i: len(parts[i].nums)))
-            b = reduce(mul, parts) if parts else one
-            value = mean_of_product(a, b, self.angle, self.running)
+            path = None if self.rotation is None else _trig_path(factors, self.angle)
+            if path is None:
+                value = mean_of_product(*self._parts(hit, factors), self.angle, self.running)
+            else:
+                sign, cosines, sines = path
+                u, v = self.rotation
+                exponents = dict(hit)
+                value = rotation_mean(
+                    self.flow.chart, u, v, exponents.get(u, 0), exponents.get(v, 0),
+                    cosines, sines, self.running,
+                )
+                value = value if sign > 0 else -value
             if _records is not None:
+                a, b = self._parts(hit, factors)
                 _record(self.angle, a * b, value, self.running)
             self._entries[hit, key] = value
         return value
+
+    def _parts(self, hit, factors) -> tuple[Scalar, Scalar]:
+        """The entry's integrand as two scalars: the part with the most
+        terms, and the product of the others."""
+        power = self.flow.mapping.power
+        parts = [power(name, e) for name, e in hit]
+        parts.extend(factors)
+        one = Scalar.one(self.flow.chart)
+        a = one
+        if parts:
+            a = parts.pop(max(range(len(parts)), key=lambda i: len(parts[i].nums)))
+        b = reduce(mul, parts) if parts else one
+        return a, b
+
+
+def _rotation_pair(angle: str, images: Mapping[str, Scalar]) -> tuple[str, str] | None:
+    """The pair (u, v) when the flow moves exactly u and v, by the unit
+    rotation u -> u*cos(th) - v*sin(th), v -> u*sin(th) + v*cos(th); else
+    None.  Both orders are tried, so the clockwise rotation counts too."""
+    if len(images) != 2:
+        return None
+    cos, sin = ((angle, COS, 1),), ((angle, SIN, 1),)
+    for u, v in (tuple(images), tuple(images)[::-1]):
+        U, V = ((u, 1),), ((v, 1),)
+        if (
+            images[u].den == 1
+            and images[u].nums == {(U, cos): 1, (V, sin): -1}
+            and images[v].den == 1
+            and images[v].nums == {(U, sin): 1, (V, cos): 1}
+        ):
+            return u, v
+    return None
+
+
+def _trig_path(factors: Sequence[Scalar], angle: str) -> tuple[int, int, int] | None:
+    """(sign, cosines, sines) when the factors are each one term +-cos(th)
+    or +-sin(th), their product being sign * cos(th)^cosines *
+    sin(th)^sines; else None."""
+    sign, cosines, sines = 1, 0, 0
+    for f in factors:
+        if f.den != 1 or len(f.nums) != 1:
+            return None
+        ((powers, trig), n), = f.nums.items()
+        if powers or n not in (1, -1) or len(trig) != 1:
+            return None
+        name, kind, m = trig[0]
+        if name != angle or m != 1:
+            return None
+        sign *= n
+        if kind == COS:
+            cosines += 1
+        else:
+            sines += 1
+    return sign, cosines, sines
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +272,11 @@ class FlowFactor:
     filled on first use like the image powers of the flow's
     :class:`~foliavg.symcalc.Substitution`.  They are kept apart, so the
     two routes that decide ``difference_two_routes`` share no averaged
-    value.
+    value.  A unit rotation of a pair (u, v), u -> u*cos - v*sin and
+    v -> u*sin + v*cos in either order, is recognised once, here, from the
+    images' numerators; both tables then read their entries off Wallis'
+    formula instead of building powers of the images.  Every other flow
+    keeps the table route.
     """
 
     __slots__ = (
@@ -250,8 +331,9 @@ class FlowFactor:
             chart, {name: comp for name, comp in comps.items() if not comp.is_zero}
         )
         object.__setattr__(self, "_generator", generator)
-        object.__setattr__(self, "_haar_means", _PulledMeans(flow, angle, running=False))
-        object.__setattr__(self, "_running_means", _PulledMeans(flow, angle, running=True))
+        rotation = _rotation_pair(angle, clean)
+        object.__setattr__(self, "_haar_means", _PulledMeans(flow, angle, False, rotation))
+        object.__setattr__(self, "_running_means", _PulledMeans(flow, angle, True, rotation))
 
     def __setattr__(self, name, value):
         raise AttributeError("FlowFactor is immutable")

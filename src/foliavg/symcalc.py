@@ -47,7 +47,10 @@ the mean of its running integral from zero, the two functionals of torus
 averaging.  It groups the terms of both sides by their harmonic in that
 angle and pairs only the groups whose product has a term the functional
 keeps, weighted through :func:`_trig_pair`; only the angle-free rests are
-multiplied, over one shift, one table of trig pairs and one lcm.
+multiplied, over one shift, one table of trig pairs and one lcm.  Under the
+unit rotation of a coordinate pair, :func:`rotation_mean` gives either
+functional of the image of a monomial in closed form, by Wallis' formula
+for the means of cos^a * sin^b, and multiplies no scalars at all.
 """
 
 from __future__ import annotations
@@ -891,6 +894,77 @@ def _kept_weights(h1: Harmonic, h2: Harmonic, running: bool) -> tuple[tuple[int,
     return tuple((pi_pow, w.numerator, w.denominator) for pi_pow, w in kept.items() if w)
 
 
+def rotation_mean(
+    chart: Chart, u: str, v: str, a: int, b: int, cosines: int, sines: int, running: bool = False
+) -> Scalar:
+    """The Haar mean in an angle th, or with ``running`` the mean of the
+    running integral from zero, of the image of u^a * v^b under the unit
+    rotation u -> u*cos(th) - v*sin(th), v -> u*sin(th) + v*cos(th), times
+    cos(th)^cosines * sin(th)^sines, in closed form.
+
+    The image expands binomially into the sum over i <= a and j <= b of
+    (-1)^i * C(a, i) * C(b, j) * u^(a-i+b-j) * v^(i+j) times
+    cos^alpha * sin^beta, alpha = a-i+j+cosines and beta = i+b-j+sines.  So
+    the functional needs only its value on cos^alpha * sin^beta
+    (:func:`_wallis_weights`), and no harmonic is expanded.
+    """
+    # (power of v, pi power, numerator, denominator) per kept weight
+    items = []
+    for i in range(a + 1):
+        ci = -math.comb(a, i) if i & 1 else math.comb(a, i)
+        for j in range(b + 1):
+            weights = _wallis_weights(a - i + j + cosines, i + b - j + sines, running)
+            if weights:
+                c = ci * math.comb(b, j)
+                items.extend((i + j, pi_pow, c * num, d) for pi_pow, num, d in weights)
+    den = math.lcm(*(d for *_, d in items)) if items else 1
+    nums: dict[tuple[int, int], int] = {}
+    for n, pi_pow, num, d in items:
+        nums[n, pi_pow] = nums.get((n, pi_pow), 0) + num * (den // d)
+    terms = []
+    for (n, pi_pow), num in nums.items():
+        powers = [(name, e) for name, e in ((u, a + b - n), (v, n)) if e]
+        if pi_pow:
+            powers.append((PI, pi_pow))
+        terms.append(((tuple(sorted(powers)), ()), num))
+    return _collect(chart, terms, den)
+
+
+@functools.lru_cache(maxsize=None)
+def _wallis_weights(alpha: int, beta: int, running: bool) -> tuple[tuple[int, int, int], ...]:
+    """The Haar mean of cos(th)^alpha * sin(th)^beta, or with ``running``
+    the mean of its running integral from zero, as (pi power, numerator,
+    denominator) terms like those of :func:`_kept_weights`.
+
+    The running mean is pi times the Haar mean (:func:`_wallis`) plus
+    sum_k b_k/k over the sine coefficients b_k, and a sine term needs an odd
+    beta.  Then, with beta = 2m + 1, the running integral is
+    P(1) - P(cos(th)) for P(t) = sum_l (-1)^l C(m, l) t^(alpha+2l+1) /
+    (alpha+2l+1), whose mean needs only the Haar means of powers of cos(th).
+    """
+    haar = _wallis(alpha, beta)
+    if haar:
+        return ((int(running), haar.numerator, haar.denominator),)
+    if not running or not beta & 1:
+        return ()
+    m = beta // 2
+    w = Fraction(0)
+    for l in range(m + 1):
+        n = alpha + 2 * l + 1
+        w += Fraction((-1) ** l * math.comb(m, l), n) * (1 - _wallis(n, 0))
+    return ((0, w.numerator, w.denominator),) if w else ()
+
+
+def _wallis(alpha: int, beta: int) -> Fraction:
+    """The Haar mean of cos(th)^alpha * sin(th)^beta by Wallis' formula: 0
+    unless alpha and beta are both even, else (alpha-1)!! (beta-1)!! /
+    (alpha+beta)!!."""
+    if alpha & 1 or beta & 1:
+        return Fraction(0)
+    odd = math.prod(range(alpha - 1, 0, -2)) * math.prod(range(beta - 1, 0, -2))
+    return Fraction(odd, math.prod(range(alpha + beta, 0, -2)))
+
+
 class Substitution(Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
@@ -942,7 +1016,12 @@ class Substitution(Mapping):
         return self.chart.dim
 
     def power(self, name: str, exponent: int) -> Scalar:
-        """The image of ``name`` to a positive power, from the kept ladder."""
+        """The image of ``name`` to a nonnegative power, from the kept
+        ladder; the zeroth power is 1."""
+        if exponent <= 0:
+            if exponent:
+                raise ValueError(f"negative power {exponent} of the image of {name!r}")
+            return Scalar.one(self.chart)
         ladder = self._ladders.get(name)
         if ladder is None:
             ladder = self._ladders[name] = [self.moved[name]]

@@ -6,7 +6,9 @@ the mean of the running integral, of each flow image of a monomial times
 basis factors is kept in a table of the factor.  The reference below is
 the route the tables replaced: pull the whole tensor back, then take the
 functional of every coefficient, the running one by its definition, the
-Haar mean of the integral from zero.
+Haar mean of the integral from zero.  Unit rotations read their entries off
+Wallis' formula and every other flow off products of image powers, so both
+routes meet the reference.
 """
 
 import gc
@@ -16,22 +18,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliavg.action import _has_bare_angle, haar_average, record_averages
+from foliavg.action import FlowFactor, _has_bare_angle, haar_average, record_averages
 from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
 from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
-from foliavg.symcalc import Scalar, parse, render
+from foliavg.symcalc import Scalar, mean_of_product, parse, render
 
 HERE = Path(__file__).parent
+HB4D = load_scenario("hb4d").action.chart
+
+
+def flow(images):
+    """A flow factor in th on hb4d's chart, its images given as text."""
+    return FlowFactor(HB4D, "th", {name: parse(HB4D, text) for name, text in images.items()})
+
 
 # the bundled rotation; two rotations of rot(3,2,1); the rotation of
 # rot(3,1,12); and hb4d moved by p -> p + x1*q^2, whose flow depends on the
-# base and has second harmonics
+# base and has second harmonics.  Unit rotations, in either orientation,
+# read their entries off Wallis' formula, so the table also meets a rotation
+# by 2*th and an elliptic flow, which take the general route.
 FACTORS = {
     "rotation": load_scenario("hb4d").action.factors[0],
     "rot_3_2_1_th1": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[0],
     "rot_3_2_1_th2": load_scenario(str(HERE / "data" / "rot_3_2_1.json")).action.factors[1],
     "rot_3_1_12": load_scenario(str(HERE / "data" / "rot_3_1_12.json")).action.factors[0],
     "sheared": load_scenario(str(HERE / "data" / "hb4d_sheared.json")).action.factors[0],
+    "clockwise": flow({"q": "q*cos(th) + p*sin(th)", "p": "-q*sin(th) + p*cos(th)"}),
+    "double": flow({"q": "q*cos(2*th) - p*sin(2*th)", "p": "q*sin(2*th) + p*cos(2*th)"}),
+    "elliptic": flow({"q": "q*cos(th) - 2*p*sin(th)", "p": "1/2*q*sin(th) + p*cos(th)"}),
+}
+# the pair (u, v) each factor is recognised as rotating, u -> u*cos - v*sin
+ROTATIONS = {
+    "rotation": ("q", "p"),
+    "rot_3_2_1_th1": ("q1", "p1"),
+    "rot_3_2_1_th2": ("q2", "p2"),
+    "rot_3_1_12": ("q1", "p1"),
+    "sheared": None,
+    "clockwise": ("p", "q"),
+    "double": None,
+    "elliptic": None,
 }
 FUNCTIONALS = {
     "haar": haar_average,
@@ -115,6 +140,55 @@ def test_table_route_equals_full_pullback(name, kind, functional, data):
     factor = FACTORS[name]
     target = data.draw(KINDS[kind](factor.chart))
     assert table(factor, functional)(target) == reference(factor, target, functional)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_unit_rotations_are_recognised_at_load(name):
+    factor = FACTORS[name]
+    assert factor._haar_means.rotation == ROTATIONS[name]
+    assert factor._running_means.rotation == ROTATIONS[name]
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_closed_form_entries_equal_the_ladder_route(functional):
+    """Every entry q^a * p^b (a <= 41, b <= 2) of the bundled rotation, alone
+    and times path factors, equals mean_of_product of the ladder powers; the
+    closed form builds none of them."""
+    factor = load_scenario("hb4d").action.factors[0]
+    chart, angle, running = factor.chart, factor.angle, functional == "running"
+    cos, sin = Scalar.cos(chart, angle), Scalar.sin(chart, angle)
+    paths = {"none": (), "cos": (cos,), "-sin": (-sin,), "-sin*cos*sin": (-sin, cos, sin)}
+    means = table(factor, functional)
+    hits = [
+        tuple(sorted((name, e) for name, e in (("q", a), ("p", b)) if e))
+        for a in range(42) for b in range(3)
+    ]
+    entries = {(hit, path): means._entry(hit, path, paths[path]) for hit in hits for path in paths}
+    mapping = factor.flow().mapping
+    assert all(len(ladder) <= 1 for ladder in mapping._ladders.values())
+    rests = {path: Scalar.one(chart) for path in paths}
+    for path, factors in paths.items():
+        for f in factors:
+            rests[path] = rests[path] * f
+    for hit in hits:
+        image = Scalar.one(chart)
+        for name, e in hit:
+            image = image * mapping.power(name, e)
+        for path, rest in rests.items():
+            assert entries[hit, path] == mean_of_product(image, rest, angle, running), (hit, path)
+
+
+def test_averaging_a_deep_rotation_builds_no_ladder_power():
+    """The closed form cannot silently go dead: averaging rot(3,1,12), frame
+    degree 12, would otherwise grow the ladder of q1's image to q1^12.  The
+    ladders keep what loading put there, the images themselves, which the
+    group law check reads."""
+    s = load_scenario(str(HERE / "data" / "rot_3_1_12.json"))
+    ladders = s.action.factors[0].flow().mapping._ladders
+    loaded = {name: len(ladder) for name, ladder in ladders.items()}
+    averaged_scenario(s)
+    assert {name: len(ladder) for name, ladder in ladders.items()} == loaded
+    assert all(n <= 1 for n in loaded.values())
 
 
 @pytest.mark.parametrize("functional", sorted(FUNCTIONALS))

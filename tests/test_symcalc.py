@@ -528,6 +528,17 @@ def test_substitution_is_a_mapping_of_every_coordinate():
         Substitution(CHART, {"q": "p"})
 
 
+def test_substitution_powers_of_an_image():
+    sub = Substitution(CHART, {"q": sc("q*cos(th) - p*sin(th)")})
+    image = sub["q"]
+    assert sub.power("q", 0) == Scalar.one(CHART)
+    assert sub.power("q", 1) == image
+    assert sub.power("q", 3) == image**3
+    assert sub.power("q", 0) == Scalar.one(CHART)
+    with pytest.raises(ValueError):
+        sub.power("q", -1)
+
+
 def test_zero_on_another_chart_still_mismatches():
     other = Chart(("y",), ("u",), ("s",))
     zero = Scalar.zero(other)
