@@ -45,7 +45,7 @@ from .errors import (
     NotHorizontal,
     UnsupportedDegree,
 )
-from .foliation import Connection, bigrade, is_horizontal_form
+from .foliation import Connection, bigrade_component, is_horizontal_form
 from .geom import (
     ChartMap,
     DiffForm,
@@ -574,7 +574,7 @@ def potential_along(
     chart = action.chart
     total = DiffForm.zero(chart, 1)
     for factor, mu, current in zip(action.factors, moments, walk):
-        horizontal = bigrade(current, mu).component(1, 0)
+        horizontal = bigrade_component(current, mu, 1, 0)
         items = []
         for base, lift in current.frame.items():
             value = -factor._running_means(horizontal.evaluate(lift))

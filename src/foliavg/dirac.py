@@ -9,7 +9,20 @@ On a Lagrangian family the Courant bracket is the Dorfman bracket (Courant,
 "Dirac manifolds", Trans. AMS 319, 1990): each generator's form is
 differentiated once, not once per pair.
 :class:`DiracData` indexes the generators' entries by coordinate, so a
-section is paired with all of them by multiplying only the entries that meet.
+section is paired with all of them by multiplying only the entries that meet,
+and it keeps the pairing of each generator with the family once computed.
+
+Involutivity scans only the pairings that skewness leaves open.  On a
+Lagrangian family T(a, b, c) = <[a, b], c> is totally skew (Courant 1990):
+[a, b] + [b, a] = d<a, b> = 0, and <[a, b], c> + <b, [a, c]> = X_a<b, c> = 0.
+So T vanishes when two entries repeat, and on three distinct generators it
+is fixed, up to sign, by its value on i < j < k.  The scan therefore pairs
+the bracket of generators (i, j) only with the generators k > j, and builds
+no bracket whose j is the last index.  Its witness is the one the full scan
+over every k gives: if the first pair (i, j) to escape in lexicographic
+order paired nonzero with some k <= j, then k is neither i nor j, and
+T(i, j, k) = T(k, i, j) for k < i, or -T(i, k, j) for i < k < j, so the
+earlier pair (k, i), or (i, k), would have escaped first.
 """
 
 from __future__ import annotations
@@ -108,9 +121,11 @@ def _lagrangian_bracket(s: Section, t: Section, ds: DiffForm, dt: DiffForm) -> S
 class DiracData:
     """Generator presentation of the coupling distribution.  ``_fields`` and
     ``_forms`` map each coordinate index i to the pairs (k, entry) of the
-    generators k whose field, or form, stores an entry at i."""
+    generators k whose field, or form, stores an entry at i.  ``_rows``
+    keeps, per generator, its pairings with every generator, each row
+    filled on first use."""
 
-    __slots__ = ("conn", "sigma", "P", "generators", "_fields", "_forms")
+    __slots__ = ("conn", "sigma", "P", "generators", "_fields", "_forms", "_rows")
 
     def __init__(
         self,
@@ -132,6 +147,7 @@ class DiracData:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_fields", fields)
         object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "_rows", [None] * len(generators))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiracData is immutable")
@@ -163,18 +179,37 @@ def build_coupling_dirac(
     return DiracData(conn, sigma, P, generators)
 
 
-def _pairings(D: DiracData, s: Section) -> list[Scalar]:
-    """The pairing of s with each generator, multiplying only the entries
-    that share a coordinate index."""
+def _pairings(D: DiracData, s: Section, first: int = 0) -> list[Scalar]:
+    """The pairing of s with each generator k >= first, multiplying only
+    the entries that share a coordinate index; entry k - first is the
+    pairing with generator k."""
     if s.chart != D.chart:
         raise ChartMismatch("sections live on different charts")
-    parts: list[list[Scalar]] = [[] for _ in D.generators]
+    parts: list[list[Scalar]] = [[] for _ in D.generators[first:]]
     for own, index in ((s.X, D._forms), (s.alpha, D._fields)):
         for (i,), value in own.comps.items():
             for k, entry in index.get(i, ()):
-                parts[k].append(entry * value)
+                if k >= first:
+                    parts[k - first].append(entry * value)
     zero = Scalar.zero(D.chart)
     return [reduce(add, terms) if terms else zero for terms in parts]
+
+
+def _row(D: DiracData, i: int) -> list[Scalar]:
+    """The pairings of generator i with every generator, computed once."""
+    row = D._rows[i]
+    if row is None:
+        row = D._rows[i] = _pairings(D, D.generators[i])
+    return row
+
+
+def _escape(values: Sequence[Scalar], first: int = 0) -> str | None:
+    """The witness of the first nonzero pairing, ``values`` starting at
+    generator ``first``."""
+    for k, value in enumerate(values, first):
+        if not value.is_zero:
+            return f"pairing with generator {k} is {value}"
+    return None
 
 
 def verify_lagrangian(D: DiracData) -> str | None:
@@ -183,22 +218,21 @@ def verify_lagrangian(D: DiracData) -> str | None:
         return (
             f"{len(D.generators)} generators for a {D.chart.dim}-dimensional chart"
         )
-    rows = [_pairings(D, gen) for gen in D.generators]
-    for i, j in combinations(range(len(rows)), 2):
-        if not rows[i][j].is_zero:
-            return f"generators {i} and {j} pair to {rows[i][j]}"
-    for i, row in enumerate(rows):
-        if not row[i].is_zero:
-            return f"generator {i} pairs with itself to {row[i]}"
+    count = len(D.generators)
+    for i, j in combinations(range(count), 2):
+        value = _row(D, i)[j]
+        if not value.is_zero:
+            return f"generators {i} and {j} pair to {value}"
+    for i in range(count):
+        value = _row(D, i)[i]
+        if not value.is_zero:
+            return f"generator {i} pairs with itself to {value}"
     return None
 
 
 def is_member(D: DiracData, s: Section) -> str | None:
     """Membership via vanishing pairing with every generator."""
-    for i, value in enumerate(_pairings(D, s)):
-        if not value.is_zero:
-            return f"pairing with generator {i} is {value}"
-    return None
+    return _escape(_pairings(D, s))
 
 
 def verify_involutive(D: DiracData) -> str | None:
@@ -206,15 +240,21 @@ def verify_involutive(D: DiracData) -> str | None:
 
     A family that is not Lagrangian gets the Lagrangian witness.  On one
     that is, each bracket is the Dorfman bracket (Courant 1990), built from
-    each generator's form differentiated once."""
+    each generator's form differentiated once.  By the total skewness of
+    <[a, b], c> on a Lagrangian family, the bracket of generators (i, j),
+    i < j, is paired only with the generators k > j, and no bracket with j
+    the last index is built; the first witness is still the full scan's, as
+    the module docstring shows: the first pair (i, j) to escape in
+    lexicographic order, and its first generator k with a nonzero pairing.
+    """
     flat = verify_lagrangian(D)
     if flat is not None:
         return flat
     gens = D.generators
     d_forms = [exterior_derivative(gen.alpha) for gen in gens]
-    for i, j in combinations(range(len(gens)), 2):
+    for i, j in combinations(range(len(gens) - 1), 2):
         bracket = _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j])
-        witness = is_member(D, bracket)
+        witness = _escape(_pairings(D, bracket, j + 1), j + 1)
         if witness is not None:
             return f"bracket of generators {i} and {j} escapes: {witness}"
     return None
@@ -250,7 +290,8 @@ def gauge_transform(D: DiracData, B: DiffForm) -> DiracData:
 def verify_g_invariance(
     action: TorusAction, D: DiracData, bivector_kept: bool | None = None
 ) -> str | None:
-    """Pull every generator back by each symbolic flow and test membership.
+    """Pull every generator back by each symbolic flow and test membership;
+    a generator that a flow leaves as it is reads its row of pairings.
 
     When the connection and the bivector are themselves invariant, the
     verdict is cross-checked against the vanishing of the pairing form's
@@ -263,8 +304,12 @@ def verify_g_invariance(
     for factor in action.factors:
         flow = factor.flow()
         for i, gen in enumerate(D.generators):
-            moved = Section(pullback(flow, gen.X), pullback(flow, gen.alpha))
-            failed = is_member(D, moved)
+            X, alpha = pullback(flow, gen.X), pullback(flow, gen.alpha)
+            if X is gen.X and alpha is gen.alpha:
+                # the flow leaves the generator as it is: read its row
+                failed = _escape(_row(D, i))
+            else:
+                failed = is_member(D, Section(X, alpha))
             if failed is not None:
                 witness = (
                     f"{factor.angle} flow moves generator {i} out: {failed}"

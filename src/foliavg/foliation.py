@@ -267,15 +267,12 @@ class BigradedForm:
         ) + ")"
 
 
-def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
-    """Split a form by base and fiber degree in the adapted coframe.
-
-    The adapted coframe is (dx_b, eta_v) with eta_v = dv - sum_b A_b^v dx_b.
-    Substituting dv = eta_v + sum_b A_b^v dx_b writes the form in that
-    coframe; the fiber degree of a component is its number of eta indices.
-    Each group is mapped back to coordinate differentials by the inverse
-    substitution.
-    """
+def _adapted_groups(
+    conn: Connection, form: DiffForm
+) -> tuple[dict[tuple[int, int], list[tuple[Index, Scalar]]], dict[int, list[tuple[int, Scalar]]]]:
+    """The components of a form in the adapted coframe, grouped by
+    bidegree, and the basis images that map a group back to coordinate
+    differentials."""
     chart = conn.chart
     k = form.degree
     forward: dict[int, list[tuple[int, Scalar | None]]] = {}
@@ -290,30 +287,49 @@ def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
     for idx, value in sheared.comps.items():
         q = sum(1 for i in idx if i >= first_vertical)
         groups.setdefault((k - q, q), []).append((idx, value))
+    return groups, backward
+
+
+def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
+    """Split a form by base and fiber degree in the adapted coframe.
+
+    The adapted coframe is (dx_b, eta_v) with eta_v = dv - sum_b A_b^v dx_b.
+    Substituting dv = eta_v + sum_b A_b^v dx_b writes the form in that
+    coframe; the fiber degree of a component is its number of eta indices.
+    Each group is mapped back to coordinate differentials by the inverse
+    substitution.
+    """
+    chart, k = conn.chart, form.degree
+    groups, backward = _adapted_groups(conn, form)
     return BigradedForm(
         chart, k,
         {pq: DiffForm._rebase(chart, k, items, backward) for pq, items in groups.items()},
     )
 
 
+def bigrade_component(conn: Connection, form: DiffForm, p: int, q: int) -> DiffForm:
+    """``bigrade(conn, form).component(p, q)``, mapping back to coordinate
+    differentials only the group of bidegree (p, q)."""
+    groups, backward = _adapted_groups(conn, form)
+    return DiffForm._rebase(conn.chart, form.degree, groups.get((p, q), ()), backward)
+
+
 def graded_derivative(conn: Connection, form: DiffForm, shift: tuple[int, int]) -> DiffForm:
     """The (shift)-component of d applied piecewise in the bigrading.
 
     Valid shifts are (1, 0), (0, 1) and (2, -1); every other component of
-    the exterior derivative vanishes identically on an adapted chart.
+    the exterior derivative vanishes identically on an adapted chart.  Of
+    the derivative of each piece only the target component is mapped back.
     """
     if shift not in ((1, 0), (0, 1), (2, -1)):
         raise UnsupportedDegree(f"no derivative component with shift {shift}")
     chart = conn.chart
     if form.degree == chart.dim:
         return DiffForm.zero(chart, chart.dim)
-    pieces = bigrade(conn, form)
     result = DiffForm.zero(chart, form.degree + 1)
-    for (p, q), piece in pieces.comps.items():
+    for (p, q), piece in bigrade(conn, form).comps.items():
         target = (p + shift[0], q + shift[1])
         if target[0] < 0 or target[1] < 0:
             continue
-        graded = bigrade(conn, exterior_derivative(piece))
-        result = result + graded.component(*target)
+        result = result + bigrade_component(conn, exterior_derivative(piece), *target)
     return result
-

@@ -170,9 +170,18 @@ class _Graded:
     @classmethod
     def _make(cls, chart: Chart, degree: int, items: Iterable[tuple[Index, object]]):
         """The tensor of the summed items; each index must be sorted and of
-        length ``degree``, as nothing checks it here."""
+        length ``degree``, as nothing checks it here.  The items are summed
+        into the component dictionary itself, and the zero sums deleted
+        from it; no second dictionary is built."""
+        comps: dict[Index, object] = {}
+        for idx, value in items:
+            comps[idx] = comps[idx] + value if idx in comps else value
+        for idx in [idx for idx, value in comps.items() if value.is_zero]:
+            del comps[idx]
         out = object.__new__(cls)
-        out._fill(chart, degree, _summed(items))
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "comps", comps)
         return out
 
     @classmethod

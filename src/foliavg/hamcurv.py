@@ -31,12 +31,12 @@ from .errors import (
 )
 from .foliation import (
     Connection,
-    bigrade,
+    bigrade_component,
     curvature,
     graded_derivative,
     is_horizontal_form,
 )
-from .geom import DiffForm, exterior_derivative
+from .geom import DiffForm, VecValuedForm, exterior_derivative
 from .poisson import PoissonBivector, braided_wedge
 from .symcalc import Scalar
 
@@ -95,14 +95,16 @@ def verify_admissible(conn: Connection, sigma: DiffForm) -> str | None:
 # averaging the pairing form
 
 
+def half_self_bracket(P: PoissonBivector, potential: DiffForm) -> DiffForm:
+    """Half the braided self-wedge of the potential, (1/2){Q, Q}."""
+    return braided_wedge(P, potential, potential) * _HALF
+
+
 def averaging_correction(
     conn: Connection, P: PoissonBivector, potential: DiffForm
 ) -> DiffForm:
     """Derivative plus half self-bracket of the potential."""
-    return (
-        graded_derivative(conn, potential, (1, 0))
-        + braided_wedge(P, potential, potential) * _HALF
-    )
+    return graded_derivative(conn, potential, (1, 0)) + half_self_bracket(P, potential)
 
 
 def averaged_hamiltonian_form(
@@ -123,19 +125,21 @@ def averaged_curvature_check(
     plus the Hamiltonian field of the averaging correction."""
     walk = list(averaging_walk(action, conn))
     potential = potential_along(action, walk, moments)
-    return curvature_transition_witness(conn, P, walk[-1], potential)
+    return curvature_transition_witness(
+        conn, P, walk[-1], averaging_correction(conn, P, potential)
+    )
 
 
 def curvature_transition_witness(
     conn: Connection,
     P: PoissonBivector,
     averaged: Connection,
-    potential: DiffForm,
+    correction: DiffForm,
 ) -> str | None:
     """The check of :func:`averaged_curvature_check`, given the averaged
-    connection ``averaged`` of ``conn`` and the Hamiltonian potential
-    ``potential`` of the averaging difference."""
-    correction = averaging_correction(conn, P, potential)
+    connection ``averaged`` of ``conn`` and the averaging correction
+    ``correction`` of the Hamiltonian potential of the averaging difference,
+    as :func:`averaging_correction` builds it."""
     curv = curvature(conn)
     curv_avg = curvature(averaged)
     frame = conn.frame
@@ -158,15 +162,39 @@ def averaging_identities(
     wedges; all residuals must be zero forms.
     """
     _require_pairing_form(conn, sigma)
-    shifted = conn.shifted(difference_from_potential(P, potential))
+    return identity_residuals(
+        conn,
+        P,
+        sigma,
+        potential,
+        graded_derivative(conn, potential, (1, 0)),
+        half_self_bracket(P, potential),
+        difference_from_potential(P, potential),
+    )
+
+
+def identity_residuals(
+    conn: Connection,
+    P: PoissonBivector,
+    sigma: DiffForm,
+    potential: DiffForm,
+    d_potential: DiffForm,
+    half_bracket: DiffForm,
+    difference: VecValuedForm,
+) -> dict[str, DiffForm]:
+    """The residuals of :func:`averaging_identities`, given the pieces of the
+    potential Q that the averaging correction is made of: its base-degree
+    derivative ``d_potential``, its half self-bracket ``half_bracket`` and
+    ``difference``, the valued one-form of
+    :func:`~foliavg.action.difference_from_potential`."""
+    shifted = conn.shifted(difference)
     d_sigma = graded_derivative(conn, sigma, (1, 0))
-    d_potential = graded_derivative(conn, potential, (1, 0))
     balance = braided_wedge(P, potential, sigma)
     return {
         "shifted_derivative": graded_derivative(shifted, sigma, (1, 0)) - d_sigma - balance,
         "second_derivative": graded_derivative(conn, d_potential, (1, 0)) - balance,
         "bracket_derivative": (
-            graded_derivative(conn, braided_wedge(P, potential, potential) * _HALF, (1, 0))
+            graded_derivative(conn, half_bracket, (1, 0))
             + braided_wedge(P, potential, d_potential)
         ),
     }
@@ -178,7 +206,7 @@ def averaging_identities(
 
 def horizontal_momentum(conn: Connection, mu: DiffForm) -> DiffForm:
     """Base-degree part of a momentum one-form."""
-    return bigrade(conn, mu).component(1, 0)
+    return bigrade_component(conn, mu, 1, 0)
 
 
 def adiabatic_defect(action: TorusAction, conn: Connection, mu: DiffForm) -> DiffForm:

@@ -32,7 +32,7 @@ from .errors import (
     UnknownFormat,
     UnknownSymbol,
 )
-from .foliation import Connection, is_horizontal_form, verify_connection
+from .foliation import Connection, graded_derivative, is_horizontal_form, verify_connection
 from .geom import DiffForm, VecValuedForm, VectorField
 from .poisson import PoissonBivector, verify_jacobi, verify_poisson_connection
 from .symcalc import Chart, Scalar, parse, render
@@ -306,11 +306,18 @@ class _Pipeline:
     - ``action_verdicts``: the verdicts of ``verify_action``, which the
       ``action`` stage reports and whose ``canonical`` verdict the ``dirac``
       stage hands to ``verify_g_invariance``;
-    - ``sigma_bar``: the averaged pairing form, from the potential;
+    - the pieces of the potential Q, which the ``averaging`` and
+      ``averaged_form`` stages and ``sigma_bar`` all read:
+      ``d_potential``, its base-degree derivative D^{1,0}Q;
+      ``half_bracket``, its half self-bracket (1/2){Q, Q};
+      ``correction``, their sum, the averaging correction; and
+      ``difference``, the valued one-form ``difference_from_potential``;
+    - ``sigma_bar``: the averaged pairing form, the pairing form minus the
+      correction;
     - ``admissible``: the admissibility witness of the pairing form;
     - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
     - ``fixed_momenta``: the momenta repaired by the primitives when that
-      witness fails;
+      witness fails; without primitives the witness is never asked for;
     - ``coupling``: the coupling Dirac structure of the averaged data.
 
     Each is built on first use, so a run charges it to the first stage that
@@ -345,10 +352,26 @@ class _Pipeline:
         return action_mod.verify_action(self.s.action, self.s.P)
 
     @cached_property
+    def d_potential(self) -> DiffForm:
+        return graded_derivative(self.s.conn, self.potential, (1, 0))
+
+    @cached_property
+    def half_bracket(self) -> DiffForm:
+        return hamcurv.half_self_bracket(self.s.P, self.potential)
+
+    @cached_property
+    def correction(self) -> DiffForm:
+        return self.d_potential + self.half_bracket
+
+    @cached_property
+    def difference(self) -> VecValuedForm:
+        return action_mod.difference_from_potential(self.s.P, self.potential)
+
+    @cached_property
     def sigma_bar(self) -> DiffForm:
-        return hamcurv.averaged_hamiltonian_form(
-            self.s.conn, self.s.P, self.sigma, self.potential
-        )
+        # hamcurv.averaged_hamiltonian_form, on the shared correction; the
+        # pairing form was checked horizontal when the scenario was loaded
+        return self.sigma - self.correction
 
     @cached_property
     def admissible(self) -> str | None:
@@ -363,7 +386,7 @@ class _Pipeline:
         s = self.s
         if s.momenta is None:
             raise SchemaError("scenario has no momentum one-forms")
-        if self.adiabatic is not None and s.primitives is not None:
+        if s.primitives is not None and self.adiabatic is not None:
             return tuple(
                 hamcurv.adiabatic_fix(s.action, s.conn, s.P, s.momenta, s.primitives)
             )
@@ -416,15 +439,14 @@ def _stage_averaging(p: _Pipeline) -> list[Check]:
         None if via_flows == direct else "flow-integral route disagrees with direct averaging",
     )]
     if s.momenta is not None:
-        from_potential = action_mod.difference_from_potential(s.P, p.potential)
         checks.append((
             "difference_is_hamiltonian",
-            None if direct == from_potential
+            None if direct == p.difference
             else "difference is not the sharp of the potential differential",
         ))
         checks.append((
             "averaged_curvature_transition",
-            hamcurv.curvature_transition_witness(s.conn, s.P, p.averaged, p.potential),
+            hamcurv.curvature_transition_witness(s.conn, s.P, p.averaged, p.correction),
         ))
     return checks
 
@@ -451,7 +473,9 @@ def _stage_averaged_form(p: _Pipeline) -> list[Check]:
             "admissibility_preserved",
             hamcurv.verify_admissible(p.averaged, p.sigma_bar),
         ))
-    residuals = hamcurv.averaging_identities(s.conn, s.P, p.sigma, p.potential)
+    residuals = hamcurv.identity_residuals(
+        s.conn, s.P, p.sigma, p.potential, p.d_potential, p.half_bracket, p.difference
+    )
     for name, form in residuals.items():
         checks.append((
             name,

@@ -108,10 +108,11 @@ class Chart:
     Horizontal coordinates label the leaves of the foliation, vertical
     coordinates span the leaves, and angles parametrise the acting torus.
     Angles are parameters, not manifold coordinates: forms and fields have
-    no components along them.
+    no components along them.  The coordinate tuple, the dimension and the
+    position of each coordinate are computed once, at construction.
     """
 
-    __slots__ = ("horizontal", "vertical", "angles")
+    __slots__ = ("horizontal", "vertical", "angles", "coords", "dim", "_index")
 
     def __init__(
         self,
@@ -130,23 +131,19 @@ class Chart:
                 raise UnknownSymbol(f"{name!r} is reserved for {_RESERVED[name]}")
         if len(set(names)) != len(names):
             raise UnknownSymbol(f"chart symbols are not distinct: {names}")
+        coords = horizontal + vertical
         object.__setattr__(self, "horizontal", horizontal)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "dim", len(coords))
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(coords)})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Chart is immutable")
 
-    @property
-    def coords(self) -> tuple[str, ...]:
-        return self.horizontal + self.vertical
-
-    @property
-    def dim(self) -> int:
-        return len(self.horizontal) + len(self.vertical)
-
     def is_coord(self, name: str) -> bool:
-        return name in self.horizontal or name in self.vertical
+        return name in self._index
 
     def is_angle(self, name: str) -> bool:
         return name in self.angles
@@ -163,8 +160,10 @@ class Chart:
             raise UnknownSymbol(f"{name!r} is not an angle of {self}")
 
     def coord_index(self, name: str) -> int:
-        self.require_coord(name)
-        return self.coords.index(name)
+        index = self._index.get(name)
+        if index is None:
+            raise UnknownSymbol(f"{name!r} is not a coordinate of {self}")
+        return index
 
     def __eq__(self, other: object) -> bool:
         return (

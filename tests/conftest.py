@@ -119,19 +119,29 @@ def forms(draw, degree, chart=CHART, **kwargs):
 
 
 def perturbed_pairing_form(doc, seed):
-    """A copy of a generated rot(m, n, d) document whose x1^x2 pairing-form
-    entry gains a seeded base term c * x_k, k >= 3.
+    """A copy of a generated rot(m, n, d) document in which one pairing-form
+    entry x_a^x_{a+1} gains a seeded base term c * x_k, k not a or a + 1.
 
-    A function of the base coordinates is a Casimir, so the curvature stays
-    the Hamiltonian field of the pairing form; but d of the pairing form
-    gains c dx_k ^ dx1 ^ dx2, which breaks admissibility and with it the
-    involutivity of the coupling Dirac structure.
+    The seed draws c, then the pair (a, k) among all such pairs, those of
+    x1^x2 first.  A function of the base coordinates is a Casimir, so the
+    curvature stays the Hamiltonian field of the pairing form; but d of the
+    pairing form gains c dx_k ^ dx_a ^ dx_{a+1}, which breaks admissibility
+    and with it the involutivity of the coupling Dirac structure.  Which
+    generator pair escapes first depends on the entry and on k.
     """
     rng = random.Random(seed)
     coef = Fraction(rng.choice([n for n in range(-5, 6) if n]), rng.randint(1, 5))
-    term = f"({coef})*{rng.choice(doc['chart']['horizontal'][2:])}"
+    base = doc["chart"]["horizontal"]
+    a, k = rng.choice([
+        (a, k)
+        for a in range(len(base) - 1)
+        for k in range(len(base))
+        if k not in (a, a + 1)
+    ])
+    entry = f"{base[a]}^{base[a + 1]}"
+    term = f"({coef})*{base[k]}"
     out = copy.deepcopy(doc)
     out["name"] = f"{doc['name']}_perturbed"
-    out["description"] = f"{doc['description']}, plus {term} on x1^x2"
-    out["pairing_form"]["x1^x2"] += f" + {term}"
+    out["description"] = f"{doc['description']}, plus {term} on {entry}"
+    out["pairing_form"][entry] += f" + {term}"
     return out

@@ -34,6 +34,7 @@ from foliavg.geom import (
     exterior_derivative,
     interior_product,
     lie_derivative,
+    pullback,
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
@@ -351,6 +352,97 @@ def test_a_family_that_is_not_lagrangian_gets_the_lagrangian_witness(
     witness = verify_lagrangian(bad)
     assert witness is not None
     assert verify_involutive(bad) == witness
+
+
+# ----------------------------------------------------------------------
+# the skew-pruned involutivity scan
+
+
+def involutive_reference(D):
+    """The full scan that ``verify_involutive`` prunes: the bracket of every
+    generator pair, paired with every generator."""
+    flat = verify_lagrangian(D)
+    if flat is not None:
+        return flat
+    gens = D.generators
+    d_forms = [exterior_derivative(gen.alpha) for gen in gens]
+    for i, j in combinations(range(len(gens)), 2):
+        witness = is_member(D, _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j]))
+        if witness is not None:
+            return f"bracket of generators {i} and {j} escapes: {witness}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(COUPLINGS))
+def test_the_pruned_scan_gives_the_full_scan_witness(name):
+    D = COUPLINGS[name]
+    assert verify_involutive(D) == involutive_reference(D)
+    # reversed, the frame lifts come last, so on ext3 and the perturbed
+    # chart the escaping pair (i, j) has j next to last and k last
+    flipped = DiracData(D.conn, D.sigma, D.P, D.generators[::-1])
+    assert verify_involutive(flipped) == involutive_reference(flipped)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_LAGRANGIAN))
+def test_the_pruned_scan_gives_the_full_scan_witness_off_a_lagrangian_family(
+    case, trivial_dirac, bivector
+):
+    gens = NOT_LAGRANGIAN[case](list(trivial_dirac.generators))
+    bad = DiracData(trivial_dirac.conn, trivial_dirac.sigma, bivector, gens)
+    assert verify_involutive(bad) == involutive_reference(bad)
+
+
+def _perturbed_coupling(source, seed):
+    doc = perturbed_pairing_form(json.loads((DATA / f"{source}.json").read_text()), seed)
+    s = scenario_from_dict(doc)
+    return build_coupling_dirac(s.conn, s.sigma, s.P)
+
+
+@given(
+    source=st.sampled_from(["rot_3_1_12", "rot_3_2_2", "rot_4_4_0"]),
+    seed=st.integers(0, 2**16),
+)
+def test_the_pruned_scan_gives_the_full_scan_witness_on_perturbed_pairing_forms(source, seed):
+    D = _perturbed_coupling(source, seed)
+    witness = verify_involutive(D)
+    assert witness is not None
+    assert witness == involutive_reference(D)
+
+
+def test_perturbed_pairing_forms_escape_at_several_pairs():
+    # the first escaping pair moves with the perturbed entry, so the
+    # comparison above is not confined to the pair (0, 1)
+    pairs = {
+        verify_involutive(_perturbed_coupling("rot_4_4_0", seed)).split(" escapes")[0]
+        for seed in range(8)
+    }
+    assert len(pairs) > 1
+
+
+# families in which generator i fails membership and the rotation returns it
+# as it is; generator 0 is the lift of x1, generator 1 the lift of x2
+UNTOUCHED_FAILING = {
+    0: lambda gens: [Section(vf("x1"), d("x1"))] + gens[1:],
+    1: lambda gens: gens[:1] + [Section(vf("x2"), d("x2"))] + gens[2:],
+}
+
+
+@pytest.mark.parametrize("i", sorted(UNTOUCHED_FAILING))
+def test_an_untouched_generator_reads_its_row_of_pairings(i, trivial_dirac, bivector, rotation):
+    gens = UNTOUCHED_FAILING[i](list(trivial_dirac.generators))
+    bad = DiracData(trivial_dirac.conn, trivial_dirac.sigma, bivector, gens)
+    flow = rotation.factors[0].flow()
+    for gen in gens[: i + 1]:
+        assert pullback(flow, gen.X) is gen.X
+        assert pullback(flow, gen.alpha) is gen.alpha
+    assert all(is_member(bad, gen) is None for gen in gens[:i])
+    expected = is_member(bad, gens[i])
+    assert expected is not None
+    # bivector_kept=False: the family is not Lagrangian, so the invariance
+    # cross-check does not apply
+    witness = verify_g_invariance(rotation, bad, bivector_kept=False)
+    assert witness == f"th flow moves generator {i} out: {expected}"
+    assert bad._rows[i] is not None
 
 
 def test_membership_witness(trivial_dirac):

@@ -17,6 +17,7 @@ from foliavg.foliation import (
     BigradedForm,
     Connection,
     bigrade,
+    bigrade_component,
     curvature,
     graded_derivative,
     is_horizontal_form,
@@ -386,11 +387,19 @@ def test_a_value_off_the_fibers_is_rejected(gamma, source, target, value):
     assert str(info.value) == "projection takes values outside the vertical bundle"
 
 
+def assert_bigrade_matches_the_determinant_definition(conn, form):
+    pieces = bigrade(conn, form)
+    reference = bigrade_by_determinants(conn, form)
+    assert pieces.comps == reference.comps
+    assert pieces.total() == form
+    for p in range(form.degree + 1):
+        q = form.degree - p
+        assert bigrade_component(conn, form, p, q) == reference.component(p, q)
+
+
 @given(connections(FIBER3), fiber3_forms())
 def test_bigrade_matches_the_determinant_definition(conn, form):
-    pieces = bigrade(conn, form)
-    assert pieces.comps == bigrade_by_determinants(conn, form).comps
-    assert pieces.total() == form
+    assert_bigrade_matches_the_determinant_definition(conn, form)
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -399,9 +408,7 @@ def test_bigrade_matches_the_determinant_definition_on_bundled_data(name):
     forms = [s.sigma] + list(s.momenta)
     forms += [exterior_derivative(form) for form in forms]
     for form in forms:
-        pieces = bigrade(s.conn, form)
-        assert pieces.comps == bigrade_by_determinants(s.conn, form).comps
-        assert pieces.total() == form
+        assert_bigrade_matches_the_determinant_definition(s.conn, form)
 
 
 def test_bigrade_rejects_mismatched_degrees():

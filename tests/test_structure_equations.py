@@ -101,8 +101,11 @@ def test_the_committed_perturbed_chart_is_the_seeded_one():
     assert committed == perturbed_pairing_form(doc, 0)
 
 
-# seed 0 adds a multiple of x3, seed 5 a multiple of x4
-@pytest.mark.parametrize("source, seed", [("rot_4_4_0", 0), ("rot_4_4_0", 5), ("rot_3_1_12", 0)])
+# seed 0 adds a multiple of x3 to x1^x2, seed 5 a multiple of x2 to x3^x4 on
+# rot(4,4,0) and a multiple of x1 to x2^x3 on rot(3,1,12)
+@pytest.mark.parametrize(
+    "source, seed", [("rot_4_4_0", 0), ("rot_4_4_0", 5), ("rot_3_1_12", 0), ("rot_3_1_12", 5)]
+)
 def test_a_base_term_in_the_pairing_form_breaks_only_admissibility(source, seed):
     doc = perturbed_pairing_form(json.loads((DATA / f"{source}.json").read_text()), seed)
     s = scenario_from_dict(doc)

@@ -42,6 +42,13 @@ def test_chart_classification(chart):
     assert not chart.is_symbol("y")
     assert chart.is_angle("th") and not chart.is_angle("q")
     assert chart.coord_index("x2") == 1
+    assert [chart.coord_index(name) for name in chart.coords] == [0, 1, 2, 3]
+    assert chart.is_coord("p") and not chart.is_coord("th") and not chart.is_coord("pi")
+    for name in ("th", "pi", "y"):
+        with pytest.raises(UnknownSymbol, match="is not a coordinate"):
+            chart.coord_index(name)
+    with pytest.raises(AttributeError):
+        chart.coords = ("x1",)
 
 
 def test_chart_rejects_collisions():
