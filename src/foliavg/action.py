@@ -101,15 +101,6 @@ def haar_average(f: Scalar, angle: str) -> Scalar:
     return result
 
 
-def average_of_running_integral(f: Scalar, angle: str) -> Scalar:
-    """Haar average of the integral of f from zero up to the angle, read off
-    the terms of f in one pass (:meth:`Scalar.average_of_running_integral`)."""
-    result = f.average_of_running_integral(angle)
-    if _records is not None:
-        _record(angle, f, result, running=True)
-    return result
-
-
 def _record(angle: str, f: Scalar, result: Scalar, running: bool) -> None:
     """Record ``result``, the Haar mean of f or with ``running`` the mean of
     its running integral, as the Haar mean of an integrand: f itself, or

@@ -233,40 +233,6 @@ def curvature(conn: Connection) -> VecValuedForm:
 # bigrading
 
 
-class BigradedForm:
-    """A form split into components of base degree p and fiber degree q."""
-
-    __slots__ = ("chart", "degree", "comps")
-
-    def __init__(self, chart: Chart, degree: int, comps: Mapping[tuple[int, int], DiffForm]) -> None:
-        clean = {}
-        for (p, q), piece in comps.items():
-            if p + q != degree:
-                raise UnsupportedDegree("bidegree does not sum to the form degree")
-            if not piece.is_zero:
-                clean[(p, q)] = piece
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BigradedForm is immutable")
-
-    def component(self, p: int, q: int) -> DiffForm:
-        return self.comps.get((p, q), DiffForm.zero(self.chart, self.degree))
-
-    def total(self) -> DiffForm:
-        result = DiffForm.zero(self.chart, self.degree)
-        for piece in self.comps.values():
-            result = result + piece
-        return result
-
-    def __repr__(self) -> str:
-        return "BigradedForm(" + ", ".join(
-            f"({p},{q}): {piece!r}" for (p, q), piece in sorted(self.comps.items())
-        ) + ")"
-
-
 def _adapted_groups(
     conn: Connection, form: DiffForm
 ) -> tuple[dict[tuple[int, int], list[tuple[Index, Scalar]]], dict[int, list[tuple[int, Scalar]]]]:
@@ -290,8 +256,9 @@ def _adapted_groups(
     return groups, backward
 
 
-def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
-    """Split a form by base and fiber degree in the adapted coframe.
+def bigrade(conn: Connection, form: DiffForm) -> dict[tuple[int, int], DiffForm]:
+    """Split a form by base and fiber degree in the adapted coframe: the
+    nonzero pieces, keyed by bidegree (p, q).
 
     The adapted coframe is (dx_b, eta_v) with eta_v = dv - sum_b A_b^v dx_b.
     Substituting dv = eta_v + sum_b A_b^v dx_b writes the form in that
@@ -301,15 +268,13 @@ def bigrade(conn: Connection, form: DiffForm) -> BigradedForm:
     """
     chart, k = conn.chart, form.degree
     groups, backward = _adapted_groups(conn, form)
-    return BigradedForm(
-        chart, k,
-        {pq: DiffForm._rebase(chart, k, items, backward) for pq, items in groups.items()},
-    )
+    pieces = {pq: DiffForm._rebase(chart, k, items, backward) for pq, items in groups.items()}
+    return {pq: piece for pq, piece in pieces.items() if not piece.is_zero}
 
 
 def bigrade_component(conn: Connection, form: DiffForm, p: int, q: int) -> DiffForm:
-    """``bigrade(conn, form).component(p, q)``, mapping back to coordinate
-    differentials only the group of bidegree (p, q)."""
+    """The piece of a form of bidegree (p, q), zero when :func:`bigrade`
+    has none; only that group is mapped back to coordinate differentials."""
     groups, backward = _adapted_groups(conn, form)
     return DiffForm._rebase(conn.chart, form.degree, groups.get((p, q), ()), backward)
 
@@ -327,7 +292,7 @@ def graded_derivative(conn: Connection, form: DiffForm, shift: tuple[int, int]) 
     if form.degree == chart.dim:
         return DiffForm.zero(chart, chart.dim)
     result = DiffForm.zero(chart, form.degree + 1)
-    for (p, q), piece in bigrade(conn, form).comps.items():
+    for (p, q), piece in bigrade(conn, form).items():
         target = (p + shift[0], q + shift[1])
         if target[0] < 0 or target[1] < 0:
             continue

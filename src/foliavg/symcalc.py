@@ -315,32 +315,13 @@ def _over_lcm(
     return items, den
 
 
-class _Terms(Mapping):
-    """The coefficients of a scalar as fractions: a read-only view."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: dict[Key, int], den: int) -> None:
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, key: Key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-
 class Scalar:
     """An exact scalar function on a chart, kept in canonical form.
 
     ``nums`` maps each monomial key to a nonzero integer numerator, and
     ``den`` is the one positive denominator they share, coprime to the gcd
-    of the numerators and 1 for zero.  :attr:`terms` reads the coefficients
-    as fractions.
+    of the numerators and 1 for zero.  :attr:`terms` returns the coefficients
+    as fractions, in a fresh dict.
     """
 
     __slots__ = ("chart", "nums", "den", "_hash")
@@ -365,8 +346,9 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @property
-    def terms(self) -> Mapping[Key, Fraction]:
-        return _Terms(self.nums, self.den)
+    def terms(self) -> dict[Key, Fraction]:
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -654,28 +636,6 @@ class Scalar:
                 pieces.append(((powers, rest_trig), n, m))
                 newtrig = tuple(sorted(rest_trig + ((angle, COS, m),)))
                 pieces.append(((powers, newtrig), -n, m))
-        den = math.lcm(*(d for _, _, d in pieces))
-        items = [(key, n * (den // d)) for key, n, d in pieces]
-        return _collect(self.chart, items, self.den * den)
-
-    def average_of_running_integral(self, angle: str) -> "Scalar":
-        """Haar average of the integral from 0 to the angle, in one pass
-        over the terms: th^j, the constant included, averages to
-        (2pi)^(j+1) / ((j+1)(j+2)), sin(k*th) to 1/k and cos(k*th) to 0."""
-        self.chart.require_angle(angle)
-        # (key, numerator, divisor)
-        pieces: list[tuple[Key, int, int]] = []
-        for (powers, trig), n in self.nums.items():
-            k, entry, powers, trig = _split_angle(powers, trig, angle)
-            if entry is None:
-                raised = _merge_powers(powers, ((PI, k + 1),))
-                pieces.append(((raised, trig), n << (k + 1), (k + 1) * (k + 2)))
-            elif k:
-                raise NonPolynomialIntegrand(
-                    f"mixed power and harmonic in {angle!r} has no polynomial antiderivative"
-                )
-            elif entry[1] == SIN:
-                pieces.append(((powers, trig), n, entry[2]))
         den = math.lcm(*(d for _, _, d in pieces))
         items = [(key, n * (den // d)) for key, n, d in pieces]
         return _collect(self.chart, items, self.den * den)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from foliavg.action import (
     FlowFactor,
     TorusAction,
-    average_of_running_integral,
     average_tensor,
     connection_difference,
     difference_from_potential,
@@ -410,18 +409,3 @@ def test_record_averages_capture(rotation, shear_conn, bivector, quadratic_momen
         assert rec.angle == "th"
         assert rec.average == haar_average(rec.integrand, rec.angle)
         assert not _has_bare_angle(rec.integrand, rec.angle)
-
-
-@given(scalars())
-def test_running_integral_average_matches_direct(f):
-    direct = haar_average(f.antiderivative_from_zero("th"), "th")
-    assert average_of_running_integral(f, "th") == direct
-
-
-@given(scalars())
-def test_running_integral_records_stay_periodic(f):
-    from foliavg.action import _has_bare_angle
-
-    with record_averages() as records:
-        average_of_running_integral(f, "th")
-    assert all(not _has_bare_angle(r.integrand, r.angle) for r in records)

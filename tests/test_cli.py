@@ -11,6 +11,7 @@ import pytest
 
 from foliavg.cli import _cmd_dirac, main
 from foliavg.errors import (
+    InvariantViolation,
     NotComplementary,
     NotHorizontal,
     NotVertical,
@@ -182,6 +183,9 @@ def test_load_errors_name_their_input(tmp_path, capsys, error, key, value, messa
         ),
         pytest.param(SchemaError, "pairing_form", {"x1^x1": "1"}, id="SchemaError-pairing_form"),
         pytest.param(SchemaError, "casimir_form", {"x1^x1": "1"}, id="SchemaError-casimir_form"),
+        pytest.param(
+            InvariantViolation, "casimir_form", {"x1^x2": "q"}, id="InvariantViolation-casimir_form"
+        ),
         pytest.param(SchemaError, "poisson", {"q^q": "1"}, id="SchemaError-poisson"),
         pytest.param(SchemaError, "description", 5, id="SchemaError-description"),
         pytest.param(
@@ -242,6 +246,17 @@ def test_a_literal_zero_denominator_is_an_input_error(capsys):
         assert capsys.readouterr().err == (
             "foliavg: error: pairing_form.x1^x2: "
             "division is only allowed by nonzero rationals\n"
+        )
+
+
+def test_a_casimir_form_off_the_casimirs_is_an_input_error(capsys):
+    # q is paired with p by the bivector, so its Hamiltonian field is
+    # nonzero; loading refuses it instead of failing the dirac checks
+    path = Path(__file__).parent / "data" / "hb4d_noncasimir.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: casimir_form.x1^x2: q is not a Casimir of the bivector\n"
         )
 
 

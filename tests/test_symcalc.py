@@ -402,19 +402,10 @@ def test_average_is_linear_over_invariants(f, g):
 
 
 def test_running_mean_examples():
-    assert sc("1").average_of_running_integral("th") == Scalar.pi(CHART)
-    assert render(sc("q*sin(3*th)").average_of_running_integral("th")) == "1/3*q"
-    assert sc("cos(2*th)").average_of_running_integral("th").is_zero
-    assert render(sc("th^2").average_of_running_integral("th")) == "2/3*pi^3"
-    with pytest.raises(NonPolynomialIntegrand):
-        sc("th*cos(th)").average_of_running_integral("th")
-
-
-@given(scalars(TWO_ANGLES, freq=3), polynomials(TWO_ANGLES), st.integers(0, 3))
-def test_running_mean_in_one_pass_matches_its_definition(f, g, k):
-    f = f + g * Scalar.var(TWO_ANGLES, "th") ** k
-    expected = f.antiderivative_from_zero("th").average_over_angle("th")
-    assert f.average_of_running_integral("th") == expected
+    one = sc("1")
+    assert mean_of_product(one, one, "th", running=True) == Scalar.pi(CHART)
+    assert render(mean_of_product(sc("q*sin(3*th)"), one, "th", running=True)) == "1/3*q"
+    assert mean_of_product(sc("cos(2*th)"), one, "th", running=True).is_zero
 
 
 @given(
@@ -619,6 +610,17 @@ def test_routes_to_one_value_are_equal_and_hash_alike(f, g, h):
     for left, right in routes:
         assert left == right
         assert hash(left) == hash(right)
+
+
+@given(scalars_with_bare_angles())
+def test_mutating_the_terms_dict_leaves_the_scalar_as_it_was(f):
+    g = Scalar(CHART, f.terms)
+    before = (render(f), hash(f))
+    terms = f.terms
+    terms.clear()
+    terms[((("q", 7),), ())] = Fraction(5, 3)
+    assert (render(f), hash(f)) == before
+    assert f == g and hash(f) == hash(g)
 
 
 @given(st.lists(scalars_with_bare_angles(), min_size=1, max_size=4))
