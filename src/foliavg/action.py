@@ -300,7 +300,7 @@ class FlowFactor:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "mapping", clean)
-        # one expansion of each harmonic per combination, shared by the images
+        # both combinations are rewritten by sign rules, term by term
         at_zero = AngleCombination(chart, [])
         negated = AngleCombination(chart, [(angle, -1)])
         inverse = {name: value.substitute_angle(angle, negated) for name, value in clean.items()}

@@ -25,7 +25,7 @@ with one content pass that divides out the gcd: a sum merges numerators
 over the lcm of the two denominators; a derivative keeps the denominator;
 averages, antiderivatives and substitutions put their per-term rational
 factors over one lcm.  Fractions appear only at the edge: in
-:meth:`Scalar.const`, in numbers the parser reads, and in the read-only
+:meth:`Scalar.const`, in the divisors the parser reads, and in the read-only
 :attr:`Scalar.terms` view that rendering and numerical evaluation use.
 
 Products follow the Poisson-series layout: two monomials multiply by
@@ -51,6 +51,20 @@ multiplied, over one shift, one table of trig pairs and one lcm.  Under the
 unit rotation of a coordinate pair, :func:`rotation_mean` gives either
 functional of the image of a monomial in closed form, by Wallis' formula
 for the means of cos^a * sin^b, and multiplies no scalars at all.
+
+Loading a scenario parses each expression string and builds the torus
+flows, and neither runs a ring product where the answer is one term.  The
+parser reads number literals as integer pairs, multiplies two single terms
+whose harmonics share no angle as one key (merged power tuples,
+concatenated harmonics), and raises a single term without harmonics to a
+power by scaling its exponents, numerator and denominator; a leading sign
+negates.  Every other product and power goes through the ring under the
+parser's bounds on terms and term pairs.  A number past ``_MAX_DIGITS``
+digits is refused wherever it arises: a literal before it is read, a
+power of one term before it is computed.  A flow needs its
+images at angle zero and at the negated angle: :meth:`Scalar.substitute_angle`
+rewrites these two substitutions term by term with sign rules, and expands
+every other combination with the angle addition formulas.
 """
 
 from __future__ import annotations
@@ -83,6 +97,15 @@ _MAX_PARSED_TERMS = 10_000
 # costs in proportion to its pairs; about 4 microseconds a pair on a 2-vCPU
 # Xeon with Python 3.11, so a product at the bound takes about 0.4 s.
 _MAX_POWER_PAIRS = 100_000
+
+# Most decimal digits a numerator or the denominator of a parsed number or
+# coefficient may have.  Python refuses to convert integers past 4300 digits
+# to or from text; the lower bound leaves room for the products the checks
+# form before a coefficient is rendered.
+_MAX_DIGITS = 1000
+_COEFFICIENT_LIMIT = 10**_MAX_DIGITS
+_COEFFICIENT_BITS = _COEFFICIENT_LIMIT.bit_length()
+_TOO_MANY_DIGITS = f"a number in the expression needs more than {_MAX_DIGITS} digits"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -569,8 +592,12 @@ class Scalar:
         """Replace an angle by an integer combination of angles.
 
         ``combo`` lists (angle, coefficient) pairs; the empty combination
-        sets the angle to zero.  Harmonics are expanded with the angle
-        addition formulas, bare powers multinomially.  An
+        sets the angle to zero.  Two combinations are rewritten term by term
+        with sign rules: th -> 0 drops every term with a sine or a bare
+        power of th and sets cos(m*th) to 1, and th -> -th negates the terms
+        of odd degree in th, counting a sine as odd.  Any other combination
+        expands harmonics with the angle addition formulas and bare powers
+        multinomially (:func:`_expanded_substitute_angle`).  An
         :class:`AngleCombination` is used as given, so the expansions it
         keeps serve every scalar it is applied to; any other sequence is
         validated into a throwaway one.
@@ -580,16 +607,11 @@ class Scalar:
             combo = AngleCombination(self.chart, combo)
         elif combo.chart is not self.chart and combo.chart != self.chart:
             raise ChartMismatch(f"{self.chart} vs {combo.chart}")
-        # terms grouped by their monomial in the angle: (power, kind, multiple)
-        groups: dict[tuple, list[tuple[Key, int]]] = {}
-        for (powers, trig), n in self.nums.items():
-            e, entry, powers, trig = _split_angle(powers, trig, angle)
-            if entry is not None:
-                hit = (e, entry[1], entry[2])
-            else:
-                hit = (e, None, 0) if e else ()
-            groups.setdefault(hit, []).append(((powers, trig), n))
-        return recombine(self, groups, lambda hit: combo.image(hit) if hit else None)
+        if not combo.pairs:
+            return _angle_at_zero(self, angle)
+        if combo.pairs == ((angle, -1),):
+            return _angle_reflected(self, angle)
+        return _expanded_substitute_angle(self, angle, combo)
 
     def average_over_angle(self, angle: str) -> "Scalar":
         """Exact Haar average (1/2pi) * integral over one full period."""
@@ -688,6 +710,58 @@ def _split_angle(
             trig = trig[:i] + trig[i + 1 :]
             break
     return e, entry, powers, trig
+
+
+def _angle_at_zero(f: Scalar, angle: str) -> Scalar:
+    """``f`` at angle zero: sin(m*th) and th^e with e > 0 vanish there, and
+    cos(m*th) is 1."""
+    items: list[tuple[Key, int]] = []
+    for key, n in f.nums.items():
+        powers, trig = key
+        e, entry, powers, rest = _split_angle(powers, trig, angle)
+        if e:
+            continue
+        if entry is None:
+            items.append((key, n))
+        elif entry[1] == COS:
+            items.append(((powers, rest), n))
+    return _collect(f.chart, items, f.den)
+
+
+def _angle_reflected(f: Scalar, angle: str) -> Scalar:
+    """``f`` with the angle negated: every term keeps its key, and
+    th^e * cos(m*th) changes sign when e is odd, th^e * sin(m*th) when
+    e + 1 is odd."""
+    nums = {}
+    for key, n in f.nums.items():
+        powers, trig = key
+        odd = False
+        for name, e in powers:
+            if name == angle:
+                odd = bool(e & 1)
+                break
+        for name, kind, _ in trig:
+            if name == angle:
+                odd ^= kind == SIN
+                break
+        nums[key] = -n if odd else n
+    return _make(f.chart, nums, f.den)
+
+
+def _expanded_substitute_angle(f: Scalar, angle: str, combo: "AngleCombination") -> Scalar:
+    """``f`` with the angle replaced by a validated combination, each
+    harmonic and bare power of the angle expanded through the images the
+    combination keeps."""
+    # terms grouped by their monomial in the angle: (power, kind, multiple)
+    groups: dict[tuple, list[tuple[Key, int]]] = {}
+    for (powers, trig), n in f.nums.items():
+        e, entry, powers, trig = _split_angle(powers, trig, angle)
+        if entry is not None:
+            hit = (e, entry[1], entry[2])
+        else:
+            hit = (e, None, 0) if e else ()
+        groups.setdefault(hit, []).append(((powers, trig), n))
+    return recombine(f, groups, lambda hit: combo.image(hit) if hit else None)
 
 
 def _make(chart: Chart, nums: dict[Key, int], den: int) -> Scalar:
@@ -1164,28 +1238,76 @@ def render(f: Scalar) -> str:
 # parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of an expression, ending with ("end", "")."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            pos = match.start(kind)
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        for group in ("number", "name", "op"):
-            value = match.group(group)
-            if value is not None:
-                tokens.append((group, value))
-                break
+        tokens.append((kind, match.group(kind)))
     tokens.append(("end", ""))
     return tokens
+
+
+def _number(tok: str) -> tuple[int, int]:
+    """A number token as (numerator, denominator), neither reduced nor
+    checked for zero; one longer than ``_MAX_DIGITS`` digits is refused
+    before it is read."""
+    num, _, den = tok.partition("/")
+    if len(num) > _MAX_DIGITS or len(den) > _MAX_DIGITS:
+        raise ParseError(_TOO_MANY_DIGITS)
+    return int(num), int(den) if den else 1
+
+
+def _fitting(f: Scalar) -> Scalar:
+    """``f``, refused when its denominator or a numerator has more than
+    ``_MAX_DIGITS`` digits."""
+    limit = _COEFFICIENT_LIMIT
+    if f.den >= limit or any(n >= limit or -n >= limit for n in f.nums.values()):
+        raise ParseError(_TOO_MANY_DIGITS)
+    return f
+
+
+def _scaled(f: Scalar, num: int, den: int) -> Scalar:
+    """``f`` times the nonzero rational num / den."""
+    if den < 0:
+        num, den = -num, -den
+    return _fitting(_make(f.chart, {key: n * num for key, n in f.nums.items()}, f.den * den))
+
+
+def _product(a: Scalar, b: Scalar) -> Scalar:
+    """``a * b`` for the parser.  Two single terms whose harmonics share no
+    angle multiply as one key: their power tuples merge and their
+    harmonics are concatenated.  Every other product is refused when it may
+    expand to more than ``_MAX_PARSED_TERMS`` terms, and else formed by
+    :meth:`Scalar.__mul__`."""
+    m, n = len(a.nums), len(b.nums)
+    if m == 1 and n == 1:
+        (((p1, t1), n1),) = a.nums.items()
+        (((p2, t2), n2),) = b.nums.items()
+        if not t2:
+            trig = t1
+        elif not t1:
+            trig = t2
+        elif {angle for angle, _, _ in t1}.isdisjoint(angle for angle, _, _ in t2):
+            trig = tuple(sorted(t1 + t2))
+        else:
+            trig = None
+        if trig is not None:
+            key = (_merge_powers(p1, p2), trig)
+            return _fitting(_make(a.chart, {key: n1 * n2}, a.den * b.den))
+    if m * n > _MAX_PARSED_TERMS:
+        raise ParseError(
+            f"a product of {m} and {n} terms may expand to more than {_MAX_PARSED_TERMS} terms"
+        )
+    return _fitting(a * b)
 
 
 class _Parser:
@@ -1218,20 +1340,27 @@ class _Parser:
         return value
 
     def expr(self) -> Scalar:
-        sign = 1
         kind, tok = self.peek()
-        if kind == "op" and tok in "+-":
+        sign = tok if kind == "op" and tok in "+-" else ""
+        if sign:
             self.take()
-            sign = -1 if tok == "-" else 1
-        value = sign * self.term()
+        value = self.term()
+        if sign == "-":
+            value = -value
+        summed = False
         while True:
             kind, tok = self.peek()
             if kind == "op" and tok in "+-":
                 self.take()
                 rhs = self.term()
                 value = value + rhs if tok == "+" else value - rhs
+                # a sum grows its denominator to the lcm; its numerators
+                # stay within twice the digits, and are checked at the end
+                if value.den >= _COEFFICIENT_LIMIT:
+                    raise ParseError(_TOO_MANY_DIGITS)
+                summed = True
             else:
-                return value
+                return _fitting(value) if summed else value
 
     def term(self) -> Scalar:
         value = self.factor()
@@ -1239,21 +1368,13 @@ class _Parser:
             kind, tok = self.peek()
             if kind == "op" and tok == "*":
                 self.take()
-                rhs = self.factor()
-                m, n = len(value.nums), len(rhs.nums)
-                if m * n > _MAX_PARSED_TERMS:
-                    raise ParseError(
-                        f"a product of {m} and {n} terms may expand to more "
-                        f"than {_MAX_PARSED_TERMS} terms"
-                    )
-                value = value * rhs
+                value = _product(value, self.factor())
             elif kind == "op" and tok == "/":
                 self.take()
-                divisor = self.factor()
-                const = _as_rational(divisor)
+                const = _as_rational(self.factor())
                 if const is None or const == 0:
                     raise ParseError("division is only allowed by nonzero rationals")
-                value = value * (Fraction(1) / const)
+                value = _scaled(value, const.denominator, const.numerator)
             else:
                 return value
 
@@ -1265,25 +1386,24 @@ class _Parser:
             nkind, num = self.take()
             if nkind != "number":
                 raise ParseError("exponents must be non-negative integers")
-            if "/" in num:
-                # the tokenizer reads "2/3" as one rational, but the power
-                # binds tighter than the division
-                exponent, denom = num.split("/")
-                if int(denom) == 0:
-                    raise ParseError("division is only allowed by nonzero rationals")
-                value = _bounded_power(value, int(exponent)) * Fraction(1, int(denom))
-            else:
-                value = _bounded_power(value, int(num))
+            # the tokenizer reads "2/3" as one rational, but the power binds
+            # tighter than the division
+            exponent, denom = _number(num)
+            if denom == 0:
+                raise ParseError("division is only allowed by nonzero rationals")
+            value = _bounded_power(value, exponent)
+            if denom != 1:
+                value = _scaled(value, 1, denom)
         return value
 
     def atom(self) -> Scalar:
         kind, tok = self.take()
         if kind == "number":
-            try:
-                return Scalar.const(self.chart, Fraction(tok))
-            except ZeroDivisionError:
+            num, den = _number(tok)
+            if den == 0:
                 # the tokenizer reads "1/0" as one rational
-                raise ParseError("division is only allowed by nonzero rationals") from None
+                raise ParseError("division is only allowed by nonzero rationals")
+            return _make(self.chart, {_EMPTY_KEY: num} if num else {}, den)
         if kind == "op" and tok == "(":
             value = self.expr()
             self.expect(")")
@@ -1313,7 +1433,7 @@ class _Parser:
         if kind == "number":
             if "/" in tok:
                 raise ParseError("harmonic multiples must be integers")
-            multiple = sign * int(tok)
+            multiple = sign * _number(tok)[0]
             self.expect("*")
             kind, tok = self.take()
             if kind != "name":
@@ -1328,6 +1448,12 @@ class _Parser:
 
 def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     """``base ** exponent``, refused when the expansion may grow too large.
+
+    A single term without harmonics is raised directly: its exponents,
+    numerator and denominator are scaled, the two integers only after a
+    bit-length estimate shows that they may stay within ``_MAX_DIGITS``
+    digits.  Every other base is expanded by the binary powering of
+    :meth:`Scalar.__pow__`, under the bounds that follow.
 
     A power of t terms has at most C(t+e-1, e) monomials before any
     product-to-sum rewrite.  A one-term base with harmonics in h angles
@@ -1347,9 +1473,19 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     :meth:`Scalar.__pow__` is replayed here, and since a product of m and n
     terms costs in proportion to its m * n term pairs (Johnson, "Sparse
     polynomial arithmetic", 1974), it is refused before any product whose
-    pairs exceed ``_MAX_POWER_PAIRS``.
+    pairs exceed ``_MAX_POWER_PAIRS``.  Each product's coefficients are
+    bounded like the direct route's.
     """
     t = len(base.nums)
+    if t == 1 and exponent:
+        (((powers, trig), n),) = base.nums.items()
+        if not trig:
+            for x in (n, base.den):
+                # |x|^e >= 2^((bits - 1) * e), so this refuses without computing
+                if (abs(x).bit_length() - 1) * exponent >= _COEFFICIENT_BITS:
+                    raise ParseError(_TOO_MANY_DIGITS)
+            powers = tuple((name, e * exponent) for name, e in powers)
+            return _fitting(_make(base.chart, {(powers, ()): n**exponent}, base.den**exponent))
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
         raise ParseError(
             f"a {t}-term expression to the power {exponent} may expand to more "
@@ -1376,7 +1512,7 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
                 f"a {t}-term expression to the power {exponent} needs a product of "
                 f"{m} and {n} terms, more than {_MAX_POWER_PAIRS} term pairs"
             )
-        return a * b
+        return _fitting(a * b)
 
     result, square, rest = Scalar.one(base.chart), base, exponent
     while rest:

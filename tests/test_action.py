@@ -1,5 +1,9 @@
 """Torus actions: flows, exact averaging, the averaged connection."""
 
+import json
+from importlib import resources
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +27,8 @@ from foliavg.errors import InvariantViolation, NonClosedOrbitCoefficients
 from foliavg.foliation import Connection
 from foliavg.geom import DiffForm, VectorField, pullback
 from foliavg.poisson import PoissonBivector, differential
-from foliavg.symcalc import Chart, Scalar, parse
+from foliavg.scenarios import _chart, _torus_action, bundled_names
+from foliavg.symcalc import Chart, Scalar, _expanded_substitute_angle, parse
 
 from conftest import CHART, sc, scalars
 
@@ -213,6 +218,32 @@ def test_a_broken_centre_is_named_where_the_equation_breaks():
     drifting = dict(ROTATION, x1=parse(FLOWS, "x1 + sin(th)"))
     assert group_law_reference(FLOWS, "th", drifting) == ["q", "p", "x1"]
     assert _flow_message("th", drifting) == _group_law_message("th", "p")
+
+
+DOCUMENTS = {
+    **{
+        name: resources.files("foliavg").joinpath("data", f"{name}.json").read_text()
+        for name in bundled_names()
+    },
+    **{path.name: path.read_text() for path in (Path(__file__).parent / "data").glob("*.json")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_flow_factors_agree_with_the_general_angle_expansion(monkeypatch, name):
+    """The inverse flow, the generator and the rotation pair each factor
+    keeps, built with th -> -th and th -> 0 rewritten by sign rules, equal
+    those built through the general expansion of every combination."""
+    raw = json.loads(DOCUMENTS[name])
+    chart = _chart(raw["chart"])
+    direct = _torus_action(chart, raw["action"])
+    monkeypatch.setattr(Scalar, "substitute_angle", _expanded_substitute_angle)
+    expanded = _torus_action(chart, raw["action"])
+    for a, b in zip(direct.factors, expanded.factors, strict=True):
+        assert a.flow().inverse_mapping.moved == b.flow().inverse_mapping.moved
+        assert a.generator() == b.generator()
+        rotations = (a._haar_means.rotation, a._running_means.rotation)
+        assert rotations == (b._haar_means.rotation, b._running_means.rotation)
 
 
 @given(candidate_flows("th", perturbed=False), candidate_flows("ph", perturbed=False))

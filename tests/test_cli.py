@@ -273,6 +273,19 @@ def test_a_power_too_costly_to_expand_is_an_input_error(capsys):
         )
 
 
+@pytest.mark.parametrize("name", ["hb4d_long_literal", "hb4d_huge_coefficient"])
+def test_a_number_past_the_digit_bound_is_an_input_error(capsys, name):
+    # a 5000-digit literal cannot be read as an int, and 2^20000 (6021
+    # digits) cannot be rendered; both are refused before they are formed
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: pairing_form.x1^x2: "
+            "a number in the expression needs more than 1000 digits\n"
+        )
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -53,6 +53,9 @@ HOSTILE = (
     "",
     " ",
     "1e9",
+    "1" * 5000,
+    "2^20000",
+    "2^300000000",
 )
 
 WRONG_TYPES = (None, True, 0, -1, 2.5, 10**40, [], {}, ["q"], {"q": "p"}, "q")

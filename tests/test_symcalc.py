@@ -158,6 +158,42 @@ TWO_ANGLES = Chart(("x1", "x2"), ("q", "p"), ("th", "ph"))
             "than 10000 terms",
         ),
         pytest.param(
+            "1" * 5000,
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="long-literal",
+        ),
+        pytest.param(
+            "2^20000",
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="huge-power",
+        ),
+        pytest.param(
+            "2^300000000",
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="huger-power",
+        ),
+        pytest.param(
+            "q*(1/7)^700*(1/7)^700",
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="huge-product",
+        ),
+        pytest.param(
+            "1/" + "9" * 600 + " + 1/" + "9" * 599 + "8",
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="huge-sum",
+        ),
+        pytest.param(
+            "(10^999 + q)^2",
+            ParseError,
+            "a number in the expression needs more than 1000 digits",
+            id="huge-multi-term-power",
+        ),
+        pytest.param(
             "(q+p+cos(th))^60",
             ParseError,
             "a 3-term expression to the power 60 needs a product of 252 and 525 terms, "
@@ -176,6 +212,13 @@ def test_parse_errors(bad, exc, message):
 def test_harmonic_powers_below_the_bound_parse():
     assert len(sc("cos(th)^40").terms) == 21
     assert len(sc("(q*cos(th)*sin(ph))^20", TWO_ANGLES).terms) == 121
+
+
+def test_numbers_up_to_the_digit_bound_parse():
+    assert sc("9" * 1000).den == 1
+    assert sc("1/" + "9" * 1000).den == 10**1000 - 1
+    assert sc("(10^333*q)^3").nums == {((("q", 3),), ()): 10**999}
+    assert sc("q^" + "9" * 30).nums == {((("q", 10**30 - 1),), ()): 1}
 
 
 def test_power_binds_tighter_than_division():

@@ -7,6 +7,8 @@ leaves a Laurent polynomial in exp(i*angle) with polynomial coefficients,
 zero exactly when the identity holds.  The operations are checked against
 sympy's own product, derivative, definite integral and substitution, and
 the two means of a product against sympy's integrals of that product.
+The parser's direct routes for products and powers of single terms are
+checked against sympy and against the same scalars built with operators.
 """
 
 from fractions import Fraction
@@ -18,7 +20,17 @@ sp = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from foliavg.symcalc import COS, PI, SIN, Chart, Scalar, mean_of_product  # noqa: E402
+from foliavg.symcalc import (  # noqa: E402
+    COS,
+    PI,
+    SIN,
+    AngleCombination,
+    Chart,
+    Scalar,
+    _expanded_substitute_angle,
+    mean_of_product,
+    parse,
+)
 
 ANGLES = ("th", "ph", "ps")
 CHART = Chart(("x",), ("q", "p"), ANGLES)
@@ -140,3 +152,105 @@ def test_substitute_angle_matches_sympy(f, angle, combo):
     image = sum((c * SYM[a] for a, c in combo), sp.Integer(0))
     expected = to_sympy(f).subs(SYM[angle], image)
     assert vanishes(to_sympy(f.substitute_angle(angle, combo)) - expected)
+
+
+# the two combinations rewritten by sign rules: th -> 0 and th -> -th
+SIGN_RULE_COMBOS = st.sampled_from(((), (("th", -1),), (("ph", -1),), (("ps", -1),)))
+
+
+@st.composite
+def angle_monomials(draw):
+    """Sums of bare angle powers times sine or cosine multiples, the terms
+    the sign rules rewrite, with coefficients in the other symbols."""
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        angle = draw(st.sampled_from(ANGLES))
+        powers = {angle: draw(st.integers(0, 3)), draw(st.sampled_from(CHART.coords)): 1}
+        kind = draw(st.sampled_from((None, SIN, COS)))
+        trig = [] if kind is None else [(angle, kind, draw(st.integers(1, 4)))]
+        other = draw(st.sampled_from(ANGLES))
+        if other != angle and draw(st.booleans()):
+            trig.append((other, draw(st.sampled_from((SIN, COS))), draw(st.integers(1, 2))))
+        key = (tuple(sorted((n, e) for n, e in powers.items() if e)), tuple(sorted(trig)))
+        items.append((key, Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))))
+    return Scalar(CHART, items)
+
+
+@given(st.one_of(poisson_series(), angle_monomials()), SIGN_RULE_COMBOS)
+def test_sign_rule_substitutions_match_sympy_and_the_expansion(f, combo):
+    angle = combo[0][0] if combo else "th"
+    got = f.substitute_angle(angle, list(combo))
+    image = -SYM[angle] if combo else sp.Integer(0)
+    assert vanishes(to_sympy(got) - to_sympy(f).subs(SYM[angle], image))
+    # the general expansion, which every other combination takes, is the
+    # reference: the same numerators over the same denominator
+    expanded = _expanded_substitute_angle(f, angle, AngleCombination(CHART, combo))
+    assert (got.nums, got.den) == (expanded.nums, expanded.den)
+
+
+@pytest.mark.parametrize("e", range(4))
+@pytest.mark.parametrize("kind", (None, SIN, COS))
+@pytest.mark.parametrize("m", (1, 3))
+def test_sign_rules_on_each_angle_monomial(e, kind, m):
+    """th^e * trig(m*th) at zero and reflected, one monomial at a time."""
+    th = SYM["th"]
+    powers = (("q", 1), ("th", e)) if e else (("q", 1),)
+    trig = (("th", kind, m),) if kind else ()
+    f = Scalar(CHART, {(powers, trig): Fraction(3, 2)})
+    expected = to_sympy(f)
+    for combo, image in (((), sp.Integer(0)), ((("th", -1),), -th)):
+        got = f.substitute_angle("th", list(combo))
+        assert vanishes(to_sympy(got) - expected.subs(th, image))
+
+
+# ----------------------------------------------------------------------
+# the parser's direct routes
+
+
+@st.composite
+def single_terms(draw, harmonics=True):
+    """One term as (text, sympy expression, scalar built with operators):
+    a rational coefficient, maybe with a leading minus, coordinate powers,
+    maybe pi and, with ``harmonics``, sines and cosines of angle multiples."""
+    num, den = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+    parts = [str(abs(num)) if den == 1 else f"{abs(num)}/{den}"]
+    expr = sp.Rational(num, den)
+    built = Scalar.const(CHART, Fraction(num, den))
+    for name in draw(st.lists(st.sampled_from(CHART.coords + (PI,)), max_size=3)):
+        e = draw(st.integers(1, 3))
+        parts.append(name if e == 1 else f"{name}^{e}")
+        expr *= (sp.pi if name == PI else SYM[name]) ** e
+        built = built * (Scalar.var(CHART, name) ** e)
+    if harmonics:
+        for angle in draw(st.lists(st.sampled_from(ANGLES), max_size=2, unique=True)):
+            kind, m = draw(st.sampled_from(("sin", "cos"))), draw(st.integers(-3, 3).filter(bool))
+            parts.append(f"{kind}({m}*{angle})" if m != 1 else f"{kind}({angle})")
+            expr *= getattr(sp, kind)(m * SYM[angle])
+            built = built * Scalar.harmonic(CHART, kind, angle, m)
+    draw(st.randoms()).shuffle(parts)
+    text = ("-" if num < 0 else "") + "*".join(parts)
+    return text, expr, built
+
+
+@given(st.lists(single_terms(), min_size=1, max_size=4))
+def test_products_of_single_terms_parse_like_sympy_and_operators(terms):
+    text = "*".join(t if not t.startswith("-") else f"({t})" for t, _, _ in terms)
+    expr = sp.Mul(*(e for _, e, _ in terms))
+    built = Scalar.one(CHART)
+    for _, _, f in terms:
+        built = built * f
+    got = parse(CHART, text)
+    assert (got.nums, got.den) == (built.nums, built.den)
+    assert vanishes(to_sympy(got) - expr)
+
+
+@given(st.one_of(single_terms(harmonics=False), single_terms()), st.integers(0, 4))
+def test_powers_of_single_terms_parse_like_sympy_and_operators(term, e):
+    text, expr, built = term
+    got = parse(CHART, f"({text})^{e}")
+    power = built**e
+    assert (got.nums, got.den) == (power.nums, power.den)
+    assert vanishes(to_sympy(got) - expr**e)
+    # a leading minus binds looser than the power
+    negated = parse(CHART, f"-({text})^{e}")
+    assert (negated.nums, negated.den) == ((-power).nums, power.den)
