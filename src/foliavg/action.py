@@ -57,7 +57,7 @@ from .geom import (
     pullback,
 )
 from .poisson import PoissonBivector
-from .symcalc import COS, SIN, AngleCombination, Chart, Scalar, mean_of_product, rotation_mean
+from .symcalc import COS, SIN, Chart, Scalar, mean_of_product, rotation_mean
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +300,8 @@ class FlowFactor:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "mapping", clean)
-        # both combinations are rewritten by sign rules, term by term
-        at_zero = AngleCombination(chart, [])
-        negated = AngleCombination(chart, [(angle, -1)])
+        # th -> 0 and th -> -th are rewritten by sign rules, term by term
+        at_zero, negated = (), ((angle, -1),)
         inverse = {name: value.substitute_angle(angle, negated) for name, value in clean.items()}
         flow = ChartMap(chart, clean, inverse)
         object.__setattr__(self, "_flow", flow)
@@ -560,17 +559,22 @@ def potential_along(
     """:func:`hamiltonian_potential` on the :func:`averaging_walk` of the
     connection, reading the frame of factor k + 1 from the walk's entry k;
     the last entry, the average, is never asked for, and a lazy walk is
-    only advanced once the momenta are checked."""
+    only advanced once the momenta are checked.
+
+    The (1, 0) piece of a momentum is horizontal and the lift of a base
+    field x_b is d/dx_b plus a vertical field, so the piece takes its dx_b
+    component on that lift: the stored components are read, in chart order,
+    not evaluated on the frame."""
     _require_momenta(action, moments)
     chart = action.chart
     total = DiffForm.zero(chart, 1)
     for factor, mu, current in zip(action.factors, moments, walk):
         horizontal = bigrade_component(current, mu, 1, 0)
         items = []
-        for base, lift in current.frame.items():
-            value = -factor._running_means(horizontal.evaluate(lift))
+        for idx, component in sorted(horizontal.comps.items()):
+            value = -factor._running_means(component)
             if not value.is_zero:
-                items.append(((chart.coord_index(base),), value))
+                items.append((idx, value))
         total = total + DiffForm._make(chart, 1, items)
     return total
 

@@ -16,10 +16,13 @@ chosen for each index.  :meth:`_Graded._rebase` multiplies each component
 by its paths' factors and collects by sorted index; a component none of
 whose indices has an image passes through it unexpanded.  Its callers are
 :meth:`ChartMap.pull_vector`, :meth:`ChartMap.pull_form`,
-:meth:`ChartMap.pull_multivector`, :meth:`ChartMap.pull_valued_form` and
-:func:`foliavg.foliation.bigrade`.  :meth:`ChartMap.pull_linear` walks the
-same paths to apply a linear functional to a pullback without building it:
-the averages of :mod:`foliavg.action` use it.
+:meth:`ChartMap.pull_multivector`, :meth:`ChartMap.pull_valued_form`,
+:func:`foliavg.foliation.bigrade` and :meth:`_Graded._contract`:
+contraction with k degree-one arguments is a change of basis onto k
+argument slots, whose component (0, ..., k-1) is the value.
+:meth:`ChartMap.pull_linear` walks the same paths to apply a linear
+functional to a pullback without building it: the averages of
+:mod:`foliavg.action` use it.
 A pullback costs what the map moves: a scalar that contains no moved
 coordinate comes back as it is from
 :meth:`~foliavg.symcalc.Substitution.apply`, and a tensor none of whose
@@ -36,8 +39,6 @@ behind the three ``evaluate`` methods, visits only stored entries.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -67,6 +68,9 @@ def _sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
 
 
 def _det(rows: list[list[Scalar]]) -> Scalar:
+    """The cofactor expansion of a square determinant: the tests' reference
+    for contraction, which the library computes through
+    :meth:`_Graded._rebase`."""
     if not rows:
         raise ValueError("empty determinant")
     if len(rows) == 1:
@@ -255,26 +259,20 @@ class _Graded:
         and its entry at i is its component (i,).  With no arguments this is
         the degree-0 component.
 
-        Only stored entries are visited: one argument gives the dot product
-        over the indices both store, and a component is skipped when an
-        argument stores none of its indices or its determinant vanishes.
+        This is a change of basis onto the argument slots: coordinate index
+        i goes to the pairs (r, entry of argument r at i) of the entries the
+        arguments store, and the component (0, ..., k-1) of the rebased
+        tensor is the sum, by the Leibniz expansion over stored entries.  A
+        component with an index that no argument stores is dropped first.
         """
-        if not args:
-            parts = [self.comps[()]] if () in self.comps else []
-        elif len(args) == 1:
-            entries = args[0].comps
-            parts = [value * entries[idx] for idx, value in self.comps.items() if idx in entries]
-        else:
-            parts = []
-            zero = Scalar.zero(self.chart)
-            for idx, value in self.comps.items():
-                rows = [[arg.comps.get((i,), zero) for i in idx] for arg in args]
-                if any(all(e is zero for e in row) for row in rows):
-                    continue
-                det = _det(rows)
-                if not det.is_zero:
-                    parts.append(value * det)
-        return reduce(add, parts) if parts else self._zero_value(self.chart)
+        images: dict[int, list[tuple[int, Scalar]]] = {}
+        for r, arg in enumerate(args):
+            for (i,), entry in arg.comps.items():
+                images.setdefault(i, []).append((r, entry))
+        items = [(idx, value) for idx, value in self.comps.items() if all(i in images for i in idx)]
+        slots = self._rebase(self.chart, len(args), items, images)
+        value = slots.comps.get(tuple(range(len(args))))
+        return self._zero_value(self.chart) if value is None else value
 
     @classmethod
     def _rebase(

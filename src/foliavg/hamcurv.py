@@ -56,13 +56,16 @@ def verify_hamiltonian_curvature(
     conn: Connection, P: PoissonBivector, sigma: DiffForm
 ) -> str | None:
     """Framewise, the curvature plus the Hamiltonian field of the pairing
-    must vanish."""
+    must vanish.
+
+    Both forms are horizontal and the lifted frame is h_a = d/dx_a plus a
+    vertical field, so on h_a, h_b each form is its dx_a ^ dx_b component:
+    the components are read, not evaluated on the frame.
+    """
     _require_pairing_form(conn, sigma)
-    frame = conn.frame
     curv = curvature(conn)
     for a, b in combinations(conn.chart.horizontal, 2):
-        z1, z2 = frame[a], frame[b]
-        defect = curv.evaluate(z1, z2) + P.hamiltonian_vf(sigma.evaluate(z1, z2))
+        defect = curv.coefficient(a, b) + P.hamiltonian_vf(sigma.coefficient(a, b))
         if not defect.is_zero:
             return (
                 f"frame pair ({a}, {b}): curvature misses minus the "
@@ -139,14 +142,20 @@ def curvature_transition_witness(
     """The check of :func:`averaged_curvature_check`, given the averaged
     connection ``averaged`` of ``conn`` and the averaging correction
     ``correction`` of the Hamiltonian potential of the averaging difference,
-    as :func:`averaging_correction` builds it."""
+    as :func:`averaging_correction` builds it.
+
+    The curvatures and the correction are horizontal, so on the frame pair
+    (h_a, h_b) of ``conn`` each is its dx_a ^ dx_b component, as in
+    :func:`verify_hamiltonian_curvature`; a correction that is not
+    horizontal is refused.
+    """
+    if not is_horizontal_form(correction):
+        raise NotHorizontal("an averaging correction is horizontal")
     curv = curvature(conn)
     curv_avg = curvature(averaged)
-    frame = conn.frame
     for a, b in combinations(conn.chart.horizontal, 2):
-        z1, z2 = frame[a], frame[b]
-        rhs = curv.evaluate(z1, z2) + P.hamiltonian_vf(correction.evaluate(z1, z2))
-        if curv_avg.evaluate(z1, z2) != rhs:
+        rhs = curv.coefficient(a, b) + P.hamiltonian_vf(correction.coefficient(a, b))
+        if curv_avg.coefficient(a, b) != rhs:
             return f"transition fails on the ({a}, {b}) frame pair"
     return None
 

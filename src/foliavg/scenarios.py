@@ -218,7 +218,9 @@ def load_scenario(source: str | Path) -> Scenario:
         text = entry.read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and the decoder's own limits, as
+        # on the digits of an integer; RecursionError, nesting too deep
         raise ParseError(f"{source}: not valid JSON: {exc}") from None
     return scenario_from_dict(raw)
 

@@ -586,9 +586,7 @@ class Scalar:
             rules = Substitution(self.chart, rules)
         return rules.apply(self)
 
-    def substitute_angle(
-        self, angle: str, combo: "Sequence[tuple[str, int]] | AngleCombination"
-    ) -> "Scalar":
+    def substitute_angle(self, angle: str, combo: Sequence[tuple[str, int]]) -> "Scalar":
         """Replace an angle by an integer combination of angles.
 
         ``combo`` lists (angle, coefficient) pairs; the empty combination
@@ -597,21 +595,22 @@ class Scalar:
         power of th and sets cos(m*th) to 1, and th -> -th negates the terms
         of odd degree in th, counting a sine as odd.  Any other combination
         expands harmonics with the angle addition formulas and bare powers
-        multinomially (:func:`_expanded_substitute_angle`).  An
-        :class:`AngleCombination` is used as given, so the expansions it
-        keeps serve every scalar it is applied to; any other sequence is
-        validated into a throwaway one.
+        multinomially (:func:`_expanded_substitute_angle`).  Each angle of
+        the combination is checked, repeated angles are merged and zero
+        coefficients dropped.
         """
-        self.chart.require_angle(angle)
-        if not isinstance(combo, AngleCombination):
-            combo = AngleCombination(self.chart, combo)
-        elif combo.chart is not self.chart and combo.chart != self.chart:
-            raise ChartMismatch(f"{self.chart} vs {combo.chart}")
-        if not combo.pairs:
+        chart = self.chart
+        chart.require_angle(angle)
+        merged: dict[str, int] = {}
+        for name, c in combo:
+            chart.require_angle(name)
+            merged[name] = merged.get(name, 0) + c
+        pairs = tuple((name, c) for name, c in sorted(merged.items()) if c)
+        if not pairs:
             return _angle_at_zero(self, angle)
-        if combo.pairs == ((angle, -1),):
+        if pairs == ((angle, -1),):
             return _angle_reflected(self, angle)
-        return _expanded_substitute_angle(self, angle, combo)
+        return _expanded_substitute_angle(self, angle, pairs)
 
     def average_over_angle(self, angle: str) -> "Scalar":
         """Exact Haar average (1/2pi) * integral over one full period."""
@@ -748,10 +747,25 @@ def _angle_reflected(f: Scalar, angle: str) -> Scalar:
     return _make(f.chart, nums, f.den)
 
 
-def _expanded_substitute_angle(f: Scalar, angle: str, combo: "AngleCombination") -> Scalar:
-    """``f`` with the angle replaced by a validated combination, each
-    harmonic and bare power of the angle expanded through the images the
-    combination keeps."""
+def _expanded_substitute_angle(
+    f: Scalar, angle: str, pairs: Sequence[tuple[str, int]]
+) -> Scalar:
+    """``f`` with the angle replaced by the combination of (angle,
+    coefficient) pairs, each harmonic th^e * trig(m*th) and bare power of
+    the angle expanded once: the terms are grouped by that monomial."""
+    chart = f.chart
+
+    def image(hit: tuple[int, str | None, int]) -> Scalar | None:
+        if not hit:
+            return None
+        e, kind, m = hit
+        value = Scalar.one(chart)
+        if e:
+            value = Scalar.sum(chart, (c * Scalar.var(chart, a) for a, c in pairs)) ** e
+        if kind is not None:
+            value = value * _expand_harmonic(chart, kind, tuple((a, m * c) for a, c in pairs))
+        return value
+
     # terms grouped by their monomial in the angle: (power, kind, multiple)
     groups: dict[tuple, list[tuple[Key, int]]] = {}
     for (powers, trig), n in f.nums.items():
@@ -761,7 +775,7 @@ def _expanded_substitute_angle(f: Scalar, angle: str, combo: "AngleCombination")
         else:
             hit = (e, None, 0) if e else ()
         groups.setdefault(hit, []).append(((powers, trig), n))
-    return recombine(f, groups, lambda hit: combo.image(hit) if hit else None)
+    return recombine(f, groups, image)
 
 
 def _make(chart: Chart, nums: dict[Key, int], den: int) -> Scalar:
@@ -1105,56 +1119,6 @@ class Substitution(Mapping):
         if not any(name in moved for powers, _ in f.nums for name, _ in powers):
             return f
         return recombine(f, self.split(f), self.image)
-
-
-class AngleCombination:
-    """An integer combination of chart angles that an angle is replaced by.
-
-    It lists (angle, coefficient) pairs, validated once; the empty
-    combination is zero.  For each monomial th^e * trig(m*th) of a replaced
-    angle th that it meets, it keeps the image, so one combination applied
-    to many scalars expands each harmonic and each power once.
-    """
-
-    __slots__ = ("chart", "pairs", "_images")
-
-    def __init__(self, chart: Chart, combo: Sequence[tuple[str, int]]) -> None:
-        merged: dict[str, int] = {}
-        for angle, c in combo:
-            chart.require_angle(angle)
-            merged[angle] = merged.get(angle, 0) + c
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(
-            self, "pairs", tuple((a, c) for a, c in sorted(merged.items()) if c)
-        )
-        object.__setattr__(self, "_images", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AngleCombination is immutable")
-
-    def image(self, hit: tuple[int, str | None, int]) -> Scalar:
-        """The image of th^e * trig(m*th), given as (e, kind, m), kind None
-        for no harmonic."""
-        image = self._images.get(hit)
-        if image is None:
-            e, kind, m = hit
-            chart = self.chart
-            image = Scalar.one(chart)
-            if e:
-                linear = Scalar.sum(chart, (c * Scalar.var(chart, a) for a, c in self.pairs))
-                image = linear**e
-            if kind is not None:
-                image = image * _harmonic_of_combo(chart, kind, m, self.pairs)
-            self._images[hit] = image
-        return image
-
-
-def _harmonic_of_combo(
-    chart: Chart, kind: str, multiple: int, terms: tuple[tuple[str, int], ...]
-) -> Scalar:
-    """Expand trig(multiple * sum(c_i * angle_i)) into the canonical basis."""
-    scaled = tuple((a, multiple * c) for a, c in terms)
-    return _expand_harmonic(chart, kind, scaled)
 
 
 def _expand_harmonic(chart: Chart, kind: str, terms: tuple[tuple[str, int], ...]) -> Scalar:

@@ -81,6 +81,25 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the decoder's recursion limit raises RecursionError
+        pytest.param("[" * 200_000, id="nested-arrays"),
+        # the integer digit limit raises a ValueError that is no JSONDecodeError
+        pytest.param('{"schema": 1' + "0" * 5000 + "}", id="long-integer"),
+    ],
+)
+def test_json_the_decoder_refuses_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"foliavg: error: {path}: not valid JSON: ")
+        assert err.count("\n") == 1
+
+
 def test_explicit_momentum_stage_without_momenta(tmp_path, capsys):
     raw = dict(load_scenario("triv").raw)
     raw.pop("momenta")

@@ -1,7 +1,7 @@
 """Adapted connections, curvature and the bigraded calculus."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -36,7 +36,7 @@ from foliavg.poisson import differential
 from foliavg.scenarios import bundled_names, load_scenario
 from foliavg.symcalc import Chart, Scalar, parse
 
-from conftest import CHART, polynomials, sc, scalars
+from conftest import CHART, forms, polynomials, sc, scalars
 
 
 def d(name):
@@ -194,6 +194,24 @@ def connections(draw, chart):
         for vert in chart.vertical
     }
     return Connection(chart, coeffs)
+
+
+@pytest.mark.parametrize("chart", [CHART, EXT3], ids=["two-base", "three-base"])
+@given(data=st.data())
+def test_horizontal_forms_take_their_components_on_the_lifted_frame(chart, data):
+    """h_a = d/dx_a + (vertical), so a horizontal form evaluated on lifts is
+    its component on the base names, which the checks read directly."""
+    conn = data.draw(connections(chart))
+    pairs = combinations(chart.horizontal, 2)
+    sigma = DiffForm.from_dict(chart, 2, {pair: data.draw(polynomials(chart)) for pair in pairs})
+    piece = bigrade_component(conn, data.draw(forms(1, chart)), 1, 0)
+    curv = curvature(conn)
+    frame = conn.frame
+    for a in chart.horizontal:
+        assert piece.evaluate(frame[a]) == piece.coefficient(a)
+    for a, b in permutations(chart.horizontal, 2):
+        assert sigma.evaluate(frame[a], frame[b]) == sigma.coefficient(a, b)
+        assert curv.evaluate(frame[a], frame[b]) == curv.coefficient(a, b)
 
 
 def projection_reference(conn):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliavg.action import FlowFactor, hannay_berry
@@ -801,10 +801,20 @@ def sparse_tensors(draw, cls, degree, values=polynomials):
     return cls(CHART, degree, {idx: draw(values()) for idx in chosen})
 
 
-@given(st.integers(0, 3), st.data())
-def test_contraction_matches_the_reference(degree, data):
-    fields = [data.draw(sparse_tensors(VectorField, 1)) for _ in range(degree)]
-    one_forms = [data.draw(sparse_tensors(DiffForm, 1)) for _ in range(degree)]
+@st.composite
+def dense_one_tensors(draw, cls):
+    """A degree-one tensor storing every index, so that a contraction with
+    such arguments expands every permutation."""
+    nonzero = polynomials().filter(lambda f: not f.is_zero)
+    return cls(CHART, 1, {(i,): draw(nonzero) for i in range(CHART.dim)})
+
+
+@settings(max_examples=50)
+@given(st.integers(0, CHART.dim), st.booleans(), st.data())
+def test_contraction_matches_the_reference(degree, dense, data):
+    arguments = dense_one_tensors if dense else (lambda cls: sparse_tensors(cls, 1))
+    fields = [data.draw(arguments(VectorField)) for _ in range(degree)]
+    one_forms = [data.draw(arguments(DiffForm)) for _ in range(degree)]
     a = data.draw(sparse_tensors(DiffForm, degree))
     m = data.draw(sparse_tensors(Multivector, degree))
     K = data.draw(

@@ -20,6 +20,7 @@ from foliavg.hamcurv import (
     averaging_correction,
     averaging_identities,
     axiomatic_verify,
+    curvature_transition_witness,
     horizontal_momentum,
     is_casimir_form,
     verify_admissible,
@@ -184,6 +185,14 @@ def test_averaged_curvature_transition(
         )
         is None
     )
+
+
+def test_transition_witness_refuses_a_correction_that_is_not_horizontal(
+    shear_conn, bivector
+):
+    correction = wedge(d("x1"), d("q"))
+    with pytest.raises(NotHorizontal):
+        curvature_transition_witness(shear_conn, bivector, shear_conn, correction)
 
 
 # ----------------------------------------------------------------------

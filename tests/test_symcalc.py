@@ -18,7 +18,6 @@ from foliavg.errors import (
     UnknownSymbol,
 )
 from foliavg.symcalc import (
-    AngleCombination,
     Chart,
     Scalar,
     Substitution,
@@ -668,10 +667,10 @@ def test_mutating_the_terms_dict_leaves_the_scalar_as_it_was(f):
 
 @given(st.lists(scalars_with_bare_angles(), min_size=1, max_size=4))
 def test_one_angle_combination_serves_many_scalars(fs):
-    doubled = AngleCombination(CHART, [("th", 3), ("th", -1)])
+    doubled = [("th", 3), ("th", -1)]
     for f in fs + fs[::-1]:
         assert f.substitute_angle("th", doubled) == f.substitute_angle("th", [("th", 2)])
-    assert fs[0].substitute_angle("th", AngleCombination(CHART, [("th", 1)])) == fs[0]
+    assert fs[0].substitute_angle("th", [("th", 1)]) == fs[0]
 
 
 # ----------------------------------------------------------------------

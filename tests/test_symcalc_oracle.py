@@ -24,7 +24,6 @@ from foliavg.symcalc import (  # noqa: E402
     COS,
     PI,
     SIN,
-    AngleCombination,
     Chart,
     Scalar,
     _expanded_substitute_angle,
@@ -184,7 +183,7 @@ def test_sign_rule_substitutions_match_sympy_and_the_expansion(f, combo):
     assert vanishes(to_sympy(got) - to_sympy(f).subs(SYM[angle], image))
     # the general expansion, which every other combination takes, is the
     # reference: the same numerators over the same denominator
-    expanded = _expanded_substitute_angle(f, angle, AngleCombination(CHART, combo))
+    expanded = _expanded_substitute_angle(f, angle, combo)
     assert (got.nums, got.den) == (expanded.nums, expanded.den)
 
 
