@@ -22,6 +22,7 @@ from . import hamcurv
 from .errors import (
     FoliavgError,
     InvariantViolation,
+    NonClosedOrbitCoefficients,
     NotACocycle,
     NotComplementary,
     NotHorizontal,
@@ -72,12 +73,26 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _expr(chart: Chart, text, where: str) -> Scalar:
+def _parsed(chart: Chart, text, where: str) -> Scalar:
     _expect(isinstance(text, str), f"{where}: expected an expression string")
     try:
         return parse(chart, text)
     except (ParseError, UnknownSymbol) as exc:
         raise type(exc)(f"{where}: {exc}") from None
+
+
+def _expr(chart: Chart, text, where: str) -> Scalar:
+    """An expression free of the torus angles.  Averaging assumes that its
+    inputs do not depend on the action angles, so angles may appear only in
+    the action flows, which :func:`_torus_action` reads with :func:`_parsed`."""
+    value = _parsed(chart, text, where)
+    angles = value.free_symbols().intersection(chart.angles)
+    if angles:
+        raise NonClosedOrbitCoefficients(
+            f"{where}: depends on the angle {min(angles)!r}; "
+            "angles may appear only in action flows"
+        )
+    return value
 
 
 def _require(require: Callable[[str], None], name: str, where: str) -> None:
@@ -189,7 +204,7 @@ def _torus_action(chart: Chart, obj) -> action_mod.TorusAction:
         mapping = {}
         for name, text in flow.items():
             _require(chart.require_coord, name, f"{where}.flow.{name}")
-            mapping[name] = _expr(chart, text, f"{where}.flow.{name}")
+            mapping[name] = _parsed(chart, text, f"{where}.flow.{name}")
         factors.append(action_mod.FlowFactor(chart, angle, mapping))
     return action_mod.TorusAction(chart, tuple(factors))
 
@@ -325,8 +340,10 @@ class _Pipeline:
       correction;
     - ``admissible``: the admissibility witness of the pairing form;
     - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
-    - ``fixed_momenta``: the momenta repaired by the primitives when that
-      witness fails; without primitives the witness is never asked for;
+    - ``momentum_fix``: the momenta repaired by the primitives when that
+      witness fails, and None; or, when the repair fails, the momenta as
+      given and its error.  The repair is attempted once per run, and
+      without primitives the witness is never asked for;
     - ``coupling``: the coupling Dirac structure of the averaged data.
 
     Each is built on first use, so a run charges it to the first stage that
@@ -391,15 +408,17 @@ class _Pipeline:
         return hamcurv.adiabatic_witness(self.s.action, self.s.conn, self.averaged, self.s.momenta)
 
     @cached_property
-    def fixed_momenta(self) -> tuple[DiffForm, ...]:
+    def momentum_fix(self) -> tuple[tuple[DiffForm, ...], FoliavgError | None]:
         s = self.s
         if s.momenta is None:
             raise SchemaError("scenario has no momentum one-forms")
-        if s.primitives is not None and self.adiabatic is not None:
-            return tuple(
-                hamcurv.adiabatic_fix(s.action, s.conn, s.P, s.momenta, s.primitives)
-            )
-        return s.momenta
+        if s.primitives is None or self.adiabatic is None:
+            return s.momenta, None
+        try:
+            fixed = hamcurv.adiabatic_fix(s.action, s.conn, s.P, s.momenta, s.primitives)
+        except (NotACocycle, PrimitiveMismatch) as exc:
+            return s.momenta, exc
+        return tuple(fixed), None
 
     @cached_property
     def coupling(self) -> dirac_mod.DiracData:
@@ -498,15 +517,12 @@ def _stage_adiabatic(p: _Pipeline) -> list[Check]:
     witness = p.adiabatic
     checks = [("horizontal_momentum_average", witness)]
     if witness is not None and s.primitives is not None:
-        try:
-            fixed = p.fixed_momenta
-        except (NotACocycle, PrimitiveMismatch) as exc:
-            checks.append(("primitive_fix", str(exc)))
-        else:
-            checks.append((
-                "primitive_fix",
-                hamcurv.adiabatic_witness(s.action, s.conn, p.averaged, fixed),
-            ))
+        fixed, error = p.momentum_fix
+        checks.append((
+            "primitive_fix",
+            str(error) if error is not None
+            else hamcurv.adiabatic_witness(s.action, s.conn, p.averaged, fixed),
+        ))
     return checks
 
 
@@ -526,7 +542,8 @@ def _stage_dirac(p: _Pipeline) -> list[Check]:
     if s.momenta is not None:
         checks.append((
             "hamiltonian_generators",
-            dirac_mod.hamiltonian_generator_check(s.action, p.fixed_momenta, D),
+            # after a failed repair (primitive_fix), the momenta as given
+            dirac_mod.hamiltonian_generator_check(s.action, p.momentum_fix[0], D),
         ))
     return checks
 
@@ -681,7 +698,9 @@ def _frame_table(conn: Connection) -> dict[str, dict[str, str]]:
 
 def averaged_scenario(s: Scenario) -> dict:
     """A new scenario document with the averaged connection, the potential,
-    and the averaged pairing form; momentum fixes are applied when present."""
+    and the averaged pairing form; momentum fixes are applied when present.
+    A failed fix leaves no repaired momenta to write, so its error is
+    raised."""
     if s.momenta is None:
         raise SchemaError("averaging a scenario needs momentum one-forms")
     p = _Pipeline(s)
@@ -693,7 +712,10 @@ def averaged_scenario(s: Scenario) -> dict:
     out["connection"] = {"frame": _frame_table(p.averaged)}
     out["pairing_form"] = _form_table(p.sigma_bar)
     out["potential"] = _form_table(p.potential)
-    out["momenta"] = [_form_table(mu) for mu in p.fixed_momenta]
+    momenta, error = p.momentum_fix
+    if error is not None:
+        raise error
+    out["momenta"] = [_form_table(mu) for mu in momenta]
     out.pop("primitives", None)
     return out
 

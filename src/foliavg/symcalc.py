@@ -52,19 +52,19 @@ unit rotation of a coordinate pair, :func:`rotation_mean` gives either
 functional of the image of a monomial in closed form, by Wallis' formula
 for the means of cos^a * sin^b, and multiplies no scalars at all.
 
-Loading a scenario parses each expression string and builds the torus
-flows, and neither runs a ring product where the answer is one term.  The
-parser reads number literals as integer pairs, multiplies two single terms
-whose harmonics share no angle as one key (merged power tuples,
-concatenated harmonics), and raises a single term without harmonics to a
-power by scaling its exponents, numerator and denominator; a leading sign
-negates.  Every other product and power goes through the ring under the
-parser's bounds on terms and term pairs.  A number past ``_MAX_DIGITS``
-digits is refused wherever it arises: a literal before it is read, a
-power of one term before it is computed.  A flow needs its
-images at angle zero and at the negated angle: :meth:`Scalar.substitute_angle`
-rewrites these two substitutions term by term with sign rules, and expands
-every other combination with the angle addition formulas.
+Where the answer is one term, the ring forms it directly: two single terms
+whose harmonics share no angle multiply as one key (merged power tuples,
+concatenated harmonics), and a single term without harmonics is raised to
+a power by scaling its exponents, numerator and denominator.  Every other
+power follows the one binary-powering schedule of :func:`_binary_power`.
+The parser reads number literals as integer pairs and does no arithmetic
+of its own: it bounds each product and power by its terms and term pairs,
+then forms it in the ring.  A number past ``_MAX_DIGITS`` digits is
+refused wherever it arises: a literal before it is read, a power of one
+term before it is computed.  A flow needs its images at angle zero and at
+the negated angle: :meth:`Scalar.substitute_angle` rewrites these two
+substitutions term by term with sign rules, and expands every other
+combination with the angle addition formulas.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Union
+from typing import TypeVar, Union
 
 from .errors import (
     ChartMismatch,
@@ -110,6 +110,7 @@ _TOO_MANY_DIGITS = f"a number in the expression needs more than {_MAX_DIGITS} di
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 Number = Union[int, Fraction]
+_T = TypeVar("_T")
 
 # A monomial key is a pair (powers, trig):
 #   powers: tuple of (symbol, exponent), sorted by symbol, exponent >= 1;
@@ -493,6 +494,13 @@ class Scalar:
             return self
         if not rhs.nums:
             return rhs
+        if len(self.nums) == 1 and len(rhs.nums) == 1:
+            # two single terms whose harmonics share no angle: one key
+            (((p1, t1), n1),) = self.nums.items()
+            (((p2, t2), n2),) = rhs.nums.items()
+            if not (t1 and t2) or {a for a, _, _ in t1}.isdisjoint([a for a, _, _ in t2]):
+                key = (_merge_powers(p1, p2), tuple(sorted(t1 + t2)))
+                return _make(self.chart, {key: n1 * n2}, self.den * rhs.den)
         items, shift = _product_items(self.nums.items(), rhs.nums.items())
         return _collect(self.chart, items, self.den * rhs.den << shift)
 
@@ -501,16 +509,14 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int) or exponent < 0:
             raise ParseError("exponents must be non-negative integers")
-        # binary exponentiation: one squaring per bit of the exponent
-        result = Scalar.one(self.chart)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        if exponent and len(self.nums) == 1:
+            # a single term without harmonics: scale its exponents, numerator
+            # and denominator
+            (((powers, trig), n),) = self.nums.items()
+            if not trig:
+                powers = tuple((name, e * exponent) for name, e in powers)
+                return _make(self.chart, {(powers, ()): n**exponent}, self.den**exponent)
+        return _binary_power(Scalar.one(self.chart), self, exponent, Scalar.__mul__)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -691,6 +697,21 @@ class Scalar:
     __repr__ = __str__
 
 
+def _binary_power(result: _T, base: _T, exponent: int, product: Callable[[_T, _T], _T]) -> _T:
+    """``result`` times ``base`` to the power ``exponent`` by binary
+    powering: one product per set bit of the exponent, one squaring per bit
+    below the highest.  :meth:`Scalar.__pow__` and the parser's checked
+    powers share this one schedule, so :func:`_harmonic_growth`, which runs
+    it on exponents, bounds the products they form."""
+    while exponent:
+        if exponent & 1:
+            result = product(result, base)
+        exponent >>= 1
+        if exponent:
+            base = product(base, base)
+    return result
+
+
 def _split_angle(
     powers: Powers, trig: Trig, angle: str
 ) -> tuple[int, tuple[str, str, int] | None, Powers, Trig]:
@@ -733,17 +754,10 @@ def _angle_reflected(f: Scalar, angle: str) -> Scalar:
     e + 1 is odd."""
     nums = {}
     for key, n in f.nums.items():
-        powers, trig = key
-        odd = False
-        for name, e in powers:
-            if name == angle:
-                odd = bool(e & 1)
-                break
-        for name, kind, _ in trig:
-            if name == angle:
-                odd ^= kind == SIN
-                break
-        nums[key] = -n if odd else n
+        e, entry, _, _ = _split_angle(*key, angle)
+        if entry is not None and entry[1] == SIN:
+            e += 1
+        nums[key] = -n if e & 1 else n
     return _make(f.chart, nums, f.den)
 
 
@@ -896,17 +910,12 @@ def _by_harmonic(f: Scalar, angle: str) -> dict[Harmonic, list[tuple[Key, int]]]
     without it; a bare power of the angle is refused."""
     groups: dict[Harmonic, list[tuple[Key, int]]] = {}
     for (powers, trig), n in f.nums.items():
-        for name, _ in powers:
-            if name == angle:
-                raise NonPolynomialIntegrand(
-                    f"a bare power of {angle!r} is not a trigonometric polynomial in it"
-                )
-        harmonic = None
-        for i, (name, kind, m) in enumerate(trig):
-            if name == angle:
-                harmonic = kind, m
-                trig = trig[:i] + trig[i + 1 :]
-                break
+        e, entry, powers, trig = _split_angle(powers, trig, angle)
+        if e:
+            raise NonPolynomialIntegrand(
+                f"a bare power of {angle!r} is not a trigonometric polynomial in it"
+            )
+        harmonic = None if entry is None else entry[1:]
         group = groups.get(harmonic)
         if group is None:
             group = groups[harmonic] = []
@@ -1239,34 +1248,11 @@ def _fitting(f: Scalar) -> Scalar:
     return f
 
 
-def _scaled(f: Scalar, num: int, den: int) -> Scalar:
-    """``f`` times the nonzero rational num / den."""
-    if den < 0:
-        num, den = -num, -den
-    return _fitting(_make(f.chart, {key: n * num for key, n in f.nums.items()}, f.den * den))
-
-
 def _product(a: Scalar, b: Scalar) -> Scalar:
-    """``a * b`` for the parser.  Two single terms whose harmonics share no
-    angle multiply as one key: their power tuples merge and their
-    harmonics are concatenated.  Every other product is refused when it may
-    expand to more than ``_MAX_PARSED_TERMS`` terms, and else formed by
-    :meth:`Scalar.__mul__`."""
+    """``a * b`` for the parser, refused when it may expand to more than
+    ``_MAX_PARSED_TERMS`` terms or its coefficients to more than
+    ``_MAX_DIGITS`` digits."""
     m, n = len(a.nums), len(b.nums)
-    if m == 1 and n == 1:
-        (((p1, t1), n1),) = a.nums.items()
-        (((p2, t2), n2),) = b.nums.items()
-        if not t2:
-            trig = t1
-        elif not t1:
-            trig = t2
-        elif {angle for angle, _, _ in t1}.isdisjoint(angle for angle, _, _ in t2):
-            trig = tuple(sorted(t1 + t2))
-        else:
-            trig = None
-        if trig is not None:
-            key = (_merge_powers(p1, p2), trig)
-            return _fitting(_make(a.chart, {key: n1 * n2}, a.den * b.den))
     if m * n > _MAX_PARSED_TERMS:
         raise ParseError(
             f"a product of {m} and {n} terms may expand to more than {_MAX_PARSED_TERMS} terms"
@@ -1338,7 +1324,7 @@ class _Parser:
                 const = _as_rational(self.factor())
                 if const is None or const == 0:
                     raise ParseError("division is only allowed by nonzero rationals")
-                value = _scaled(value, const.denominator, const.numerator)
+                value = _fitting(value * (1 / const))
             else:
                 return value
 
@@ -1357,7 +1343,7 @@ class _Parser:
                 raise ParseError("division is only allowed by nonzero rationals")
             value = _bounded_power(value, exponent)
             if denom != 1:
-                value = _scaled(value, 1, denom)
+                value = _fitting(value * Fraction(1, denom))
         return value
 
     def atom(self) -> Scalar:
@@ -1413,11 +1399,11 @@ class _Parser:
 def _bounded_power(base: Scalar, exponent: int) -> Scalar:
     """``base ** exponent``, refused when the expansion may grow too large.
 
-    A single term without harmonics is raised directly: its exponents,
-    numerator and denominator are scaled, the two integers only after a
-    bit-length estimate shows that they may stay within ``_MAX_DIGITS``
-    digits.  Every other base is expanded by the binary powering of
-    :meth:`Scalar.__pow__`, under the bounds that follow.
+    A single term without harmonics, which :meth:`Scalar.__pow__` raises by
+    scaling its exponents, numerator and denominator, is raised only after
+    a bit-length estimate shows that the two integers may stay within
+    ``_MAX_DIGITS`` digits.  Every other base is expanded by the binary
+    powering of :func:`_binary_power`, under the bounds that follow.
 
     A power of t terms has at most C(t+e-1, e) monomials before any
     product-to-sum rewrite.  A one-term base with harmonics in h angles
@@ -1433,23 +1419,22 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
 
     Those counts bound terms, not work: a base that mixes terms with and
     without harmonics, such as q + p + cos(th), passes them and can still
-    need products of millions of term pairs.  So the binary powering of
-    :meth:`Scalar.__pow__` is replayed here, and since a product of m and n
-    terms costs in proportion to its m * n term pairs (Johnson, "Sparse
-    polynomial arithmetic", 1974), it is refused before any product whose
-    pairs exceed ``_MAX_POWER_PAIRS``.  Each product's coefficients are
-    bounded like the direct route's.
+    need products of millions of term pairs.  So the powering shares the
+    schedule of :meth:`Scalar.__pow__`, :func:`_binary_power`, with checked
+    products: since a product of m and n terms costs in proportion to its
+    m * n term pairs (Johnson, "Sparse polynomial arithmetic", 1974), it is
+    refused before any product whose pairs exceed ``_MAX_POWER_PAIRS``.
+    Each product's coefficients are bounded like the direct route's.
     """
     t = len(base.nums)
     if t == 1 and exponent:
-        (((powers, trig), n),) = base.nums.items()
+        (((_, trig), n),) = base.nums.items()
         if not trig:
             for x in (n, base.den):
                 # |x|^e >= 2^((bits - 1) * e), so this refuses without computing
                 if (abs(x).bit_length() - 1) * exponent >= _COEFFICIENT_BITS:
                     raise ParseError(_TOO_MANY_DIGITS)
-            powers = tuple((name, e * exponent) for name, e in powers)
-            return _fitting(_make(base.chart, {(powers, ()): n**exponent}, base.den**exponent))
+            return _fitting(base**exponent)
     if t > 1 and math.comb(t + exponent - 1, exponent) > _MAX_PARSED_TERMS:
         raise ParseError(
             f"a {t}-term expression to the power {exponent} may expand to more "
@@ -1478,20 +1463,13 @@ def _bounded_power(base: Scalar, exponent: int) -> Scalar:
             )
         return _fitting(a * b)
 
-    result, square, rest = Scalar.one(base.chart), base, exponent
-    while rest:
-        if rest & 1:
-            result = product(result, square)
-        rest >>= 1
-        if rest:
-            square = product(square, square)
-    return result
+    return _binary_power(Scalar.one(base.chart), base, exponent, product)
 
 
 def _harmonic_growth(base: Scalar, exponent: int) -> int:
     """The largest m * n over the products :meth:`Scalar.__pow__` makes,
     m and n bounding the terms of the two factors' powers of the terms
-    with harmonics."""
+    with harmonics: :func:`_binary_power` run on exponents."""
     powers = {p for p, trig in base.nums if trig}
     largest: dict[str, int] = {}
     sines: set[str] = set()
@@ -1505,17 +1483,16 @@ def _harmonic_growth(base: Scalar, exponent: int) -> int:
         harmonics = math.prod((2 if a in sines else 1) * k * m + 1 for a, m in largest.items())
         return math.comb(len(powers) + k - 1, k) * harmonics
 
-    # replay the binary powering on exponents: result = base^r, square = base^s
-    worst, r, s = 0, 0, 1
-    while exponent:
-        if exponent & 1:
-            if r:
-                worst = max(worst, parts(r) * parts(s))
-            r += s
-        exponent >>= 1
-        if exponent:
-            worst = max(worst, parts(s) ** 2)
-            s *= 2
+    worst = 0
+
+    def product(r: int, s: int) -> int:
+        # base^r times base^s; the first product, by base^0 = 1, forms no pairs
+        nonlocal worst
+        if r:
+            worst = max(worst, parts(r) * parts(s))
+        return r + s
+
+    _binary_power(0, 1, exponent, product)
     return worst
 
 

@@ -426,6 +426,17 @@ def test_premomentum(rotation, bivector, quadratic_momentum):
     assert witness is not None and "th" in witness
 
 
+def test_premomentum_witness_of_a_one_form_not_leafwise_closed(
+    rotation, bivector, quadratic_momentum
+):
+    # q*dx1 leaves the sharp as it is, but d(q*dx1) = dq ^ dx1 does not
+    # vanish along the leaves
+    shifted = quadratic_momentum + d("x1") * sc("q")
+    assert verify_premomentum(rotation, bivector, [shifted]) == (
+        "th one-form is not leafwise closed: contraction along sharp dp leaves (-1)*dx1"
+    )
+
+
 # ----------------------------------------------------------------------
 # recorded averages
 

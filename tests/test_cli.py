@@ -279,6 +279,63 @@ def test_a_casimir_form_off_the_casimirs_is_an_input_error(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    ("key", "value", "where"),
+    [
+        ("poisson", {"q^p": "cos(th)"}, "poisson.q^p"),
+        (
+            "connection",
+            {"projection": {"q": {"q": "1"}, "p": {"p": "1"}, "x1": {"p": "sin(th)"}}},
+            "connection.projection.x1.p",
+        ),
+        ("momenta", [{"q": "q", "p": "p*cos(th)"}], "momenta[0].p"),
+        ("pairing_form", {"x1^x2": "q + th"}, "pairing_form.x1^x2"),
+        ("casimir_form", {"x1^x2": "x1*sin(2*th)"}, "casimir_form.x1^x2"),
+        ("potential", {"x1": "cos(th)"}, "potential.x1"),
+        ("primitives", ["x1*cos(th)"], "primitives[0]"),
+    ],
+)
+def test_an_angle_outside_the_flows_is_an_input_error(tmp_path, capsys, key, value, where):
+    # averaging assumes inputs that do not depend on the action angles; the
+    # loader refuses them, so no verb reads them
+    raw = dict(load_scenario("hb4d").raw, **{key: value})
+    path = tmp_path / "angle.json"
+    path.write_text(json.dumps(raw))
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"foliavg: error: {where}: depends on the angle 'th'; "
+            "angles may appear only in action flows\n"
+        )
+
+
+def test_an_angle_dependent_frame_is_an_input_error_for_every_verb(capsys):
+    # the frame case of the test above, as a committed document; check and
+    # average used to stop in the averaging, and dirac to pass
+    path = Path(__file__).parent / "data" / "hb4d_angle_frame.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: connection.frame.x1.p: depends on the angle 'th'; "
+            "angles may appear only in action flows\n"
+        )
+
+
+def test_a_wrong_primitive_fails_check_and_stops_average(capsys):
+    path = Path(__file__).parent / "data" / "triv_shifted_wrong_primitive.json"
+    assert main(["check", str(path), "--witness"]) == 1
+    out = capsys.readouterr().out
+    assert "✗ adiabatic: primitive_fix\n    witness: primitive for th does not produce" in out
+    assert main(["check", str(path), "--stage", "dirac"]) == 1
+    assert capsys.readouterr().out.endswith("✗ dirac: hamiltonian_generators\n")
+    # there are no repaired momenta to write
+    assert main(["average", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "foliavg: error: primitive for th does not produce the defect\n"
+    )
+    assert main(["dirac", str(path)]) == 0
+
+
 def test_a_power_too_costly_to_expand_is_an_input_error(capsys):
     # (q+p+cos(th))^60 passes the term bounds, but its last product alone
     # would form 2360 * 3417 term pairs; it is refused before the first

@@ -5,6 +5,8 @@ from hypothesis import given
 
 from foliavg.action import hamiltonian_potential, hannay_berry
 from foliavg.errors import (
+    InvariantViolation,
+    NotACocycle,
     NotHorizontal,
     PrimitiveMismatch,
     UnsupportedDegree,
@@ -187,6 +189,14 @@ def test_averaged_curvature_transition(
     )
 
 
+def test_transition_witness_names_the_failing_frame_pair(shear_conn, bivector):
+    # the curvature does not move, but the correction q has a nonzero
+    # Hamiltonian field
+    assert curvature_transition_witness(shear_conn, bivector, shear_conn, two_form("q")) == (
+        "transition fails on the (x1, x2) frame pair"
+    )
+
+
 def test_transition_witness_refuses_a_correction_that_is_not_horizontal(
     shear_conn, bivector
 ):
@@ -224,6 +234,18 @@ def test_adiabatic_fix_rejects_bad_primitives(
         adiabatic_fix(rotation, flat_conn, bivector, [shifted], [sc("q")])
     with pytest.raises(PrimitiveMismatch):
         adiabatic_fix(rotation, flat_conn, bivector, [shifted], [sc("x2")])
+    with pytest.raises(InvariantViolation, match="expected one primitive per momentum"):
+        adiabatic_fix(rotation, flat_conn, bivector, [shifted], [])
+
+
+def test_adiabatic_fix_refuses_a_defect_that_is_no_cocycle(
+    rotation, flat_conn, bivector, quadratic_momentum
+):
+    # the averaged defect x2*dx1 has D^{1,0} = dx2 ^ dx1, so no primitive
+    # can produce it
+    shifted = quadratic_momentum + d("x1") * sc("x2")
+    with pytest.raises(NotACocycle, match="averaged defect of th is not closed"):
+        adiabatic_fix(rotation, flat_conn, bivector, [shifted], [sc("x1")])
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +274,27 @@ def test_axiomatic_verify_rejects_the_unaveraged_candidate(
     assert verdict["difference_is_hamiltonian"] is not None
     assert verdict["averaged_potential_casimir"] is None
     assert verdict["averaged_pairing_vanishes"] is None
+
+
+def test_axiomatic_verify_names_a_pairing_and_a_potential_that_fail(
+    rotation, shear_conn, bivector, quadratic_momentum
+):
+    Q = hamiltonian_potential(rotation, shear_conn, [quadratic_momentum])
+    averaged = hannay_berry(rotation, shear_conn)
+    # dx1 pairs with the x1 lift to 1, whose average is 1
+    shifted = quadratic_momentum + d("x1")
+    verdict = axiomatic_verify(rotation, shear_conn, averaged, bivector, [shifted], Q)
+    assert verdict["averaged_pairing_vanishes"] == (
+        "th one-form pairs with the x1 lift to average 1"
+    )
+    # q^2 + p^2 is invariant, so it is its own average, and no Casimir
+    wrong = Q + d("x1") * sc("q^2 + p^2")
+    verdict = axiomatic_verify(
+        rotation, shear_conn, averaged, bivector, [quadratic_momentum], wrong
+    )
+    assert verdict["averaged_potential_casimir"] == (
+        "averaged coefficient p^2 + q^2 on dx1 is not a Casimir"
+    )
 
 
 def test_invariant_pairing_casimir(rotation, shear_conn, bivector, quadratic_momentum):

@@ -9,6 +9,7 @@ from foliavg import action, dirac, foliation, hamcurv, poisson, scenarios
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
+    PrimitiveMismatch,
     SchemaError,
     UnknownFormat,
 )
@@ -211,6 +212,61 @@ def test_average_builds_the_adiabatic_witness_only_to_apply_primitives(name, mon
         assert calls == []
     else:
         assert calls
+
+
+# The report of triv_shifted with the primitive x2, whose differential is
+# not the averaged defect dx1: the repair fails once, under primitive_fix,
+# and the dirac stage checks the momenta as given.
+WRONG_PRIMITIVE_REPORT = """\
+✗ adiabatic: horizontal_momentum_average
+    witness: th one-form has averaged base part (1)*dx1
+✗ adiabatic: primitive_fix
+    witness: primitive for th does not produce the defect
+✓ dirac: lagrangian
+✓ dirac: involutive
+✓ dirac: g_invariant
+✗ dirac: hamiltonian_generators
+    witness: (th generator, its one-form) is no section: pairing with generator 0 is 1"""
+
+
+def test_a_wrong_primitive_is_reported_under_primitive_fix(monkeypatch):
+    calls = []
+    original = hamcurv.adiabatic_fix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hamcurv, "adiabatic_fix", counted)
+    report = run_checks(load_scenario(DATA / "triv_shifted_wrong_primitive.json"))
+    lines = render_report(report, witness=True).splitlines()
+    assert lines[0].startswith("scenario triv_shifted_wrong_primitive: 24 checks, 3 failed (")
+    # every check before the adiabatic stage passes
+    assert all(line.startswith("✓ ") for line in lines[1:19])
+    assert "\n".join(lines[19:]) == WRONG_PRIMITIVE_REPORT
+    assert len(calls) == 1
+
+
+def test_the_dirac_stage_alone_checks_the_momenta_as_given_after_a_wrong_primitive():
+    report = run_checks(load_scenario(DATA / "triv_shifted_wrong_primitive.json"), ["dirac"])
+    body = render_report(report, witness=True).split("\n", 1)[1]
+    assert body == WRONG_PRIMITIVE_REPORT.split("\n", 4)[4]
+
+
+@pytest.mark.parametrize(
+    ("primitive", "message"),
+    [
+        ("x2", "primitive for th does not produce the defect"),
+        ("q", "primitive for th is not a Casimir"),
+    ],
+)
+def test_average_refuses_a_wrong_primitive(primitive, message):
+    raw = dict(load_scenario("triv_shifted").raw, primitives=[primitive])
+    s = scenario_from_dict(raw)
+    failed = {(c.stage, c.check): c.witness for c in run_checks(s).checks if not c.passed}
+    assert failed[("adiabatic", "primitive_fix")] == message
+    with pytest.raises(PrimitiveMismatch, match=message):
+        averaged_scenario(s)
 
 
 def test_stage_names_are_canonical():

@@ -609,6 +609,42 @@ def test_power_matches_repeated_product():
         product = product * f
 
 
+@st.composite
+def single_terms(draw, harmonics=True):
+    """One nonzero term on TWO_ANGLES: a rational coefficient, powers of
+    coordinates, of pi and of a bare angle, and with ``harmonics`` a sine or
+    a cosine in each of some of the angles, so that two terms share angles
+    or not."""
+    coef = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+    powers = tuple((n, e) for n in ("p", "pi", "q", "th") if (e := draw(st.integers(0, 3))))
+    trig = []
+    for angle in ("ph", "th") if harmonics else ():
+        kind = draw(st.sampled_from((None, "s", "c")))
+        if kind is not None:
+            trig.append((angle, kind, draw(st.integers(1, 3))))
+    return Scalar(TWO_ANGLES, {(powers, tuple(trig)): coef})
+
+
+def general_product(a, b):
+    """``a * b`` by the general route: the product kernel over every pair
+    of terms, then one collection."""
+    items, shift = _product_items(a.nums.items(), b.nums.items())
+    return symcalc._collect(a.chart, items, a.den * b.den << shift)
+
+
+@given(single_terms(), single_terms())
+def test_products_of_single_terms_are_those_of_the_general_route(a, b):
+    product, general = a * b, general_product(a, b)
+    assert (product.nums, product.den) == (general.nums, general.den)
+
+
+@given(single_terms(harmonics=False), st.integers(0, 6))
+def test_powers_of_single_terms_are_those_of_the_general_route(f, e):
+    power = f**e
+    general = symcalc._binary_power(Scalar.one(TWO_ANGLES), f, e, general_product)
+    assert (power.nums, power.den) == (general.nums, general.den)
+
+
 # ----------------------------------------------------------------------
 # integer numerators over one denominator
 

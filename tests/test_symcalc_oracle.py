@@ -7,8 +7,9 @@ leaves a Laurent polynomial in exp(i*angle) with polynomial coefficients,
 zero exactly when the identity holds.  The operations are checked against
 sympy's own product, derivative, definite integral and substitution, and
 the two means of a product against sympy's integrals of that product.
-The parser's direct routes for products and powers of single terms are
-checked against sympy and against the same scalars built with operators.
+Products and powers of single terms, which the ring forms as one key, are
+checked against sympy twice: as the parser reads them, and as the ring
+operators build them.
 """
 
 from fractions import Fraction
@@ -203,7 +204,7 @@ def test_sign_rules_on_each_angle_monomial(e, kind, m):
 
 
 # ----------------------------------------------------------------------
-# the parser's direct routes
+# products and powers of single terms
 
 
 @st.composite
@@ -240,7 +241,10 @@ def test_products_of_single_terms_parse_like_sympy_and_operators(terms):
         built = built * f
     got = parse(CHART, text)
     assert (got.nums, got.den) == (built.nums, built.den)
+    # the parser and the operators share one product, so sympy is the
+    # independent reference for both
     assert vanishes(to_sympy(got) - expr)
+    assert vanishes(to_sympy(built) - expr)
 
 
 @given(st.one_of(single_terms(harmonics=False), single_terms()), st.integers(0, 4))
@@ -250,6 +254,7 @@ def test_powers_of_single_terms_parse_like_sympy_and_operators(term, e):
     power = built**e
     assert (got.nums, got.den) == (power.nums, power.den)
     assert vanishes(to_sympy(got) - expr**e)
+    assert vanishes(to_sympy(power) - expr**e)
     # a leading minus binds looser than the power
     negated = parse(CHART, f"-({text})^{e}")
     assert (negated.nums, negated.den) == ((-power).nums, power.den)
