@@ -279,6 +279,19 @@ def test_a_casimir_form_off_the_casimirs_is_an_input_error(capsys):
         )
 
 
+def test_the_first_non_casimir_coefficient_in_document_order_is_named(tmp_path, capsys):
+    # both coefficients are paired by the bivector; x2^x3 sorts after x1^x2
+    # but comes first in the document, and the error names it
+    raw = dict(load_scenario("ext3").raw, casimir_form={"x2^x3": "q", "x1^x2": "p"})
+    path = tmp_path / "noncasimir.json"
+    path.write_text(json.dumps(raw))
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: casimir_form.x2^x3: q is not a Casimir of the bivector\n"
+        )
+
+
 @pytest.mark.parametrize(
     ("key", "value", "where"),
     [

@@ -13,8 +13,11 @@ built with ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
 pairing form), and of ``data/hb4d_sheared.json`` (hb4d moved by the shear
 p -> p + x1*q^2, see ``test_covariance.py``: its flow depends on the base and
 has second harmonics).  It also holds the check report with witnesses of
-each generated or sheared chart and of the two failing bundled scenarios,
-``ext3`` and ``triv_shifted``.  The bundled and rot(4,4,0) entries were written before
+each generated or sheared chart, of the two failing bundled scenarios,
+``ext3`` and ``triv_shifted``, and of ``data/ext3_vertical_pairing.json``
+(ext3 with a pairing form on all three frame pairs and a base term in its
+momentum: two frame pairs fail the Hamiltonian curvature checks at once,
+and the momentum is not leafwise closed).  The bundled and rot(4,4,0) entries were written before
 vector fields became sparse tensors, the rot(3,1,12) entry before scalars
 kept integer numerators over one denominator, and the failing reports and
 the rot(6,6,1) entries before contractions and Dirac membership visited only
@@ -53,6 +56,7 @@ SOURCES.update(
         "rot_4_2_40",
         "rot_6_6_1",
         "hb4d_sheared",
+        "ext3_vertical_pairing",
     )
 )
 # the check count and the failed checks of each document built to fail
@@ -60,6 +64,21 @@ FAILING = {
     "ext3": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "triv_shifted": (24, ["adiabatic: horizontal_momentum_average"]),
     "rot_4_4_0_perturbed": (22, ["curvature_form: admissible", "dirac: involutive"]),
+    "ext3_vertical_pairing": (
+        22,
+        [
+            "premomentum: sharp_and_leafwise_closed",
+            "averaging: difference_is_hamiltonian",
+            "curvature_form: hamiltonian_curvature",
+            "curvature_form: admissible",
+            "averaged_form: averaged_hamiltonian_curvature",
+            "averaged_form: second_derivative",
+            "adiabatic: horizontal_momentum_average",
+            "dirac: involutive",
+            "dirac: g_invariant",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
 }
 
 
