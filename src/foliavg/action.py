@@ -521,15 +521,16 @@ def verify_premomentum(
     action: TorusAction, P: PoissonBivector, moments: Sequence[DiffForm]
 ) -> str | None:
     """Each factor one-form must sharpen to its generator and have a
-    differential that is closed along the leaves."""
+    differential that is closed along the leaves: annihilated by the probes
+    P-sharp dv = X_v of the fibre coordinates v, built once per call."""
     _require_momenta(action, moments)
     chart = action.chart
+    probes = [(vert, P.hamiltonian_vf(Scalar.var(chart, vert))) for vert in chart.vertical]
     for factor, mu in zip(action.factors, moments):
         if P.sharp(mu) != factor.generator():
             return f"sharp of the {factor.angle} one-form is not its generator"
         dmu = exterior_derivative(mu)
-        for vert in chart.vertical:
-            probe = P.sharp(DiffForm.d_coord(chart, vert))
+        for vert, probe in probes:
             rest = interior_product(probe, dmu)
             if not rest.is_zero:
                 return (
@@ -581,18 +582,13 @@ def potential_along(
 
 def difference_from_potential(P: PoissonBivector, potential: DiffForm) -> VecValuedForm:
     """The valued one-form sending each base field to the Hamiltonian
-    field of its potential coefficient."""
-    chart = potential.chart
+    field of its potential coefficient: the Hamiltonian image of the
+    horizontal one-form ``potential``."""
     if potential.degree != 1:
         raise UnsupportedDegree("the potential must be a one-form")
     if not is_horizontal_form(potential):
         raise NotHorizontal("the potential must be horizontal")
-    items = []
-    for (i,), value in potential.comps.items():
-        field = P.hamiltonian_vf(value)
-        if not field.is_zero:
-            items.append(((i,), field))
-    return VecValuedForm._make(chart, 1, items)
+    return P.hamiltonian_image(potential)
 
 
 # ----------------------------------------------------------------------

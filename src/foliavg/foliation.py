@@ -102,32 +102,27 @@ class Connection:
 
     @property
     def frame(self) -> Mapping[str, VectorField]:
+        """Lifted frame h_b = d/dx_b + sum_v A_b^v d/dv, read off coeffs in one pass."""
         if self._frame is None:
             chart = self.chart
-            out = {}
-            for base in chart.horizontal:
-                field = VectorField.basis(chart, base)
-                for vert in chart.vertical:
-                    value = self.coeffs.get((base, vert))
-                    if value is not None:
-                        field = field + VectorField.basis(chart, vert) * value
-                out[base] = field
+            index = chart.coord_index
+            rows = {base: [((index(base),), Scalar.one(chart))] for base in chart.horizontal}
+            for (base, vert), value in self.coeffs.items():
+                rows[base].append(((index(vert),), value))
+            out = {base: VectorField._make(chart, 1, row) for base, row in rows.items()}
             object.__setattr__(self, "_frame", MappingProxyType(out))
         return self._frame
 
     @property
     def coframe(self) -> Mapping[str, DiffForm]:
-        """Vertical coframe eta_v = dv - sum_i A_i^v dx_i, dual to d/dv."""
+        """Coframe eta_v = dv - sum_b A_b^v dx_b, dual to d/dv, read off coeffs in one pass."""
         if self._coframe is None:
             chart = self.chart
-            out = {}
-            for vert in chart.vertical:
-                form = DiffForm.d_coord(chart, vert)
-                for base in chart.horizontal:
-                    value = self.coeffs.get((base, vert))
-                    if value is not None:
-                        form = form - DiffForm.from_dict(chart, 1, {(base,): value})
-                out[vert] = form
+            index = chart.coord_index
+            rows = {vert: [((index(vert),), Scalar.one(chart))] for vert in chart.vertical}
+            for (base, vert), value in self.coeffs.items():
+                rows[vert].append(((index(base),), -value))
+            out = {vert: DiffForm._make(chart, 1, row) for vert, row in rows.items()}
             object.__setattr__(self, "_coframe", MappingProxyType(out))
         return self._coframe
 

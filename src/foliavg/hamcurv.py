@@ -10,7 +10,6 @@ to average away and repairs it from supplied Casimir primitives.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .action import (
@@ -55,23 +54,24 @@ def _require_pairing_form(conn: Connection, sigma: DiffForm) -> None:
 def verify_hamiltonian_curvature(
     conn: Connection, P: PoissonBivector, sigma: DiffForm
 ) -> str | None:
-    """Framewise, the curvature plus the Hamiltonian field of the pairing
-    must vanish.
+    """Curv = -X_sigma: the curvature plus the Hamiltonian image of the
+    pairing form must vanish.
 
     Both forms are horizontal and the lifted frame is h_a = d/dx_a plus a
-    vertical field, so on h_a, h_b each form is its dx_a ^ dx_b component:
-    the components are read, not evaluated on the frame.
+    vertical field, so on h_a, h_b each form is its dx_a ^ dx_b component;
+    the witness is the first stored one of the sum in sorted index order,
+    frame-pair order since the chart lists its base coordinates first.
     """
     _require_pairing_form(conn, sigma)
-    curv = curvature(conn)
-    for a, b in combinations(conn.chart.horizontal, 2):
-        defect = curv.coefficient(a, b) + P.hamiltonian_vf(sigma.coefficient(a, b))
-        if not defect.is_zero:
-            return (
-                f"frame pair ({a}, {b}): curvature misses minus the "
-                f"Hamiltonian field by {defect!r}"
-            )
-    return None
+    defect = curvature(conn) + P.hamiltonian_image(sigma)
+    if defect.is_zero:
+        return None
+    idx = min(defect.comps)
+    a, b = (conn.chart.coords[i] for i in idx)
+    return (
+        f"frame pair ({a}, {b}): curvature misses minus the "
+        f"Hamiltonian field by {defect.comps[idx]!r}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -79,10 +79,9 @@ def verify_hamiltonian_curvature(
 
 
 def is_casimir_form(P: PoissonBivector, form: DiffForm) -> bool:
-    """Horizontal with every coefficient a Casimir function."""
-    if not is_horizontal_form(form):
-        return False
-    return all(P.is_casimir(value) for value in form.comps.values())
+    """Horizontal with every coefficient a Casimir function: in the kernel
+    of the Hamiltonian image."""
+    return is_horizontal_form(form) and P.hamiltonian_image(form).is_zero
 
 
 def verify_admissible(conn: Connection, sigma: DiffForm) -> str | None:
@@ -144,20 +143,18 @@ def curvature_transition_witness(
     ``correction`` of the Hamiltonian potential of the averaging difference,
     as :func:`averaging_correction` builds it.
 
-    The curvatures and the correction are horizontal, so on the frame pair
-    (h_a, h_b) of ``conn`` each is its dx_a ^ dx_b component, as in
-    :func:`verify_hamiltonian_curvature`; a correction that is not
-    horizontal is refused.
+    The averaged curvature minus the curvature minus the Hamiltonian image
+    of the correction must vanish; the witness names the frame pair of its
+    first stored component, as in :func:`verify_hamiltonian_curvature`.  A
+    correction that is not horizontal is refused.
     """
     if not is_horizontal_form(correction):
         raise NotHorizontal("an averaging correction is horizontal")
-    curv = curvature(conn)
-    curv_avg = curvature(averaged)
-    for a, b in combinations(conn.chart.horizontal, 2):
-        rhs = curv.coefficient(a, b) + P.hamiltonian_vf(correction.coefficient(a, b))
-        if curv_avg.coefficient(a, b) != rhs:
-            return f"transition fails on the ({a}, {b}) frame pair"
-    return None
+    defect = curvature(averaged) - curvature(conn) - P.hamiltonian_image(correction)
+    if defect.is_zero:
+        return None
+    a, b = (conn.chart.coords[i] for i in min(defect.comps))
+    return f"transition fails on the ({a}, {b}) frame pair"
 
 
 def averaging_identities(

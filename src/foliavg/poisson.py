@@ -21,6 +21,7 @@ from .foliation import Connection, is_horizontal_form
 from .geom import (
     DiffForm,
     Multivector,
+    VecValuedForm,
     VectorField,
     _sort_index,
     exterior_derivative,
@@ -84,6 +85,14 @@ class PoissonBivector:
 
     def hamiltonian_vf(self, f: Scalar) -> VectorField:
         return self.sharp(differential(f))
+
+    def hamiltonian_image(self, form: DiffForm) -> VecValuedForm:
+        """The valued form of the same degree whose component at each stored
+        index is the Hamiltonian field of that coefficient.  The curvature is
+        Hamiltonian when Curv = -X_sigma for a horizontal two-form sigma, and
+        sigma is unique modulo the kernel, the Casimir-valued forms."""
+        items = ((idx, self.hamiltonian_vf(value)) for idx, value in form.comps.items())
+        return VecValuedForm._make(self.chart, form.degree, items)
 
     def bracket(self, f: Scalar, g: Scalar) -> Scalar:
         return self.pairing(differential(f), differential(g))

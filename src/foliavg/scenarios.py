@@ -279,12 +279,13 @@ def scenario_from_dict(raw) -> Scenario:
     sigma = _horizontal_form(chart, 2, raw, "pairing_form")
     casimir = _horizontal_form(chart, 2, raw, "casimir_form")
     if casimir is not None:
-        for idx, coef in casimir.comps.items():
-            if not P.is_casimir(coef):
-                key = "^".join(chart.coords[i] for i in idx)
-                raise InvariantViolation(
-                    f"casimir_form.{key}: {render(coef)} is not a Casimir of the bivector"
-                )
+        # the image keeps the document order of the coefficients; name its first
+        for idx in P.hamiltonian_image(casimir).comps:
+            key = "^".join(chart.coords[i] for i in idx)
+            coef = render(casimir.comps[idx])
+            raise InvariantViolation(
+                f"casimir_form.{key}: {coef} is not a Casimir of the bivector"
+            )
     potential = _horizontal_form(chart, 1, raw, "potential")
 
     primitives = None
