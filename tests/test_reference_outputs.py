@@ -17,7 +17,10 @@ each generated or sheared chart, of the two failing bundled scenarios,
 ``ext3`` and ``triv_shifted``, and of ``data/ext3_vertical_pairing.json``
 (ext3 with a pairing form on all three frame pairs and a base term in its
 momentum: two frame pairs fail the Hamiltonian curvature checks at once,
-and the momentum is not leafwise closed).  The bundled and rot(4,4,0) entries were written before
+and the momentum is not leafwise closed), and of
+``data/triv_moved_bivector.json`` (triv with its bivector scaled by 1 + q^2:
+the rotation moves the bivector and keeps the pairing form, so ``canonical``
+and ``g_invariant`` fail).  The bundled and rot(4,4,0) entries were written before
 vector fields became sparse tensors, the rot(3,1,12) entry before scalars
 kept integer numerators over one denominator, and the failing reports and
 the rot(6,6,1) entries before contractions and Dirac membership visited only
@@ -57,6 +60,7 @@ SOURCES.update(
         "rot_6_6_1",
         "hb4d_sheared",
         "ext3_vertical_pairing",
+        "triv_moved_bivector",
     )
 )
 # the check count and the failed checks of each document built to fail
@@ -75,6 +79,15 @@ FAILING = {
             "averaged_form: second_derivative",
             "adiabatic: horizontal_momentum_average",
             "dirac: involutive",
+            "dirac: g_invariant",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
+    "triv_moved_bivector": (
+        23,
+        [
+            "action: canonical",
+            "premomentum: sharp_and_leafwise_closed",
             "dirac: g_invariant",
             "dirac: hamiltonian_generators",
         ],
