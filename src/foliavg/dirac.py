@@ -287,18 +287,21 @@ def gauge_transform(D: DiracData, B: DiffForm) -> DiracData:
 # group invariance
 
 
-def verify_g_invariance(
-    action: TorusAction, D: DiracData, bivector_kept: bool | None = None
-) -> str | None:
+def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
     """Pull every generator back by each symbolic flow and test membership;
     a generator that a flow leaves as it is reads its row of pairings.
 
-    When the connection and the bivector are themselves invariant, the
-    verdict is cross-checked against the vanishing of the pairing form's
-    Lie derivative along each circle generator; the routes must agree.
-    ``bivector_kept`` says whether every flow preserves ``D.P``, when the
-    caller has decided it already (the ``canonical`` verdict of
-    :func:`~foliavg.action.verify_action`); by default it is decided here.
+    When D is Lagrangian and every flow preserves the vertical foliation V,
+    the verdict is cross-checked through the coupling data.  D determines
+    them: H is spanned by the fields of the sections whose forms vanish on
+    V, the pairing form is read off the forms paired with H, and the
+    bivector is the vertical part of the fields paired with ann H.  Pullback
+    is natural, so a flow keeps D exactly when it keeps the pairing form,
+    the bivector and the projection; and a flow solves d/dth phi = X o phi
+    (checked at load), so it keeps the pairing form exactly when its
+    generator's Lie derivative of it vanishes.  An invariant D is checked
+    on the pairing form alone; the bivector and the projection are pulled
+    back only for a moved D whose pairing form is kept.
     """
     witness = None
     for factor in action.factors:
@@ -317,23 +320,21 @@ def verify_g_invariance(
                 break
         if witness is not None:
             break
-    if bivector_kept is None:
-        bivector_kept = all(
-            pullback(factor.flow(), D.P.mv) == D.P.mv for factor in action.factors
-        )
-    structure_invariant = bivector_kept and all(
-        pullback(factor.flow(), D.conn.projection) == D.conn.projection
-        for factor in action.factors
+    if verify_lagrangian(D) is not None or any(
+        factor.mixed_base() is not None for factor in action.factors
+    ):
+        return witness
+    kept = all(
+        lie_derivative(factor.generator(), D.sigma).is_zero for factor in action.factors
     )
-    if structure_invariant:
-        sigma_invariant = all(
-            lie_derivative(factor.generator(), D.sigma).is_zero
+    if kept and witness is not None:
+        kept = all(
+            pullback(factor.flow(), D.P.mv) == D.P.mv
+            and pullback(factor.flow(), D.conn.projection) == D.conn.projection
             for factor in action.factors
         )
-        if sigma_invariant != (witness is None):
-            raise InvariantViolation(
-                "membership and pairing-form invariance routes disagree"
-            )
+    if kept != (witness is None):
+        raise InvariantViolation("membership and pairing-form invariance routes disagree")
     return witness
 
 

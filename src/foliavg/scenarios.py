@@ -328,9 +328,6 @@ class _Pipeline:
     - ``averaged``: the averaged connection, the walk's last entry;
     - ``potential``: the Hamiltonian potential, read off the walk's earlier
       entries by ``potential_along``;
-    - ``action_verdicts``: the verdicts of ``verify_action``, which the
-      ``action`` stage reports and whose ``canonical`` verdict the ``dirac``
-      stage hands to ``verify_g_invariance``;
     - the pieces of the potential Q, which the ``averaging`` and
       ``averaged_form`` stages and ``sigma_bar`` all read:
       ``d_potential``, its base-degree derivative D^{1,0}Q;
@@ -373,10 +370,6 @@ class _Pipeline:
     @cached_property
     def potential(self) -> DiffForm:
         return action_mod.potential_along(self.s.action, self.walk, self.s.momenta)
-
-    @cached_property
-    def action_verdicts(self) -> dict[str, str | None]:
-        return action_mod.verify_action(self.s.action, self.s.P)
 
     @cached_property
     def d_potential(self) -> DiffForm:
@@ -443,7 +436,7 @@ def _stage_poisson(p: _Pipeline) -> list[Check]:
 
 
 def _stage_action(p: _Pipeline) -> list[Check]:
-    return list(p.action_verdicts.items())
+    return list(action_mod.verify_action(p.s.action, p.s.P).items())
 
 
 def _stage_premomentum(p: _Pipeline) -> list[Check]:
@@ -533,12 +526,7 @@ def _stage_dirac(p: _Pipeline) -> list[Check]:
     checks = [
         ("lagrangian", dirac_mod.verify_lagrangian(D)),
         ("involutive", dirac_mod.verify_involutive(D)),
-        (
-            "g_invariant",
-            dirac_mod.verify_g_invariance(
-                s.action, D, bivector_kept=p.action_verdicts["canonical"] is None
-            ),
-        ),
+        ("g_invariant", dirac_mod.verify_g_invariance(s.action, D)),
     ]
     if s.momenta is not None:
         checks.append((

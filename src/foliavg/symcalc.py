@@ -753,9 +753,15 @@ def _angle_reflected(f: Scalar, angle: str) -> Scalar:
     e + 1 is odd."""
     nums = {}
     for key, n in f.nums.items():
-        e, entry, _, _ = _split_angle(*key, angle)
-        if entry is not None and entry[1] == SIN:
-            e += 1
+        e = 0
+        for name, exp in key[0]:
+            if name == angle:
+                e = exp
+                break
+        for name, kind, _ in key[1]:
+            if name == angle:
+                e += kind == SIN
+                break
         nums[key] = -n if e & 1 else n
     return _make(f.chart, nums, f.den)
 

@@ -9,12 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import foliavg.dirac
-from foliavg.action import hamiltonian_potential, hannay_berry, verify_action
+from foliavg.action import (
+    FlowFactor,
+    TorusAction,
+    hamiltonian_potential,
+    hannay_berry,
+    verify_action,
+)
 from foliavg.dirac import (
     DiracData,
     Section,
+    _escape,
     _lagrangian_bracket,
     _pairings,
+    _row,
     build_coupling_dirac,
     courant_bracket,
     gauge_transform,
@@ -25,7 +33,7 @@ from foliavg.dirac import (
     verify_involutive,
     verify_lagrangian,
 )
-from foliavg.errors import MissingInverse, NotHorizontal
+from foliavg.errors import InvariantViolation, MissingInverse, NotHorizontal
 from foliavg.foliation import Connection
 from foliavg.geom import (
     DiffForm,
@@ -438,9 +446,8 @@ def test_an_untouched_generator_reads_its_row_of_pairings(i, trivial_dirac, bive
     assert all(is_member(bad, gen) is None for gen in gens[:i])
     expected = is_member(bad, gens[i])
     assert expected is not None
-    # bivector_kept=False: the family is not Lagrangian, so the invariance
-    # cross-check does not apply
-    witness = verify_g_invariance(rotation, bad, bivector_kept=False)
+    # the family is not Lagrangian, so the invariance cross-check does not apply
+    witness = verify_g_invariance(rotation, bad)
     assert witness == f"th flow moves generator {i} out: {expected}"
     assert bad._rows[i] is not None
 
@@ -515,15 +522,106 @@ def test_invariance_cross_check_runs(rotation, invariant_dirac, trivial_dirac):
     assert verify_g_invariance(rotation, trivial_dirac) is None
 
 
+def g_invariance_reference(action, D, bivector_kept=None):
+    """The membership route cross-checked whenever the connection and the
+    bivector are invariant, decided by pulling both back along every flow;
+    ``bivector_kept`` says whether every flow preserves ``D.P``, and by
+    default it is decided here."""
+    witness = None
+    for factor in action.factors:
+        flow = factor.flow()
+        for i, gen in enumerate(D.generators):
+            X, alpha = pullback(flow, gen.X), pullback(flow, gen.alpha)
+            if X is gen.X and alpha is gen.alpha:
+                failed = _escape(_row(D, i))
+            else:
+                failed = is_member(D, Section(X, alpha))
+            if failed is not None:
+                witness = f"{factor.angle} flow moves generator {i} out: {failed}"
+                break
+        if witness is not None:
+            break
+    if bivector_kept is None:
+        bivector_kept = all(
+            pullback(factor.flow(), D.P.mv) == D.P.mv for factor in action.factors
+        )
+    structure_invariant = bivector_kept and all(
+        pullback(factor.flow(), D.conn.projection) == D.conn.projection
+        for factor in action.factors
+    )
+    if structure_invariant:
+        sigma_invariant = all(
+            lie_derivative(factor.generator(), D.sigma).is_zero
+            for factor in action.factors
+        )
+        if sigma_invariant != (witness is None):
+            raise InvariantViolation(
+                "membership and pairing-form invariance routes disagree"
+            )
+    return witness
+
+
 def test_a_shared_bivector_verdict_gives_the_same_witness(rotation, shear_conn, invariant_dirac):
-    # q d/dq ^ d/dp is Poisson on the fibre plane, and the rotation moves it
+    # q d/dq ^ d/dp is Poisson on the fibre plane, and the rotation moves it;
+    # the canonical verdict that the reference takes gives the same witness
     moved = PoissonBivector.from_dict(CHART, {("q", "p"): sc("q")})
     cases = [(invariant_dirac, True), (build_coupling_dirac(shear_conn, SIGMA, moved), False)]
     for D, kept in cases:
         assert (verify_action(rotation, D.P)["canonical"] is None) is kept
-        shared = verify_g_invariance(rotation, D, bivector_kept=kept)
-        assert shared == verify_g_invariance(rotation, D)
-    assert shared is not None
+        witness = verify_g_invariance(rotation, D)
+        assert witness == g_invariance_reference(rotation, D, bivector_kept=kept)
+        assert witness == g_invariance_reference(rotation, D)
+    assert witness is not None
+
+
+def _circle(images):
+    images = {name: sc(image) for name, image in images.items()}
+    return TorusAction(CHART, (FlowFactor(CHART, "th", images),))
+
+
+# the rotation of the fibre plane, and one of the (x1, q) plane, which does
+# not preserve the vertical foliation
+ROTATION = _circle({"q": "q*cos(th) - p*sin(th)", "p": "q*sin(th) + p*cos(th)"})
+MIXING = _circle({"x1": "x1*cos(th) - q*sin(th)", "q": "x1*sin(th) + q*cos(th)"})
+CONNECTIONS = {
+    "flat": {},
+    "shear": {("x1", "p"): "x2"},
+    "invariant": {("x1", "q"): "-x2*p", ("x1", "p"): "x2*q"},
+}
+
+
+@given(conn=st.sampled_from(sorted(CONNECTIONS)), sigma=polynomials(), scale=polynomials())
+def test_the_coupling_cross_check_gives_the_reference_witness(conn, sigma, scale):
+    # any bivector on a 2-dimensional fibre satisfies Jacobi
+    P = PoissonBivector.from_dict(CHART, {("q", "p"): Scalar.one(CHART) + scale})
+    connection = Connection(CHART, {k: sc(v) for k, v in CONNECTIONS[conn].items()})
+    pairing_form = DiffForm.from_dict(CHART, 2, {("x1", "x2"): sigma})
+    D = build_coupling_dirac(connection, pairing_form, P)
+    assert verify_g_invariance(ROTATION, D) == g_invariance_reference(ROTATION, D)
+
+
+def test_an_invariant_family_with_a_moved_pairing_form_is_inconsistent(invariant_conn, bivector):
+    # the generators are those of the invariant family; the pairing form
+    # they are said to carry is moved by the rotation
+    kept = build_coupling_dirac(invariant_conn, SIGMA_INV, bivector)
+    D = DiracData(invariant_conn, SIGMA, bivector, kept.generators)
+    with pytest.raises(InvariantViolation, match="routes disagree"):
+        verify_g_invariance(ROTATION, D)
+
+
+def test_a_flow_that_mixes_the_base_skips_the_cross_check(flat_conn, bivector):
+    # every section (X, 0) is in the family of all fields, which each flow
+    # keeps; the rotation of the fibre moves the pairing form q dx1^dx2 that
+    # the family is said to carry, so the cross-check raises, while the
+    # (x1, q) rotation does not preserve the vertical foliation, the coupling
+    # data do not decide the family, and the witness stands as it is
+    fields = [Section(vf(name), zero1()) for name in CHART.coords]
+    D = DiracData(flat_conn, SIGMA, bivector, fields)
+    assert verify_lagrangian(D) is None
+    with pytest.raises(InvariantViolation, match="routes disagree"):
+        verify_g_invariance(ROTATION, D)
+    assert MIXING.factors[0].mixed_base() == "x1"
+    assert verify_g_invariance(MIXING, D) is None
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foliavg import action, dirac, foliation, hamcurv, poisson, scenarios
+from foliavg import action, dirac, foliation, geom, hamcurv, poisson, scenarios
 from foliavg.errors import (
     InvariantViolation,
     ParseError,
@@ -98,10 +98,25 @@ def test_shared_objects_match_the_standalone_functions(name):
     p = _Pipeline(s)
     assert p.averaged == action.hannay_berry(s.action, s.conn)
     assert p.potential == action.hamiltonian_potential(s.action, s.conn, s.momenta)
-    D = p.coupling
-    assert dirac.verify_g_invariance(
-        s.action, D, bivector_kept=p.action_verdicts["canonical"] is None
-    ) == dirac.verify_g_invariance(s.action, D)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_passing_run_pulls_no_valued_form_back(name, monkeypatch):
+    # the g_invariant cross-check pulls the projection back only for a
+    # failing witness whose pairing form is kept; the bivector pullbacks
+    # left are the canonical check's, one per circle factor
+    calls = {"pull_valued_form": 0, "pull_multivector": 0}
+    for method in calls:
+        original = getattr(geom.ChartMap, method)
+
+        def counted(self, a, method=method, original=original):
+            calls[method] += 1
+            return original(self, a)
+
+        monkeypatch.setattr(geom.ChartMap, method, counted)
+    s = load_scenario(name)
+    run_checks(s)
+    assert calls == {"pull_valued_form": 0, "pull_multivector": len(s.action.factors)}
 
 
 @pytest.mark.parametrize("name", BUNDLED)
