@@ -10,8 +10,10 @@ built with ``perfbench/workloads.py`` at seed 1: ``data/rot_4_4_0.json``
 (rot(3,2,2): two circle factors, frame degree 2), ``data/rot_4_2_40.json``
 (rot(4,2,40): frame degree 40, the deep regime) and
 ``data/rot_4_4_0_perturbed.json`` (rot(4,4,0) with a base term in its
-pairing form), and of ``data/hb4d_sheared.json`` (hb4d moved by the shear
-p -> p + x1*q^2, see ``test_covariance.py``: its flow depends on the base and
+pairing form), ``data/rot_4_4_0_late_escape.json`` (rot(4,4,0) with a
+base term on x3^x4: its first escaping generator pair is (1, 2), after ten
+pairs (0, j) that are zero by support), and of ``data/hb4d_sheared.json``
+(hb4d moved by the shear p -> p + x1*q^2, see ``test_covariance.py``: its flow depends on the base and
 has second harmonics).  It also holds the check report with witnesses of
 each generated or sheared chart, of the two failing bundled scenarios,
 ``ext3`` and ``triv_shifted``, and of ``data/ext3_vertical_pairing.json``
@@ -54,6 +56,7 @@ SOURCES.update(
     for name in (
         "rot_4_4_0",
         "rot_4_4_0_perturbed",
+        "rot_4_4_0_late_escape",
         "rot_3_1_12",
         "rot_3_2_2",
         "rot_4_2_40",
@@ -68,6 +71,7 @@ FAILING = {
     "ext3": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "triv_shifted": (24, ["adiabatic: horizontal_momentum_average"]),
     "rot_4_4_0_perturbed": (22, ["curvature_form: admissible", "dirac: involutive"]),
+    "rot_4_4_0_late_escape": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "ext3_vertical_pairing": (
         22,
         [
