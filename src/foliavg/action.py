@@ -55,6 +55,8 @@ from .geom import (
     fn_bracket,
     interior_product,
     pullback,
+    support,
+    supports_meet,
 )
 from .poisson import PoissonBivector
 from .symcalc import COS, SIN, Chart, Scalar, mean_of_product, rotation_mean
@@ -484,17 +486,27 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
     Per factor, on the partially averaged frame, the value is minus the
     average over the angle of the integral from zero of the pulled-back
     bracket of the frame field with the generator.  The frame is shifted
-    before each factor after the first, so the walk ends at its last piece.
+    by each factor's piece before the next factor, so the walk ends at its
+    last piece; a zero piece leaves the frame as it is and is not applied.
+
+    A bracket that is zero by support is neither built nor averaged: when
+    the lift stores no index that the generator's entries depend on, and
+    the generator none that the lift's entries depend on, each term of
+    [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k vanishes
+    (:func:`~foliavg.geom.supports_meet`).
     """
     chart = conn.chart
     current = conn
     total = VecValuedForm.zero(chart, 1)
     for k, factor in enumerate(action.factors):
-        if k:
+        if k and not piece.is_zero:
             current = current.shifted(piece)
         gen = factor.generator()
+        gen_support = support(gen)
         items = []
         for base, lift in current.frame.items():
+            if not supports_meet(support(lift), gen_support):
+                continue
             value = -factor._running_means(lift.bracket(gen))
             if not value.is_zero:
                 items.append(((chart.coord_index(base),), value))

@@ -23,6 +23,19 @@ over every k gives: if the first pair (i, j) to escape in lexicographic
 order paired nonzero with some k <= j, then k is neither i nor j, and
 T(i, j, k) = T(k, i, j) for k < i, or -T(i, k, j) for i < k < j, so the
 earlier pair (k, i), or (i, k), would have escaped first.
+
+Most brackets are zero because of which coordinates their generators use,
+and the scan builds only the others.  For a generator s = (X, alpha), let
+reach(s) be the indices X stores and touch(s) the coordinates that the
+entries of X and alpha depend on, together with the indices alpha stores
+(:func:`~foliavg.geom.support`).  The bracket of s and t = (Y, beta) is
+([X, Y], i_X d(beta) - i_Y d(alpha) + d(beta(X))), and each term needs the
+reach of one generator to meet the touch of the other: [X, Y]^k needs X^i
+d_i Y^k != 0 or the mirror; i_X d(beta) needs X^i != 0 at an i that beta
+depends on or stores, and i_Y d(alpha) the mirror; d(beta(X)) needs
+X^i beta_i != 0.  When reach(s) misses touch(t) and reach(t) misses
+touch(s), the bracket is the zero section, which pairs to zero with every
+generator, so skipping it leaves the first witness as it is.
 """
 
 from __future__ import annotations
@@ -47,6 +60,8 @@ from .geom import (
     interior_product,
     lie_derivative,
     pullback,
+    support,
+    supports_meet,
 )
 from .poisson import PoissonBivector, differential
 from .symcalc import Scalar
@@ -121,11 +136,17 @@ def _lagrangian_bracket(s: Section, t: Section, ds: DiffForm, dt: DiffForm) -> S
 class DiracData:
     """Generator presentation of the coupling distribution.  ``_fields`` and
     ``_forms`` map each coordinate index i to the pairs (k, entry) of the
-    generators k whose field, or form, stores an entry at i.  ``_rows``
-    keeps, per generator, its pairings with every generator, each row
-    filled on first use."""
+    generators k whose field, or form, stores an entry at i.  ``_supports``
+    keeps, per generator (X, alpha), the pair (reach, touch): the indices X
+    stores, and the coordinates that the entries of X and alpha depend on
+    together with the indices alpha stores.  Two generators whose supports
+    do not meet (:func:`~foliavg.geom.supports_meet`) have a zero bracket,
+    and a flow that moves no coordinate in touch and gives no field image
+    to an index in reach leaves a generator as it is.  ``_rows`` keeps, per
+    generator, its pairings with every generator, each row filled on first
+    use."""
 
-    __slots__ = ("conn", "sigma", "P", "generators", "_fields", "_forms", "_rows")
+    __slots__ = ("conn", "sigma", "P", "generators", "_fields", "_forms", "_supports", "_rows")
 
     def __init__(
         self,
@@ -140,13 +161,17 @@ class DiracData:
         generators = tuple(generators)
         fields: dict[int, list[tuple[int, Scalar]]] = {}
         forms: dict[int, list[tuple[int, Scalar]]] = {}
+        supports = []
         for k, gen in enumerate(generators):
             for index, tensor in ((fields, gen.X), (forms, gen.alpha)):
                 for (i,), entry in tensor.comps.items():
                     index.setdefault(i, []).append((k, entry))
+            (reach, uses), (stored, form_uses) = support(gen.X), support(gen.alpha)
+            supports.append((reach, uses | stored | form_uses))
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_fields", fields)
         object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "_supports", tuple(supports))
         object.__setattr__(self, "_rows", [None] * len(generators))
 
     def __setattr__(self, name, value):
@@ -239,20 +264,29 @@ def verify_involutive(D: DiracData) -> str | None:
     """Courant brackets of generator pairs must pair to zero throughout.
 
     A family that is not Lagrangian gets the Lagrangian witness.  On one
-    that is, each bracket is the Dorfman bracket (Courant 1990), built from
-    each generator's form differentiated once.  By the total skewness of
-    <[a, b], c> on a Lagrangian family, the bracket of generators (i, j),
-    i < j, is paired only with the generators k > j, and no bracket with j
-    the last index is built; the first witness is still the full scan's, as
-    the module docstring shows: the first pair (i, j) to escape in
-    lexicographic order, and its first generator k with a nonzero pairing.
+    that is, each bracket is the Dorfman bracket (Courant 1990).  By the
+    total skewness of <[a, b], c> on a Lagrangian family, the bracket of
+    generators (i, j), i < j, is paired only with the generators k > j, and
+    no bracket with j the last index is built.  Nor is the bracket of a pair
+    whose supports do not meet: reach(i) misses touch(j) and reach(j)
+    misses touch(i) (``DiracData._supports``), so each of the three terms of
+    ([X, Y], i_X d(beta) - i_Y d(alpha) + d(beta(X))) vanishes, as the module
+    docstring shows.  A generator's form is differentiated once, when a kept
+    pair first needs it.  The first witness is still the full scan's: the
+    first pair (i, j) to escape in lexicographic order, and its first
+    generator k with a nonzero pairing.
     """
     flat = verify_lagrangian(D)
     if flat is not None:
         return flat
-    gens = D.generators
-    d_forms = [exterior_derivative(gen.alpha) for gen in gens]
+    gens, supports = D.generators, D._supports
+    d_forms: dict[int, DiffForm] = {}
     for i, j in combinations(range(len(gens) - 1), 2):
+        if not supports_meet(supports[i], supports[j]):
+            continue
+        for k in (i, j):
+            if k not in d_forms:
+                d_forms[k] = exterior_derivative(gens[k].alpha)
         bracket = _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j])
         witness = _escape(_pairings(D, bracket, j + 1), j + 1)
         if witness is not None:
@@ -291,6 +325,16 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
     """Pull every generator back by each symbolic flow and test membership;
     a generator that a flow leaves as it is reads its row of pairings.
 
+    Which generators a flow leaves as they are is read off their supports
+    (``DiracData._supports``) and the flow's
+    :meth:`~foliavg.geom.ChartMap.moved_indices`: touch must miss the moved
+    coordinates, and reach the indices whose coordinate fields have images.
+    Exactly those generators are their own pullbacks, so none of them is
+    pulled back.  Reach is held against the field images, not the moved
+    coordinates: on a flow that depends on a fixed base coordinate, such as
+    p -> p + x1*q^2, d/dx1 gains -q^2 d/dp, so a generator that stores
+    d/dx1 moves although x1 does not.
+
     When D is Lagrangian and every flow preserves the vertical foliation V,
     the verdict is cross-checked through the coupling data.  D determines
     them: H is spanned by the fields of the sections whose forms vanish on
@@ -306,13 +350,14 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
     witness = None
     for factor in action.factors:
         flow = factor.flow()
+        moved, field_moved = flow.moved_indices()
         for i, gen in enumerate(D.generators):
-            X, alpha = pullback(flow, gen.X), pullback(flow, gen.alpha)
-            if X is gen.X and alpha is gen.alpha:
+            reach, touch = D._supports[i]
+            if touch.isdisjoint(moved) and reach.isdisjoint(field_moved):
                 # the flow leaves the generator as it is: read its row
                 failed = _escape(_row(D, i))
             else:
-                failed = is_member(D, Section(X, alpha))
+                failed = is_member(D, Section(pullback(flow, gen.X), pullback(flow, gen.alpha)))
             if failed is not None:
                 witness = (
                     f"{factor.angle} flow moves generator {i} out: {failed}"

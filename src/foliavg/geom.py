@@ -35,6 +35,13 @@ use it, and those builders give images only to the coordinates the map
 moves.  :meth:`VectorField.apply` differentiates only along the coordinates
 that both the field and the scalar contain, and :meth:`_Graded._contract`,
 behind the three ``evaluate`` methods, visits only stored entries.
+
+Which brackets and pullbacks are zero, or trivial, because of which
+coordinates their operands use is decided before any of them is built:
+:func:`support` gives the indices a tensor stores and the coordinates its
+components depend on, :func:`supports_meet` tells from two supports whether
+a bracket can be nonzero, and :meth:`ChartMap.moved_indices` names the
+indices a pullback rewrites.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ from .errors import (
 from .symcalc import Chart, Powers, Scalar, Substitution, recombine
 
 Index = tuple[int, ...]
+# (the indices a tensor stores, the coordinates its components depend on)
+Support = tuple[frozenset[int], frozenset[int]]
 
 
 def _sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
@@ -96,6 +105,37 @@ def _gradient(f: Scalar) -> list[tuple[int, Scalar]]:
     """
     names = f.free_symbols()
     return [(c, f.diff(name)) for c, name in enumerate(f.chart.coords) if name in names]
+
+
+def support(t: _Graded) -> Support:
+    """The indices t stores a component at, and the coordinates its
+    components depend on, for a tensor with scalar components.
+
+    A derivative of t is nonzero only along a coordinate of the second set,
+    a contraction with t only at an index of the first, and a pullback
+    rewrites t only where the map meets one of them, so the structural
+    zeros of brackets and pullbacks are read off these two sets.
+    """
+    chart = t.chart
+    stored: set[int] = set()
+    names: set[str] = set()
+    for idx, value in t.comps.items():
+        stored.update(idx)
+        names |= value.free_symbols()
+    return (
+        frozenset(stored),
+        frozenset(chart.coord_index(name) for name in names if chart.is_coord(name)),
+    )
+
+
+def supports_meet(a: Support, b: Support) -> bool:
+    """False when neither support (reach, touch) reaches an index that the
+    other touches.  Then the Lie bracket of fields with these supports, as
+    :func:`support` gives them, is zero: [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k,
+    and each term needs X^i != 0 at an i that Y^k depends on, or the
+    mirror.  :func:`foliavg.dirac.verify_involutive` applies the same rule
+    to sections."""
+    return not (a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1]))
 
 
 def _check_chart(a, b) -> None:
@@ -678,6 +718,21 @@ class ChartMap:
             images = {coord_index(n): _gradient(image) for n, image in self.mapping.moved.items()}
             object.__setattr__(self, "_images", images)
         return self._images
+
+    def moved_indices(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(the coordinates the map moves, the indices e whose coordinate
+        field d/de has a basis image).
+
+        The first set holds the keys of the form images, the second those of
+        the field images.  So a tensor whose components depend on no moved
+        coordinate is its own pullback exactly when it stores no index of
+        the first set (a form) or of the second (a field or a multivector).
+        The second set is larger than the first on a flow that depends on a
+        fixed coordinate: p -> p + x1*q^2 moves only p, yet d/dx1 gains
+        -q^2 d/dp.
+        """
+        moved = frozenset(self.chart.coord_index(name) for name in self.mapping.moved)
+        return moved, frozenset(self._vector_images())
 
     def _pull(self, a: _Graded, images: Mapping[int, Sequence[tuple[int, Scalar | None]]]):
         """Pull back a tensor with scalar components through basis images."""

@@ -87,10 +87,15 @@ def is_casimir_form(P: PoissonBivector, form: DiffForm) -> bool:
 def verify_admissible(conn: Connection, sigma: DiffForm) -> str | None:
     """The base-degree covariant derivative of the pairing form must vanish."""
     _require_pairing_form(conn, sigma)
-    residue = graded_derivative(conn, sigma, (1, 0))
-    if residue.is_zero:
+    return admissible_witness(graded_derivative(conn, sigma, (1, 0)))
+
+
+def admissible_witness(d_sigma: DiffForm) -> str | None:
+    """The witness of :func:`verify_admissible`, given the base-degree
+    derivative ``d_sigma`` of the pairing form."""
+    if d_sigma.is_zero:
         return None
-    return f"base-degree derivative is {residue!r}"
+    return f"base-degree derivative is {d_sigma!r}"
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +178,7 @@ def averaging_identities(
         P,
         sigma,
         potential,
+        graded_derivative(conn, sigma, (1, 0)),
         graded_derivative(conn, potential, (1, 0)),
         half_self_bracket(P, potential),
         difference_from_potential(P, potential),
@@ -184,17 +190,18 @@ def identity_residuals(
     P: PoissonBivector,
     sigma: DiffForm,
     potential: DiffForm,
+    d_sigma: DiffForm,
     d_potential: DiffForm,
     half_bracket: DiffForm,
     difference: VecValuedForm,
 ) -> dict[str, DiffForm]:
-    """The residuals of :func:`averaging_identities`, given the pieces of the
+    """The residuals of :func:`averaging_identities`, given the base-degree
+    derivative ``d_sigma`` of the pairing form and the pieces of the
     potential Q that the averaging correction is made of: its base-degree
     derivative ``d_potential``, its half self-bracket ``half_bracket`` and
     ``difference``, the valued one-form of
     :func:`~foliavg.action.difference_from_potential`."""
     shifted = conn.shifted(difference)
-    d_sigma = graded_derivative(conn, sigma, (1, 0))
     balance = braided_wedge(P, potential, sigma)
     return {
         "shifted_derivative": graded_derivative(shifted, sigma, (1, 0)) - d_sigma - balance,

@@ -336,6 +336,8 @@ class _Pipeline:
       ``difference``, the valued one-form ``difference_from_potential``;
     - ``sigma_bar``: the averaged pairing form, the pairing form minus the
       correction;
+    - ``d_sigma``: the base-degree derivative of the pairing form, which
+      the ``admissible`` witness and the identity residuals read;
     - ``admissible``: the admissibility witness of the pairing form;
     - ``adiabatic``: the adiabatic witness of the momenta, from ``averaged``;
     - ``momentum_fix``: the momenta repaired by the primitives when that
@@ -394,8 +396,13 @@ class _Pipeline:
         return self.sigma - self.correction
 
     @cached_property
+    def d_sigma(self) -> DiffForm:
+        # the pairing form was checked horizontal when the scenario was loaded
+        return graded_derivative(self.s.conn, self.sigma, (1, 0))
+
+    @cached_property
     def admissible(self) -> str | None:
-        return hamcurv.verify_admissible(self.s.conn, self.sigma)
+        return hamcurv.admissible_witness(self.d_sigma)
 
     @cached_property
     def adiabatic(self) -> str | None:
@@ -496,7 +503,7 @@ def _stage_averaged_form(p: _Pipeline) -> list[Check]:
             hamcurv.verify_admissible(p.averaged, p.sigma_bar),
         ))
     residuals = hamcurv.identity_residuals(
-        s.conn, s.P, p.sigma, p.potential, p.d_potential, p.half_bracket, p.difference
+        s.conn, s.P, p.sigma, p.potential, p.d_sigma, p.d_potential, p.half_bracket, p.difference
     )
     for name, form in residuals.items():
         checks.append((

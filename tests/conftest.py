@@ -1,6 +1,7 @@
 """Shared charts, model data and exact-value strategies for the test suite."""
 
 import copy
+import functools
 import random
 from fractions import Fraction
 
@@ -145,3 +146,40 @@ def perturbed_pairing_form(doc, seed):
     out["description"] = f"{doc['description']}, plus {term} on {entry}"
     out["pairing_form"][entry] += f" + {term}"
     return out
+
+
+def _workloads():
+    """``perfbench/workloads.py``, which builds the rot(m, n, d) documents."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the bundled scenarios, every tests/data document that loads, and
+# rot(24,24,1) at seed 1: the inputs on which the structural-zero rules are
+# held against full scans
+SUPPORT_SOURCES = (
+    "ext3", "ext3adm", "hb4d", "hb4d_inv", "t2pairs", "triv", "triv_shifted",
+    "ext3_vertical_pairing", "hb4d_sheared", "rot_3_1_12", "rot_3_2_1", "rot_3_2_2",
+    "rot_4_2_40", "rot_4_4_0", "rot_4_4_0_late_escape", "rot_4_4_0_perturbed",
+    "rot_6_6_1", "triv_moved_bivector", "triv_shifted_wrong_primitive", "rot_24_24_1",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def support_scenario(name):
+    """The scenario of one of ``SUPPORT_SOURCES``, loaded once."""
+    from pathlib import Path
+
+    from foliavg.scenarios import bundled_names, load_scenario, scenario_from_dict
+
+    if name == "rot_24_24_1":
+        return scenario_from_dict(_workloads().rot(24, 24, 1, 1))
+    if name in bundled_names():
+        return load_scenario(name)
+    return load_scenario(Path(__file__).parent / "data" / f"{name}.json")

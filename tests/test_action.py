@@ -23,14 +23,15 @@ from foliavg.action import (
     verify_action,
     verify_premomentum,
 )
+from foliavg import geom
 from foliavg.errors import InvariantViolation, NonClosedOrbitCoefficients
 from foliavg.foliation import Connection
-from foliavg.geom import DiffForm, VectorField, pullback
+from foliavg.geom import DiffForm, VecValuedForm, VectorField, pullback
 from foliavg.poisson import PoissonBivector, differential
 from foliavg.scenarios import _chart, _torus_action, bundled_names
 from foliavg.symcalc import Chart, Scalar, _expanded_substitute_angle, parse
 
-from conftest import CHART, sc, scalars
+from conftest import CHART, SUPPORT_SOURCES, sc, scalars, support_scenario
 
 
 def d(name):
@@ -379,8 +380,9 @@ TRIPLES = Chart(("x1",), ("q1", "p1", "q2", "p2", "q3", "p3"), ("th1", "th2", "t
 
 
 def test_walks_advance_the_frame_only_between_factors(monkeypatch):
-    """The potential averages its frame, and the flow integral shifts it,
-    before each factor after the first and never after the last."""
+    """The potential averages its frame before each factor after the first
+    and never after the last; the flow integral shifts it only by the
+    nonzero pieces of the factors before the last."""
     import foliavg.action as action_mod
 
     def sct(text):
@@ -407,12 +409,55 @@ def test_walks_advance_the_frame_only_between_factors(monkeypatch):
     Q = hamiltonian_potential(action, conn, moments)
     via_flows = difference_via_flow_integral(action, conn)
     assert averaged == ["th1", "th2"]
-    assert len(shifted) == 2
+    # the frame touches neither q2 nor p2, so the th2 piece is zero and
+    # only the th1 piece shifts the frame
+    th1_piece = VecValuedForm(TRIPLES, 1, {(0,): VectorField.from_dict(TRIPLES, {"p1": sct("-x1")})})
+    assert shifted == [th1_piece]
     monkeypatch.undo()
     assert Q == DiffForm.from_dict(TRIPLES, 1, {("x1",): sct("-x1*q1 - x1^2*q3")})
     P = PoissonBivector.from_dict(TRIPLES, {(q, p): Scalar.one(TRIPLES) for _, q, p in pairs})
     xi = connection_difference(action, conn)
     assert via_flows == xi == difference_from_potential(P, Q)
+
+
+class _Tagged(tuple):
+    """A support that remembers the field it was read off."""
+
+
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_the_flow_integral_skips_only_zero_brackets(name, monkeypatch):
+    import foliavg.action as action_mod
+
+    s = support_scenario(name)
+    skipped, built = [], []
+    support, supports_meet, bracket = geom.support, geom.supports_meet, VectorField.bracket
+
+    def tagged(field):
+        out = _Tagged(support(field))
+        out.field = field
+        return out
+
+    def recorded(a, b):
+        met = supports_meet(a, b)
+        if not met:
+            skipped.append((a.field, b.field))
+        return met
+
+    def counted(X, Y):
+        built.append((X, Y))
+        return bracket(X, Y)
+
+    monkeypatch.setattr(action_mod, "support", tagged)
+    monkeypatch.setattr(action_mod, "supports_meet", recorded)
+    monkeypatch.setattr(VectorField, "bracket", counted)
+    via_flows = difference_via_flow_integral(s.action, s.conn)
+    monkeypatch.undo()
+    assert all(lift.bracket(gen).is_zero for lift, gen in skipped)
+    # every lift meets every generator once, and is skipped or bracketed
+    assert len(skipped) + len(built) == len(s.action.factors) * len(s.conn.frame)
+    assert via_flows == s.conn.difference(hannay_berry(s.action, s.conn))
+    if name.startswith("rot"):
+        assert skipped
 
 
 # ----------------------------------------------------------------------

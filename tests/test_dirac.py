@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foliavg.dirac
@@ -33,7 +33,7 @@ from foliavg.dirac import (
     verify_involutive,
     verify_lagrangian,
 )
-from foliavg.errors import InvariantViolation, MissingInverse, NotHorizontal
+from foliavg.errors import FoliavgError, InvariantViolation, MissingInverse, NotHorizontal
 from foliavg.foliation import Connection
 from foliavg.geom import (
     DiffForm,
@@ -43,13 +43,25 @@ from foliavg.geom import (
     interior_product,
     lie_derivative,
     pullback,
+    support,
+    supports_meet,
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
-from foliavg.scenarios import bundled_names, load_scenario, scenario_from_dict
-from foliavg.symcalc import Scalar, _as_rational
+from foliavg.scenarios import _Pipeline, bundled_names, load_scenario, scenario_from_dict
+from foliavg.symcalc import Scalar, Substitution, _as_rational
 
-from conftest import CHART, forms, perturbed_pairing_form, polynomials, sc, vector_fields
+from conftest import (
+    CHART,
+    SUPPORT_SOURCES,
+    forms,
+    perturbed_pairing_form,
+    polynomials,
+    sc,
+    support_scenario,
+    vector_fields,
+)
+from test_covariance import transform
 
 DATA = Path(__file__).parent / "data"
 
@@ -247,16 +259,20 @@ def test_function_combinations_stay_members(f1, f2, g1, g2):
     assert is_member(D, section) is None
 
 
-def _coupling(source):
-    s = load_scenario(source)
+def _coupling(s):
+    """The coupling distribution of a scenario's own connection, pairing
+    form and bivector."""
     sigma = s.sigma if s.sigma is not None else DiffForm.zero(s.chart, 2)
     return build_coupling_dirac(s.conn, sigma, s.P)
 
 
 COUPLINGS = {
-    name: _coupling(source)
+    name: _coupling(load_scenario(source))
     for name, source in [(n, n) for n in bundled_names()]
-    + [("rot_4_4_0_perturbed", str(DATA / "rot_4_4_0_perturbed.json"))]
+    + [
+        (name, str(DATA / f"{name}.json"))
+        for name in ("rot_4_4_0", "rot_4_4_0_perturbed", "rot_4_4_0_late_escape")
+    ]
 }
 
 
@@ -296,7 +312,9 @@ def test_lagrangian_bracket_is_the_courant_bracket(name):
     all_pairs_agree(D)
 
 
-@pytest.mark.parametrize("name", ["ext3", "hb4d", "rot_4_4_0_perturbed"])
+@pytest.mark.parametrize(
+    "name", ["ext3", "hb4d", "rot_4_4_0", "rot_4_4_0_perturbed", "rot_4_4_0_late_escape"]
+)
 def test_involutivity_differentiates_each_form_once(name, monkeypatch):
     D = COUPLINGS[name]
     calls = []
@@ -310,8 +328,109 @@ def test_involutivity_differentiates_each_form_once(name, monkeypatch):
 
     monkeypatch.setattr(foliavg.dirac, "exterior_derivative", counted)
     monkeypatch.setattr(foliavg.dirac, "courant_bracket", refused)
-    verify_involutive(D)
-    assert calls == [gen.alpha for gen in D.generators]
+    witness = verify_involutive(D)
+    # the generators of the pairs whose supports meet, in the order the scan
+    # first needs their forms, up to the escaping pair
+    needed = []
+    for i, j in combinations(range(len(D.generators) - 1), 2):
+        if supports_meet(D._supports[i], D._supports[j]):
+            needed += [k for k in (i, j) if k not in needed]
+            if witness is not None and witness.startswith(f"bracket of generators {i} and {j} "):
+                break
+    assert calls == [D.generators[k].alpha for k in needed]
+    if name.startswith("rot"):
+        # the rot charts have generators that meet no other generator
+        assert len(needed) < len(D.generators) - 1
+
+
+# ----------------------------------------------------------------------
+# structural zeros
+
+
+def section_support(s):
+    """(reach, touch) of a section (X, alpha): the indices X stores, and the
+    coordinates the entries of X and alpha depend on with the indices alpha
+    stores."""
+    (reach, uses), (stored, form_uses) = support(s.X), support(s.alpha)
+    return reach, uses | stored | form_uses
+
+
+def _support_couplings(name):
+    """The coupling of a scenario's own data, and the one its dirac stage
+    checks, when it has momenta."""
+    s = support_scenario(name)
+    couplings = [_coupling(s)]
+    if s.momenta is not None:
+        couplings.append(_Pipeline(s).coupling)
+    return couplings
+
+
+def test_the_support_sources_cover_every_loadable_document():
+    loadable = set()
+    for path in DATA.glob("*.json"):
+        try:
+            load_scenario(path)
+        except FoliavgError:
+            continue
+        loadable.add(path.stem)
+    assert loadable <= set(SUPPORT_SOURCES)
+
+
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_generator_pairs_whose_supports_miss_have_zero_brackets(name):
+    for D in _support_couplings(name):
+        gens = D.generators
+        assert D._supports == tuple(section_support(gen) for gen in gens)
+        d_forms = [exterior_derivative(gen.alpha) for gen in gens]
+        for i, j in combinations(range(len(gens)), 2):
+            if not supports_meet(D._supports[i], D._supports[j]):
+                bracket = _lagrangian_bracket(gens[i], gens[j], d_forms[i], d_forms[j])
+                assert bracket.is_zero, (i, j)
+
+
+def test_the_wide_charts_build_few_brackets():
+    # rot(4,4,0): 3 of the 55 pairs that the skew scan visits; rot(24,24,1):
+    # 138 of 2,485
+    for name, kept, total in (("rot_4_4_0", 3, 55), ("rot_24_24_1", 138, 2485)):
+        D = _Pipeline(support_scenario(name)).coupling
+        pairs = list(combinations(range(len(D.generators) - 1), 2))
+        assert len(pairs) == total
+        assert sum(supports_meet(D._supports[i], D._supports[j]) for i, j in pairs) == kept
+
+
+@st.composite
+def sparse_sections(draw, reach, touch):
+    """A section whose field stores only indices in ``reach`` and whose
+    entries, and the indices its form stores, lie in ``touch``."""
+    fixed = Substitution(
+        CHART, {n: Scalar.zero(CHART) for i, n in enumerate(CHART.coords) if i not in touch}
+    )
+    small = {"coord_degree": 2, "max_terms": 2}
+
+    def entry():
+        return draw(polynomials(**small)).substitute(fixed)
+
+    X = VectorField(CHART, 1, {(i,): entry() for i in sorted(reach)})
+    alpha = DiffForm(CHART, 1, {(i,): entry() for i in sorted(touch)})
+    return Section(X, alpha)
+
+
+@given(data=st.data())
+def test_disjoint_supports_give_a_zero_bracket(data):
+    def subset(pool):
+        return {i for i in pool if data.draw(st.booleans())}
+
+    indices = range(CHART.dim)
+    reach_s, touch_s = subset(indices), subset(indices)
+    # t reaches no index that s touches, and touches none that s reaches
+    reach_t = subset([i for i in indices if i not in touch_s])
+    touch_t = subset([i for i in indices if i not in reach_s])
+    s = data.draw(sparse_sections(reach_s, touch_s))
+    t = data.draw(sparse_sections(reach_t, touch_t))
+    assert not supports_meet(section_support(s), section_support(t))
+    ds, dt = exterior_derivative(s.alpha), exterior_derivative(t.alpha)
+    assert _lagrangian_bracket(s, t, ds, dt).is_zero
+    assert s.X.bracket(t.X).is_zero
 
 
 @given(
@@ -450,6 +569,63 @@ def test_an_untouched_generator_reads_its_row_of_pairings(i, trivial_dirac, bive
     witness = verify_g_invariance(rotation, bad)
     assert witness == f"th flow moves generator {i} out: {expected}"
     assert bad._rows[i] is not None
+
+
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_a_generator_is_fixed_by_support_exactly_when_it_is_its_own_pullback(name):
+    s = support_scenario(name)
+    for D in _support_couplings(name):
+        for factor in s.action.factors:
+            flow = factor.flow()
+            moved, field_moved = flow.moved_indices()
+            for (reach, touch), gen in zip(D._supports, D.generators):
+                fixed = touch.isdisjoint(moved) and reach.isdisjoint(field_moved)
+                own = pullback(flow, gen.X) is gen.X and pullback(flow, gen.alpha) is gen.alpha
+                assert fixed == own
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_base_dependent_flow_pulls_back_a_field_on_a_fixed_coordinate(data):
+    # hb4d moved by a shear v -> v + c*x1^a*w^b of one fibre coordinate by
+    # a term in x1 and the other fibre coordinate w: the moved flow fixes x1
+    # and gives d/dx1 a field image, so the generator (d/dx1, 0), whose
+    # entries are free of q and p, must be pulled back, not read from its row
+    s = load_scenario("hb4d")
+    chart = s.chart
+    v, w = data.draw(st.permutations(["q", "p"]))
+    g = Scalar.const(chart, data.draw(st.sampled_from((-2, -1, 1, 2, 3))))
+    g = g * Scalar.var(chart, "x1") ** data.draw(st.integers(1, 2))
+    g = g * Scalar.var(chart, w) ** data.draw(st.integers(0, 2))
+    y = Scalar.var(chart, v)
+    sheared = transform(s, {v: y + g}, {v: y - g})
+    flow = sheared.action.factors[0].flow()
+    moved, field_moved = flow.moved_indices()
+    x1 = chart.coord_index("x1")
+    assert x1 not in moved and x1 in field_moved
+    field = VectorField.basis(chart, "x1")
+    assert pullback(flow, field) != field
+    D = build_coupling_dirac(sheared.conn, sheared.sigma, sheared.P)
+    gens = [Section(field, DiffForm.zero(chart, 1))] + list(D.generators[1:])
+    bad = DiracData(D.conn, D.sigma, D.P, gens)
+    pulled = []
+
+    def recorded(phi, target):
+        pulled.append(target)
+        return pullback(phi, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliavg.dirac, "pullback", recorded)
+        witness = verify_g_invariance(sheared.action, bad)
+    assert any(target is field for target in pulled)
+    # the membership route through every generator's pullback
+    expected = None
+    for i, gen in enumerate(gens):
+        failed = is_member(bad, Section(pullback(flow, gen.X), pullback(flow, gen.alpha)))
+        if failed is not None:
+            expected = f"th flow moves generator {i} out: {failed}"
+            break
+    assert witness == expected
 
 
 def test_membership_witness(trivial_dirac):

@@ -24,6 +24,7 @@ from foliavg.geom import (
     lie_derivative,
     pullback,
     schouten_bracket,
+    support,
     wedge,
 )
 from foliavg.scenarios import bundled_names, load_scenario, run_checks, scenario_from_dict
@@ -616,6 +617,36 @@ def test_pullbacks_match_the_dense_reference_on_shears(phi, X, a, m, K):
     for target in (X, a, m, K):
         assert pullback(phi, target) == pullback_reference(phi, target)
         assert pullback(phi.inverse(), target) == pullback_reference(phi.inverse(), target)
+
+
+@given(st.integers(0, 3).flatmap(lambda k: forms(k) if k != 3 else vector_fields()))
+def test_support_reads_the_stored_indices_and_the_dependencies(t):
+    stored, touched = support(t)
+    assert stored == {i for idx in t.comps for i in idx}
+    assert touched == {
+        c for c, name in enumerate(CHART.coords)
+        if any(not value.diff(name).is_zero for value in t.comps.values())
+    }
+
+
+def test_a_map_gives_field_images_to_the_coordinates_its_images_depend_on():
+    x1q2 = sc("x1*q^2")
+    phi = ChartMap(CHART, {"p": sc("p") + x1q2}, {"p": sc("p") - x1q2})
+    index = CHART.coord_index
+    assert phi.moved_indices() == ({index("p")}, {index("x1"), index("q"), index("p")})
+    assert pullback(phi, vf("x1")) == vf("x1") - VectorField.from_dict(CHART, {"p": sc("q^2")})
+
+
+@given(shears(), vector_fields(), forms(1), forms(2))
+def test_a_tensor_is_its_own_pullback_exactly_when_its_support_misses_the_moved_indices(
+    phi, X, a, b
+):
+    moved, field_moved = phi.moved_indices()
+    assert moved == set(phi._form_images()) and field_moved == set(phi._vector_images())
+    for target, images in ((X, field_moved), (a, moved), (b, moved)):
+        stored, touched = support(target)
+        fixed = touched.isdisjoint(moved) and stored.isdisjoint(images)
+        assert (pullback(phi, target) is target) == fixed
 
 
 @pytest.mark.parametrize("name", bundled_names())

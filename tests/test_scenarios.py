@@ -140,21 +140,41 @@ def test_curvature_is_built_once_per_connection(name, monkeypatch):
 @pytest.mark.parametrize(("name", "verdicts"), [("ext3", 1), ("ext3adm", 2)])
 def test_admissibility_is_decided_once_per_run(name, verdicts, monkeypatch):
     calls = []
-    original = hamcurv.verify_admissible
+    original = hamcurv.admissible_witness
 
-    def counted(conn, sigma):
-        calls.append(conn)
-        return original(conn, sigma)
+    def counted(d_sigma):
+        calls.append(d_sigma)
+        return original(d_sigma)
 
-    monkeypatch.setattr(hamcurv, "verify_admissible", counted)
+    monkeypatch.setattr(hamcurv, "admissible_witness", counted)
     scenario = load_scenario(name)
     full = run_checks(scenario)
     # once for the scenario's connection, and once for the averaged one
     # only when the first verdict passes (ext3 is not admissible)
     assert len(calls) == verdicts
-    assert calls[0] is scenario.conn
+    assert calls[0] == foliation.graded_derivative(scenario.conn, scenario.sigma, (1, 0))
     alone = run_checks(scenario, ["averaged_form"])
     assert alone.checks == tuple(c for c in full.checks if c.stage == "averaged_form")
+
+
+@pytest.mark.parametrize(
+    "name", [*BUNDLED, str(DATA / "rot_4_4_0.json"), str(DATA / "rot_4_4_0_late_escape.json")]
+)
+def test_the_pairing_form_is_differentiated_once_per_run(name, monkeypatch):
+    # the admissible witness and the shifted_derivative residual share one
+    # base-degree derivative of the pairing form
+    s = load_scenario(name)
+    calls = []
+    original = foliation.graded_derivative
+
+    def counted(conn, form, shift):
+        if conn is s.conn and form is s.sigma and shift == (1, 0):
+            calls.append(form)
+        return original(conn, form, shift)
+
+    _rebind(monkeypatch, original, counted)
+    run_checks(s)
+    assert len(calls) == 1
 
 
 def _rebind(monkeypatch, original, replacement):
