@@ -24,11 +24,11 @@ order paired nonzero with some k <= j, then k is neither i nor j, and
 T(i, j, k) = T(k, i, j) for k < i, or -T(i, k, j) for i < k < j, so the
 earlier pair (k, i), or (i, k), would have escaped first.
 
-Most brackets are zero because of which coordinates their generators use,
-and the scan builds only the others.  For a generator s = (X, alpha), let
-reach(s) be the indices X stores and touch(s) the coordinates that the
-entries of X and alpha depend on, together with the indices alpha stores
-(:func:`~foliavg.geom.support`).  The bracket of s and t = (Y, beta) is
+On a wide chart most brackets are zero because of which coordinates their
+generators use, and the scan builds only the others.  For a generator
+s = (X, alpha), let reach(s) be the indices X stores and touch(s) the
+coordinates that the entries of X and alpha depend on, together with the
+indices alpha stores (:func:`~foliavg.geom.support`).  The bracket of s and t = (Y, beta) is
 ([X, Y], i_X d(beta) - i_Y d(alpha) + d(beta(X))), and each term needs the
 reach of one generator to meet the touch of the other: [X, Y]^k needs X^i
 d_i Y^k != 0 or the mirror; i_X d(beta) needs X^i != 0 at an i that beta
