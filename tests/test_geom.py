@@ -1,8 +1,10 @@
 """Exterior calculus, brackets and pullbacks on a fixed chart."""
 
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,21 @@ def _rotating_pairs_doc(poisson):
     }
 
 
+# fails both Schouten checks; committed as data/rot_pairs_not_jacobi.json
+NOT_JACOBI = {"q1^p1": "q2^2", "q2^p2": "1", "p1^p2": "q1*x1"}
+
+
+def test_the_committed_not_jacobi_document_is_the_built_one():
+    path = Path(__file__).parent / "data" / "rot_pairs_not_jacobi.json"
+    committed = json.loads(path.read_text())
+    built = _rotating_pairs_doc(NOT_JACOBI)
+    assert committed["name"] == "rot_pairs_not_jacobi"
+    for doc in (committed, built):
+        del doc["name"]
+        doc.pop("description", None)
+    assert committed == built
+
+
 def _first_component(mv):
     idx, value = min(mv.comps.items())
     return value, ", ".join(mv.chart.coords[i] for i in idx)
@@ -326,7 +343,7 @@ def _first_component(mv):
     ("doc", "failing"),
     [
         (
-            _rotating_pairs_doc({"q1^p1": "q2^2", "q2^p2": "1", "p1^p2": "q1*x1"}),
+            _rotating_pairs_doc(NOT_JACOBI),
             {"jacobi", "frame_preserves_bivector"},
         ),
         (dict(load_scenario("hb4d").raw, poisson={"q^p": "x1"}), {"frame_preserves_bivector"}),

@@ -22,7 +22,10 @@ momentum: two frame pairs fail the Hamiltonian curvature checks at once,
 and the momentum is not leafwise closed), and of
 ``data/triv_moved_bivector.json`` (triv with its bivector scaled by 1 + q^2:
 the rotation moves the bivector and keeps the pairing form, so ``canonical``
-and ``g_invariant`` fail).  The bundled and rot(4,4,0) entries were written before
+and ``g_invariant`` fail), and of ``data/rot_pairs_not_jacobi.json`` (two
+base coordinates and two rotating fibre pairs whose bivector fails Jacobi
+and is moved by the lift of x1, so both Schouten checks, ``jacobi`` and
+``frame_preserves_bivector``, fail with a witness).  The bundled and rot(4,4,0) entries were written before
 vector fields became sparse tensors, the rot(3,1,12) entry before scalars
 kept integer numerators over one denominator, and the failing reports and
 the rot(6,6,1) entries before contractions and Dirac membership visited only
@@ -64,6 +67,7 @@ SOURCES.update(
         "hb4d_sheared",
         "ext3_vertical_pairing",
         "triv_moved_bivector",
+        "rot_pairs_not_jacobi",
     )
 )
 # the check count and the failed checks of each document built to fail
@@ -92,6 +96,23 @@ FAILING = {
         [
             "action: canonical",
             "premomentum: sharp_and_leafwise_closed",
+            "dirac: g_invariant",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
+    "rot_pairs_not_jacobi": (
+        23,
+        [
+            "poisson: jacobi",
+            "poisson: frame_preserves_bivector",
+            "action: canonical",
+            "premomentum: sharp_and_leafwise_closed",
+            "averaging: difference_is_hamiltonian",
+            "averaging: averaged_curvature_transition",
+            "curvature_form: hamiltonian_curvature",
+            "averaged_form: averaged_frame_poisson",
+            "averaged_form: averaged_hamiltonian_curvature",
+            "dirac: involutive",
             "dirac: g_invariant",
             "dirac: hamiltonian_generators",
         ],
