@@ -53,8 +53,9 @@ def _cmd_dirac(args: argparse.Namespace) -> int:
             field = " + ".join(
                 f"({coef}) d/d{name}" for name, coef in row["field"].items()
             ) or "0"
+            # a wedge in the key reads d(a) ^ d(b); a power in a coefficient stays
             form = " + ".join(
-                f"({coef}) d{key}".replace("^", " ^ d")
+                f"({coef}) d{key.replace('^', ' ^ d')}"
                 for key, coef in row["form"].items()
             ) or "0"
             print(f"  e{k}: field = {field}")

@@ -4,6 +4,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -521,6 +522,14 @@ def test_dirac_text_table(capsys):
     assert out.splitlines()[0] == "coupling generators for triv:"
     assert "  e0: field = (1) d/dx1" in out
     assert "      form  = (1) dq" in out
+
+
+def test_dirac_text_table_keeps_powers_in_coefficients(capsys):
+    path = Path(__file__).parent / "data" / "rot_3_1_12.json"
+    assert main(["dirac", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "      form  = (3/65*q1^13) dx2" in out
+    assert re.search(r" \^ d\d", out) is None
 
 
 def test_dirac_json_table(capsys):
