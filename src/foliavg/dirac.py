@@ -60,6 +60,7 @@ from .geom import (
     interior_product,
     lie_derivative,
     pullback,
+    reaches_form,
     support,
     supports_meet,
 )
@@ -346,8 +347,14 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
     generator's Lie derivative of it vanishes.  An invariant D is checked
     on the pairing form alone; the bivector and the projection are pulled
     back only for a moved D whose pairing form is kept.
+
+    That Lie derivative is zero, and not computed, when the generator
+    stores no index that the pairing form stores or depends on
+    (:func:`~foliavg.geom.reaches_form`).  The row of a generator that a
+    flow leaves as it is is scanned once per call, not once per flow.
     """
     witness = None
+    fixed: dict[int, str | None] = {}
     for factor in action.factors:
         flow = factor.flow()
         moved, field_moved = flow.moved_indices()
@@ -355,7 +362,9 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
             reach, touch = D._supports[i]
             if touch.isdisjoint(moved) and reach.isdisjoint(field_moved):
                 # the flow leaves the generator as it is: read its row
-                failed = _escape(_row(D, i))
+                if i not in fixed:
+                    fixed[i] = _escape(_row(D, i))
+                failed = fixed[i]
             else:
                 failed = is_member(D, Section(pullback(flow, gen.X), pullback(flow, gen.alpha)))
             if failed is not None:
@@ -369,8 +378,10 @@ def verify_g_invariance(action: TorusAction, D: DiracData) -> str | None:
         factor.mixed_base() is not None for factor in action.factors
     ):
         return witness
+    sigma_support = support(D.sigma)
     kept = all(
-        lie_derivative(factor.generator(), D.sigma).is_zero for factor in action.factors
+        not reaches_form(support(X)[0], sigma_support) or lie_derivative(X, D.sigma).is_zero
+        for X in (factor.generator() for factor in action.factors)
     )
     if kept and witness is not None:
         kept = all(

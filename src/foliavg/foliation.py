@@ -50,7 +50,8 @@ class Connection:
 
     The frame, coframe, projection and curvature depend only on the
     coefficients, so each is built from them on first use and kept; the
-    frame and coframe are handed out as read-only mappings.
+    frame and coframe are handed out as read-only mappings.  A connection
+    built from a projection keeps that projection.
     """
 
     __slots__ = ("chart", "coeffs", "_frame", "_coframe", "_projection", "_curvature")
@@ -76,12 +77,15 @@ class Connection:
     def from_projection(gamma: VecValuedForm) -> "Connection":
         """Build from a vertical projection, testing the projection laws.
 
-        A projection takes vertical values and is the identity on each d/dv;
-        idempotency needs no separate test, since a vertical-valued gamma
-        that fixes every d/dv fixes every vertical field.  Then
-        gamma = sum_v eta_v (x) d/dv with eta_v = dv - sum_b A_b^v dx_b, so
-        its component on dx_b is -sum_v A_b^v d/dv; the coefficients are
-        read off the stored components, in chart order.
+        A projection takes vertical values and is the identity on each d/dv:
+        its entry on dv is the field with the single component 1 at v, on
+        the same chart.  Idempotency needs no separate test, since a
+        vertical-valued gamma that fixes every d/dv fixes every vertical
+        field.  Then gamma = sum_v eta_v (x) d/dv with
+        eta_v = dv - sum_b A_b^v dx_b, so its component on dx_b is
+        -sum_v A_b^v d/dv; the coefficients are read off the stored
+        components, in chart order.  Gamma is the connection's projection,
+        so the connection keeps it.
         """
         chart = gamma.chart
         if gamma.degree != 1:
@@ -90,15 +94,23 @@ class Connection:
             raise NotVertical("projection takes values outside the vertical bundle")
         coords = chart.coords
         first_vertical = len(chart.horizontal)
+        one = Scalar.one(chart)
         for v in range(first_vertical, chart.dim):
-            if gamma.comps.get((v,)) != VectorField.basis(chart, coords[v]):
+            entry = gamma.comps.get((v,))
+            if (
+                not isinstance(entry, VectorField)
+                or entry.chart != chart
+                or entry.comps != {(v,): one}
+            ):
                 raise NotComplementary(f"projection is not the identity on d/d{coords[v]}")
         coeffs = {}
         for (b,), image in sorted(gamma.comps.items()):
             if b < first_vertical:
                 for (v,), value in sorted(image.comps.items()):
                     coeffs[(coords[b], coords[v])] = -value
-        return Connection(chart, coeffs)
+        conn = Connection(chart, coeffs)
+        object.__setattr__(conn, "_projection", gamma)
+        return conn
 
     @property
     def frame(self) -> Mapping[str, VectorField]:
@@ -135,7 +147,11 @@ class Connection:
             columns: dict[int, list[tuple[Index, Scalar]]] = {}
             for (base, vert), value in self.coeffs.items():
                 columns.setdefault(index(base), []).append(((index(vert),), -value))
-            items = [((index(vert),), VectorField.basis(chart, vert)) for vert in chart.vertical]
+            one = Scalar.one(chart)
+            items = [
+                ((v,), VectorField._make(chart, 1, [((v,), one)]))
+                for v in range(len(chart.horizontal), chart.dim)
+            ]
             items += [((b,), VectorField._make(chart, 1, column)) for b, column in columns.items()]
             object.__setattr__(self, "_projection", VecValuedForm._make(chart, 1, items))
         return self._projection
@@ -147,9 +163,24 @@ class Connection:
         return field - self.vertical_part(field)
 
     def shifted(self, xi: VecValuedForm) -> "Connection":
-        """The connection with projection gamma - xi."""
+        """The connection with projection gamma - xi.
+
+        Gamma - xi takes dx_b to -sum_v (A_b^v + xi_b^v) d/dv, so xi's rows
+        are added to the coefficients, in sorted (base, fiber) index order:
+        the order :meth:`from_projection` reads them in.  A horizontal,
+        vertical-valued xi leaves the identity block on the dv untouched,
+        so gamma - xi is a projection again and is not re-tested.
+        """
         _require_difference_shape(self.chart, xi)
-        return Connection.from_projection(self.projection - xi)
+        chart = self.chart
+        coords, index = chart.coords, chart.coord_index
+        total = dict(self.coeffs)
+        for (b,), row in xi.comps.items():
+            for (v,), value in row.comps.items():
+                key = (coords[b], coords[v])
+                total[key] = total[key] + value if key in total else value
+        order = sorted(total, key=lambda key: (index(key[0]), index(key[1])))
+        return Connection(chart, {key: total[key] for key in order})
 
     def difference(self, other: "Connection") -> VecValuedForm:
         """The horizontal valued one-form xi with other = self shifted by xi."""

@@ -35,12 +35,18 @@ use it, and those builders give images only to the coordinates the map
 moves.  :meth:`VectorField.apply` differentiates only along the coordinates
 that both the field and the scalar contain, and :meth:`_Graded._contract`,
 behind the three ``evaluate`` methods, visits only stored entries.
+:func:`schouten_bracket` takes each component's partials once, through
+:func:`_gradient`, and pairs an index i of one operand only with the
+stored partials along x_i of the other.  :meth:`ChartMap.pull_linear`
+reads a coefficient that contains no moved coordinate off one table entry,
+with no split.
 
 Which brackets and pullbacks are zero, or trivial, because of which
 coordinates their operands use is decided before any of them is built:
 :func:`support` gives the indices a tensor stores and the coordinates its
 components depend on, :func:`supports_meet` tells from two supports whether
-a bracket can be nonzero, and :meth:`ChartMap.moved_indices` names the
+a bracket can be nonzero, :func:`reaches_form` whether a field's Lie
+derivative of a form can be, and :meth:`ChartMap.moved_indices` names the
 indices a pullback rewrites.
 """
 
@@ -136,6 +142,18 @@ def supports_meet(a: Support, b: Support) -> bool:
     mirror.  :func:`foliavg.dirac.verify_involutive` applies the same rule
     to sections."""
     return not (a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1]))
+
+
+def reaches_form(reach: frozenset[int], form: Support) -> bool:
+    """False when a field that stores only the indices ``reach`` has a zero
+    Lie derivative of a form with the support ``form``, as :func:`support`
+    gives it.  L_X a = d(i_X a) + i_X d(a): i_X a needs X^i != 0 at an index
+    a stores, and d(a) stores only indices that a stores or depends on.
+
+    This is not :func:`supports_meet`, which holds each side's reach
+    against the other's dependencies only: X = x3 d/dx1 and a = dx1 ^ dx2
+    have supports that do not meet, yet L_X a = dx3 ^ dx2."""
+    return not (reach.isdisjoint(form[0]) and reach.isdisjoint(form[1]))
 
 
 def _check_chart(a, b) -> None:
@@ -599,6 +617,12 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
     d_r (xi_i1 ... xi_ip) / d xi_is = (-1)^(p-s) xi_(I without is).  On two
     vector fields this is the Lie bracket [X, Y] = X(Y) - Y(X).  Both
     operands must have degree at least one; the result has degree p + q - 1.
+
+    The partials d/dx_i of each operand's components are taken once, with
+    :func:`_gradient`, and grouped by i in the operand's component order,
+    so the index i of a component of one operand meets only the nonzero
+    partials along x_i of the other, and the terms come in the order a
+    scan over every component would give them.
     """
     _check_chart(a, b)
     if a.degree < 1 or b.degree < 1:
@@ -609,23 +633,32 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
         raise DegreeOverflow("bracket degree exceeds dimension")
     # the sign -(-1)^((p-1)(q-1)) of the second term
     swap = -1 if (a.degree - 1) * (b.degree - 1) % 2 == 0 else 1
+    columns_a = _partials_by_coordinate(a)
+    columns_b = columns_a if b is a else _partials_by_coordinate(b)
     items = []
-    for x, y, sign in ((a, b, 1), (b, a, swap)):
+    for x, columns, sign in ((a, columns_b, 1), (b, columns_a, swap)):
         for ix, vx in x.comps.items():
             for s, i in enumerate(ix):
                 rest = ix[:s] + ix[s + 1 :]
                 parity = sign if (x.degree - 1 - s) % 2 == 0 else -sign
-                for iy, vy in y.comps.items():
+                for iy, dy in columns.get(i, ()):
                     sorted_sign = _sort_index(rest + iy)
                     if sorted_sign is None:
-                        continue
-                    dy = vy.diff(chart.coords[i])
-                    if dy.is_zero:
                         continue
                     idx, order = sorted_sign
                     value = vx * dy
                     items.append((idx, value if parity * order > 0 else -value))
     return Multivector._make(chart, degree, items)
+
+
+def _partials_by_coordinate(t: _Graded) -> dict[int, list[tuple[Index, Scalar]]]:
+    """The nonzero partials of t's components, each taken once: coordinate c
+    maps to the pairs (index, d(component)/dx_c), in t's component order."""
+    columns: dict[int, list[tuple[Index, Scalar]]] = {}
+    for idx, value in t.comps.items():
+        for c, dv in _gradient(value):
+            columns.setdefault(c, []).append((idx, dv))
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -770,16 +803,23 @@ class ChartMap:
         one (images, i, j) per factor, with images "d" for the form images
         and "v" for the field images.  Each group of the split contributes
         its rest times that value, so L must be linear over those rests.
+        A coefficient that contains no moved coordinate is one group, the
+        whole value with the monomial 1, so it costs one call of ``entry``
+        and no split.
         """
         mapping, chart = self.mapping, self.chart
         moved = mapping.moved
+        one = Scalar.one(chart)
         unit = entry((), (), ())
-        keep = unit == Scalar.one(chart)
 
         def mapped(value, key, factors):
-            if not key and not any(name in moved for powers, _ in value.nums for name, _ in powers):
-                # nothing to expand: L(value) = value * L(1)
-                return value if keep else value * unit
+            if not any(name in moved for powers, _ in value.nums for name, _ in powers):
+                # the split is one group, the whole value with the monomial 1:
+                # L(value * factors) = value * L(factors)
+                mean = entry((), key, factors) if key else unit
+                if mean == one:
+                    return value
+                return mean if value == one else value * mean
             groups = mapping.split(value)
             return recombine(value, groups, lambda hit: entry(hit, key, factors))
 

@@ -43,13 +43,14 @@ from foliavg.geom import (
     interior_product,
     lie_derivative,
     pullback,
+    reaches_form,
     support,
     supports_meet,
 )
 from foliavg.hamcurv import averaged_hamiltonian_form, averaging_correction
 from foliavg.poisson import PoissonBivector, differential
 from foliavg.scenarios import _Pipeline, bundled_names, load_scenario, scenario_from_dict
-from foliavg.symcalc import Scalar, Substitution, _as_rational
+from foliavg.symcalc import Chart, Scalar, Substitution, _as_rational, parse
 
 from conftest import (
     CHART,
@@ -748,6 +749,104 @@ def test_a_shared_bivector_verdict_gives_the_same_witness(rotation, shear_conn, 
         assert witness == g_invariance_reference(rotation, D, bivector_kept=kept)
         assert witness == g_invariance_reference(rotation, D)
     assert witness is not None
+
+
+def _outcome(check, *args):
+    """The witness check(*args) returns, or the message it raises."""
+    try:
+        return check(*args)
+    except InvariantViolation as exc:
+        return f"raised: {exc}"
+
+
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_the_g_invariance_witness_is_the_reference_witness(name):
+    s = support_scenario(name)
+    for D in _support_couplings(name):
+        assert _outcome(verify_g_invariance, s.action, D) == _outcome(
+            g_invariance_reference, s.action, D
+        )
+
+
+@pytest.mark.parametrize("name", ["rot_4_4_0", "rot_4_4_0_late_escape", "rot_24_24_1"])
+def test_g_invariance_scans_each_fixed_row_once(name):
+    s = support_scenario(name)
+    D = _Pipeline(s).coupling
+    scanned = []
+
+    def recorded(values, first=0):
+        scanned.append(values)
+        return _escape(values, first)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliavg.dirac, "_escape", recorded)
+        assert verify_g_invariance(s.action, D) is None
+    rows = {id(row): i for i, row in enumerate(D._rows) if row is not None}
+    scans = [rows[id(values)] for values in scanned if id(values) in rows]
+    fixed = set()
+    for factor in s.action.factors:
+        moved, field_moved = factor.flow().moved_indices()
+        fixed.update(
+            i for i, (reach, touch) in enumerate(D._supports)
+            if touch.isdisjoint(moved) and reach.isdisjoint(field_moved)
+        )
+    assert sorted(scans) == sorted(fixed)
+    assert len(s.action.factors) > 1 and fixed
+
+
+THREE_BASE = Chart(("x1", "x2", "x3"), ("q", "p"), ())
+
+
+def test_a_field_off_the_support_of_the_other_side_can_move_a_form():
+    # X = x3 d/dx1 and sigma = dx1 ^ dx2: X stores x1, which sigma stores
+    # and does not depend on, so the bracket rule reads no meeting, yet the
+    # Lie derivative is dx3 ^ dx2
+    X = VectorField.from_dict(THREE_BASE, {"x1": parse(THREE_BASE, "x3")})
+    sigma = DiffForm.from_dict(THREE_BASE, 2, {("x1", "x2"): Scalar.one(THREE_BASE)})
+    assert not supports_meet(support(X), support(sigma))
+    assert reaches_form(support(X)[0], support(sigma))
+    moved = lie_derivative(X, sigma)
+    assert moved == DiffForm.from_dict(THREE_BASE, 2, {("x3", "x2"): Scalar.one(THREE_BASE)})
+
+
+@given(data=st.data())
+def test_a_field_that_reaches_no_index_of_a_form_keeps_it(data):
+    def subset(pool):
+        return {i for i in pool if data.draw(st.booleans())}
+
+    indices = range(CHART.dim)
+    stored, uses = subset(indices), subset(indices)
+    reach = subset([i for i in indices if i not in stored | uses])
+    fixed = Substitution(
+        CHART, {n: Scalar.zero(CHART) for i, n in enumerate(CHART.coords) if i not in uses}
+    )
+    small = {"coord_degree": 2, "max_terms": 2}
+    degree = data.draw(st.integers(0, 2))
+    sigma = DiffForm(CHART, degree, {
+        idx: data.draw(polynomials(**small)).substitute(fixed)
+        for idx in combinations(sorted(stored), degree)
+    })
+    X = VectorField(CHART, 1, {(i,): data.draw(polynomials(**small)) for i in sorted(reach)})
+    assert not reaches_form(support(X)[0], support(sigma))
+    assert lie_derivative(X, sigma).is_zero
+
+
+@given(X=vector_fields(coord_degree=1, max_terms=1), degree=st.integers(0, 2), data=st.data())
+def test_every_field_the_rule_skips_keeps_the_form(X, degree, data):
+    sigma = data.draw(forms(degree, coord_degree=1, max_terms=1))
+    if not reaches_form(support(X)[0], support(sigma)):
+        assert lie_derivative(X, sigma).is_zero
+
+
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_generators_the_rule_skips_keep_the_pairing_form(name):
+    s = support_scenario(name)
+    for D in _support_couplings(name):
+        sigma_support = support(D.sigma)
+        for factor in s.action.factors:
+            X = factor.generator()
+            if not reaches_form(support(X)[0], sigma_support):
+                assert lie_derivative(X, D.sigma).is_zero
 
 
 def _circle(images):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from foliavg.action import hannay_berry
 from foliavg.errors import (
     NotComplementary,
+    NotHorizontal,
     NotVertical,
     UnsupportedDegree,
 )
@@ -419,6 +420,124 @@ def test_a_value_off_the_fibers_is_rejected(gamma, source, target, value):
         Connection.from_projection(moved)
     assert verify_connection(moved) == str(info.value)
     assert str(info.value) == "projection takes values outside the vertical bundle"
+
+
+def fiber3_differences():
+    """Horizontal, vertical-valued one-forms: the shape of a shift."""
+    return st.builds(
+        lambda rows: VecValuedForm.from_dict(
+            FIBER3, 1, {(base,): row for base, row in zip(FIBER3.horizontal, rows)}
+        ),
+        st.tuples(*[fiber3_vertical_fields()] * len(FIBER3.horizontal)),
+    )
+
+
+def shifted_reference(conn, xi):
+    """The connection with projection gamma - xi, re-tested and read off
+    gamma - xi by the projection route."""
+    return Connection.from_projection(conn.projection - xi)
+
+
+@given(data=st.data())
+def test_a_shift_adds_the_rows_of_the_difference(data):
+    drawn = data.draw(connections(FIBER3))
+    # coefficients in any order: the shift reads them in chart order
+    conn = Connection(FIBER3, dict(data.draw(st.permutations(list(drawn.coeffs.items())))))
+    xi = data.draw(fiber3_differences())
+    for shift in (xi, conn.difference(Connection(FIBER3, {})), -xi):
+        got, expected = conn.shifted(shift), shifted_reference(conn, shift)
+        assert got == expected
+        assert list(got.coeffs.items()) == list(expected.coeffs.items())
+        assert got.projection == expected.projection
+    assert conn.shifted(conn.difference(Connection(FIBER3, {}))).coeffs == {}
+
+
+FIBER3_BARE = Chart(FIBER3.horizontal, FIBER3.vertical, ())
+
+
+def _difference_on(chart, comps):
+    return VecValuedForm.from_dict(chart, 1, comps)
+
+
+# differences of the wrong shape, with the error and message a shift raises
+MALFORMED_DIFFERENCES = {
+    "another_chart": (
+        lambda: _difference_on(FIBER3_BARE, {("x1",): VectorField.basis(FIBER3_BARE, "q")}),
+        NotComplementary,
+        "difference tensor lives on another chart",
+    ),
+    "degree_two": (
+        lambda: VecValuedForm.from_dict(
+            FIBER3, 2, {("x1", "x2"): VectorField.basis(FIBER3, "q")}
+        ),
+        UnsupportedDegree,
+        "a connection difference is a valued one-form",
+    ),
+    "horizontal_value": (
+        lambda: _difference_on(FIBER3, {("x1",): VectorField.basis(FIBER3, "x2")}),
+        NotVertical,
+        "difference values must be vertical",
+    ),
+    "vertical_argument": (
+        lambda: _difference_on(FIBER3, {("q",): VectorField.basis(FIBER3, "p")}),
+        NotHorizontal,
+        "difference must vanish on vertical arguments",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIFFERENCES))
+def test_a_malformed_difference_is_rejected_by_a_shift(case):
+    build, error, message = MALFORMED_DIFFERENCES[case]
+    conn = Connection(FIBER3, {("x1", "q"): parse(FIBER3, "x2*p")})
+    with pytest.raises(error) as info:
+        conn.shifted(build())
+    assert str(info.value) == message
+
+
+@given(fiber3_vertical_projections())
+def test_a_connection_built_from_a_projection_keeps_it(gamma):
+    conn = Connection.from_projection(gamma)
+    assert conn.projection is gamma
+    assert conn.projection == Connection(FIBER3, conn.coeffs).projection
+
+
+def _with_entry(gamma, vert, entry):
+    comps = dict(gamma.comps)
+    if entry is None:
+        del comps[(FIBER3.coord_index(vert),)]
+    else:
+        comps[(FIBER3.coord_index(vert),)] = entry
+    return VecValuedForm(FIBER3, 1, comps)
+
+
+# entries on dv that are not d/dv itself: on another chart, with or
+# without that chart's scalars, with a second entry, scaled, or absent
+BAD_IDENTITY_ENTRIES = {
+    "another_chart": lambda vert, other: VectorField.basis(FIBER3_BARE, vert),
+    "another_chart_same_scalars": lambda vert, other: VectorField(
+        FIBER3_BARE, 1, {(FIBER3.coord_index(vert),): Scalar.one(FIBER3)}
+    ),
+    "second_entry": lambda vert, other: (
+        VectorField.basis(FIBER3, vert) + VectorField.basis(FIBER3, other)
+    ),
+    "scaled": lambda vert, other: VectorField.basis(FIBER3, vert) * parse(FIBER3, "2"),
+    "absent": lambda vert, other: None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDENTITY_ENTRIES))
+@given(
+    gamma=fiber3_vertical_projections(),
+    pair=st.permutations(FIBER3.vertical).map(lambda names: names[:2]),
+)
+def test_an_identity_entry_that_is_not_d_dv_is_rejected(case, gamma, pair):
+    vert, other = pair
+    moved = _with_entry(gamma, vert, BAD_IDENTITY_ENTRIES[case](vert, other))
+    with pytest.raises(NotComplementary) as info:
+        Connection.from_projection(moved)
+    assert str(info.value) == f"projection is not the identity on d/d{vert}"
+    assert verify_connection(moved) == str(info.value)
 
 
 def assert_bigrade_matches_the_determinant_definition(conn, form):

@@ -278,6 +278,55 @@ def test_schouten_matches_the_reference(pair):
     assert schouten_bracket(a, b) == schouten_reference(a, b)
 
 
+def _counting_diffs(fn):
+    """fn's result and the coordinate names of the Scalar.diff calls it makes."""
+    names = []
+    diff = Scalar.diff
+
+    def counted(self, name):
+        names.append(name)
+        return diff(self, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "diff", counted)
+        result = fn()
+    return result, sorted(names)
+
+
+def partials_of(*operands):
+    """The coordinate of each (component, coordinate it contains) of the
+    distinct operands: one partial each."""
+    distinct = {id(t): t for t in operands}.values()
+    return sorted(
+        name
+        for t in distinct
+        for value in t.comps.values()
+        for name in value.free_symbols()
+        if name in t.chart.coords
+    )
+
+
+@given(multivector_pairs())
+def test_schouten_takes_each_partial_once(pair):
+    a, b = pair
+    for x, y in ((a, b), (a, a)):
+        if x.degree + y.degree - 1 > CHART.dim:
+            continue
+        bracket, names = _counting_diffs(lambda: schouten_bracket(x, y))
+        assert names == partials_of(x, y)
+        assert bracket == schouten_reference(x, y)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_schouten_takes_each_partial_once_on_bundled_data(name):
+    s = load_scenario(name)
+    P = s.P.mv
+    assert _counting_diffs(lambda: schouten_bracket(P, P))[1] == partials_of(P)
+    for lift in s.conn.frame.values():
+        one = as_multivector(lift)
+        assert _counting_diffs(lambda: schouten_bracket(one, P))[1] == partials_of(one, P)
+
+
 @pytest.mark.parametrize("name", bundled_names())
 def test_schouten_matches_the_reference_on_bundled_data(name):
     s = load_scenario(name)

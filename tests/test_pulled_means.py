@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliavg.action import FlowFactor, _has_bare_angle, haar_average, record_averages
+from foliavg.foliation import Connection
 from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
 from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
 from foliavg.symcalc import Scalar, mean_of_product, parse, render
@@ -85,49 +86,92 @@ def table(factor, functional):
 
 
 @st.composite
-def coefficients(draw, chart):
-    """Sparse angle-free polynomials: up to two terms of up to three
-    coordinates, each to a power of at most 2."""
+def coefficients(draw, chart, names=None):
+    """Sparse angle-free polynomials: up to two terms of up to three of the
+    coordinates ``names`` (by default all), each to a power of at most 2."""
     total = Scalar.zero(chart)
     for _ in range(draw(st.integers(1, 2))):
         term = Scalar.const(chart, draw(st.sampled_from((-3, -1, 1, 2, 5))))
-        for name in draw(st.lists(st.sampled_from(chart.coords), max_size=3)):
+        for name in draw(st.lists(st.sampled_from(names or chart.coords), max_size=3)):
             term = term * Scalar.var(chart, name) ** draw(st.integers(1, 2))
         total = total + term
     return total
 
 
 @st.composite
-def indices(draw, chart, degree):
-    return tuple(sorted(draw(st.lists(
-        st.integers(0, chart.dim - 1), min_size=degree, max_size=degree, unique=True
-    ))))
+def indices(draw, chart, degree, moved=None):
+    """Sorted indices of the given degree; with ``moved``, one entry is
+    drawn from it."""
+    first = [] if moved is None else [draw(st.sampled_from(sorted(moved)))]
+    rest = draw(st.lists(
+        st.integers(0, chart.dim - 1).filter(lambda i: i not in first),
+        min_size=degree - len(first), max_size=degree - len(first), unique=True,
+    ))
+    return tuple(sorted(first + rest))
 
 
 @st.composite
-def sparse(draw, cls, chart, degree):
+def sparse(draw, cls, chart, degree, moved=None, names=None):
     comps = {}
     for _ in range(draw(st.integers(1, 3))):
-        comps[draw(indices(chart, degree))] = draw(coefficients(chart))
+        comps[draw(indices(chart, degree, moved))] = draw(coefficients(chart, names))
     return cls(chart, degree, comps)
 
 
 @st.composite
-def valued_forms(draw, chart, degree):
+def valued_forms(draw, chart, degree, moved=None, names=None):
+    forms_moved, fields_moved = moved or (None, None)
     comps = {}
     for _ in range(draw(st.integers(1, 2))):
-        comps[draw(indices(chart, degree))] = draw(sparse(VectorField, chart, 1))
+        comps[draw(indices(chart, degree, forms_moved))] = draw(
+            sparse(VectorField, chart, 1, fields_moved, names)
+        )
     return VecValuedForm(chart, degree, comps)
 
 
+def fixed_names(factor):
+    """The coordinates the flow does not move."""
+    moved = factor.flow().mapping.moved
+    return [name for name in factor.chart.coords if name not in moved]
+
+
+def unmoved(factor, cls, degree):
+    """Tensors that store an index the flow rewrites, with coefficients
+    free of the moved coordinates: constants or polynomials in the others."""
+    forms_moved, fields_moved = factor.flow().moved_indices()
+    names = fixed_names(factor)
+    if cls is VecValuedForm:
+        return valued_forms(factor.chart, degree, (forms_moved, fields_moved), names)
+    moved = forms_moved if cls is DiffForm else fields_moved
+    return sparse(cls, factor.chart, degree, moved, names)
+
+
+@st.composite
+def projections(draw, factor):
+    """The projection of a connection: d/dv on each dv, whose coefficient 1
+    contains no moved coordinate, and drawn lift coefficients."""
+    chart = factor.chart
+    lifts = draw(st.lists(
+        st.tuples(st.sampled_from(chart.horizontal), st.sampled_from(chart.vertical)),
+        max_size=3, unique=True,
+    ))
+    return Connection(chart, {pair: draw(coefficients(chart)) for pair in lifts}).projection
+
+
 KINDS = {
-    "scalar": lambda chart: coefficients(chart),
-    "field": lambda chart: sparse(VectorField, chart, 1),
-    "one_form": lambda chart: sparse(DiffForm, chart, 1),
-    "two_form": lambda chart: sparse(DiffForm, chart, 2),
-    "bivector": lambda chart: sparse(Multivector, chart, 2),
-    "valued_one_form": lambda chart: valued_forms(chart, 1),
-    "valued_two_form": lambda chart: valued_forms(chart, 2),
+    "scalar": lambda factor: coefficients(factor.chart),
+    "field": lambda factor: sparse(VectorField, factor.chart, 1),
+    "one_form": lambda factor: sparse(DiffForm, factor.chart, 1),
+    "two_form": lambda factor: sparse(DiffForm, factor.chart, 2),
+    "bivector": lambda factor: sparse(Multivector, factor.chart, 2),
+    "valued_one_form": lambda factor: valued_forms(factor.chart, 1),
+    "valued_two_form": lambda factor: valued_forms(factor.chart, 2),
+    "unmoved_scalar": lambda factor: coefficients(factor.chart, fixed_names(factor)),
+    "unmoved_field": lambda factor: unmoved(factor, VectorField, 1),
+    "unmoved_two_form": lambda factor: unmoved(factor, DiffForm, 2),
+    "unmoved_bivector": lambda factor: unmoved(factor, Multivector, 2),
+    "unmoved_valued_one_form": lambda factor: unmoved(factor, VecValuedForm, 1),
+    "projection": projections,
 }
 
 
@@ -138,7 +182,7 @@ KINDS = {
 @given(data=st.data())
 def test_table_route_equals_full_pullback(name, kind, functional, data):
     factor = FACTORS[name]
-    target = data.draw(KINDS[kind](factor.chart))
+    target = data.draw(KINDS[kind](factor))
     assert table(factor, functional)(target) == reference(factor, target, functional)
 
 
