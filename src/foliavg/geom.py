@@ -621,8 +621,7 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
     The partials d/dx_i of each operand's components are taken once, with
     :func:`_gradient`, and grouped by i in the operand's component order,
     so the index i of a component of one operand meets only the nonzero
-    partials along x_i of the other, and the terms come in the order a
-    scan over every component would give them.
+    partials along x_i of the other, in that order.
     """
     _check_chart(a, b)
     if a.degree < 1 or b.degree < 1:

@@ -831,13 +831,6 @@ def test_a_field_that_reaches_no_index_of_a_form_keeps_it(data):
     assert lie_derivative(X, sigma).is_zero
 
 
-@given(X=vector_fields(coord_degree=1, max_terms=1), degree=st.integers(0, 2), data=st.data())
-def test_every_field_the_rule_skips_keeps_the_form(X, degree, data):
-    sigma = data.draw(forms(degree, coord_degree=1, max_terms=1))
-    if not reaches_form(support(X)[0], support(sigma)):
-        assert lie_derivative(X, sigma).is_zero
-
-
 @pytest.mark.parametrize("name", SUPPORT_SOURCES)
 def test_generators_the_rule_skips_keep_the_pairing_form(name):
     s = support_scenario(name)
