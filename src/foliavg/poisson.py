@@ -2,8 +2,9 @@
 
 The bivector is tangent to the fibers; its components are indexed by fiber
 coordinates only.  The musical map uses the convention
-``beta(sharp(alpha)) = P(alpha, beta)``, so the Hamiltonian field of f is
-``sharp(df)`` and ``{f, g} = P(df, dg)``.
+``beta(sharp(alpha)) = SHARP_SIGN * P(alpha, beta)``, so ``X_f = sharp(df)``
+and ``{f, g} = P(df, dg) = SHARP_SIGN * X_f(g)``.  The pipeline contracts P
+only in ``sharp``; ``pairing`` and ``bracket`` are the sign-free reference.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .geom import (
 )
 from .symcalc import Chart, Scalar
 
-# Orientation of the musical map.  Flipping it breaks the pairing between
-# sharp and the bracket on purpose; the bracket below never reads it.
+# Orientation of the musical map.  sharp and braided_wedge read it; pairing
+# and bracket never do, so flipping it breaks sharp against them on purpose.
 SHARP_SIGN = 1
 
 
@@ -137,9 +138,9 @@ def braided_wedge(P: PoissonBivector, alpha: DiffForm, beta: DiffForm) -> DiffFo
     """Wedge of two horizontal forms with coefficients multiplied in the bracket.
 
     On decomposables ``a dx^I`` and ``b dx^J`` the result is
-    ``{a, b} dx^I ^ dx^J``; both inputs must be horizontal.  Each component
-    that meets a partner is differentiated once, and the bracket of a pair
-    pairs the two differentials; ``beta is alpha`` shares them.
+    ``{a, b} dx^I ^ dx^J``; both inputs must be horizontal.  The Hamiltonian
+    image of alpha is built once, and ``{a, b} = SHARP_SIGN * X_a(b)``
+    differentiates each partner b only along the field X_a.
     """
     if alpha.chart != beta.chart or alpha.chart != P.chart:
         raise ChartMismatch("operands live on different charts")
@@ -151,21 +152,15 @@ def braided_wedge(P: PoissonBivector, alpha: DiffForm, beta: DiffForm) -> DiffFo
     degree = alpha.degree + beta.degree
     if degree > chart.dim:
         raise DegreeOverflow("braided wedge degree exceeds dimension")
-    d_alpha: dict[tuple[int, ...], DiffForm] = {}
-    d_beta = d_alpha if beta is alpha else {}
     items = []
-    for ia, va in alpha.comps.items():
+    for ia, field in P.hamiltonian_image(alpha).comps.items():
         for ib, vb in beta.comps.items():
             sorted_sign = _sort_index(ia + ib)
             if sorted_sign is None:
                 continue
-            if ia not in d_alpha:
-                d_alpha[ia] = differential(va)
-            if ib not in d_beta:
-                d_beta[ib] = differential(vb)
             idx, sign = sorted_sign
-            value = P.pairing(d_alpha[ia], d_beta[ib])
+            value = field.apply(vb)
             if value.is_zero:
                 continue
-            items.append((idx, value if sign > 0 else -value))
+            items.append((idx, value if sign * SHARP_SIGN > 0 else -value))
     return DiffForm._make(chart, degree, items)

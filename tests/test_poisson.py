@@ -1,9 +1,10 @@
 """Fiber-tangent Poisson structures: sharps, brackets, Casimirs."""
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, find, given
 from hypothesis import strategies as st
 
 import foliavg.poisson
@@ -17,6 +18,7 @@ from foliavg.poisson import (
     verify_jacobi,
     verify_poisson_connection,
 )
+from foliavg.scenarios import _Pipeline, load_scenario
 from foliavg.symcalc import Chart, Scalar, parse
 
 from conftest import CHART, polynomials, sc
@@ -217,44 +219,83 @@ def braided_operands(draw):
     return alpha, draw(horizontal_forms(degree, list(combinations(BASE3.horizontal, degree))))
 
 
-def meeting(alpha, beta):
-    """The components (operand, index) that meet a partner; one operand
-    when beta is alpha."""
-    out = set()
-    for ia in alpha.comps:
-        for ib in beta.comps:
-            if _sort_index(ia + ib) is not None:
-                out |= {("alpha", ia), ("alpha" if beta is alpha else "beta", ib)}
-    return out
-
-
 def base3_form(degree, comps):
     return DiffForm.from_dict(BASE3, degree, {k: parse(BASE3, v) for k, v in comps.items()})
 
 
 # the second operand's dx1 meets alpha's dx2 after alpha's dx1 has met dx3:
-# a cache keyed by index alone, shared by both operands, would fail here
+# a field or a coefficient looked up by index alone would fail here
 SHARED_KEYS = (
     base3_form(1, {("x1",): "q1", ("x2",): "p1"}),
     base3_form(1, {("x1",): "p2", ("x3",): "q2"}),
 )
 THREE_TERMS = base3_form(1, {("x1",): "q1", ("x2",): "p1*q2", ("x3",): "x2*p2"})
+# a one-form against a two-form, with a nonzero wedge:
+# {q1*q2, p1 + x3*p2} = q2 + q1*x3*(x1 + q1)
+NONZERO = (base3_form(1, {("x1",): "q1*q2"}), base3_form(2, {("x2", "x3"): "p1 + x3*p2"}))
 
 
 @given(braided_operands())
 @example(SHARED_KEYS)
 @example((THREE_TERMS, THREE_TERMS))
+@example(NONZERO)
 def test_braided_wedge_matches_reference(operands):
     alpha, beta = operands
-    calls = []
+    fields, differentiated, pairings = [], [], []
+    hamiltonian_vf, pairing = PoissonBivector.hamiltonian_vf, PoissonBivector.pairing
 
-    def counted(f):
-        calls.append(f)
+    def counted_vf(P, f):
+        fields.append(f)
+        return hamiltonian_vf(P, f)
+
+    def counted_differential(f):
+        differentiated.append(f)
         return differential(f)
 
+    def counted_pairing(P, a, b):
+        pairings.append((a, b))
+        return pairing(P, a, b)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(foliavg.poisson, "differential", counted)
+        mp.setattr(PoissonBivector, "hamiltonian_vf", counted_vf)
+        mp.setattr(PoissonBivector, "pairing", counted_pairing)
+        mp.setattr(foliavg.poisson, "differential", counted_differential)
         got = braided_wedge(P3, alpha, beta)
     assert got == braided_wedge_reference(P3, alpha, beta)
-    # each component that meets a partner is differentiated exactly once
-    assert len(calls) == len(meeting(alpha, beta))
+    # one Hamiltonian field per component of alpha, no coefficient of beta
+    # differentiated, and no pairing of differentials
+    assert fields == differentiated == list(alpha.comps.values())
+    assert not pairings
+
+
+@given(braided_operands())
+@example(SHARED_KEYS)
+@example((THREE_TERMS, THREE_TERMS))
+@example(NONZERO)
+def test_braided_wedge_does_not_depend_on_the_sharp_sign(operands):
+    # sharp reads SHARP_SIGN and the reference does not: the wedge must
+    # undo the sign it reads through the Hamiltonian image
+    alpha, beta = operands
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliavg.poisson, "SHARP_SIGN", -1)
+        got = braided_wedge(P3, alpha, beta)
+    assert got == braided_wedge_reference(P3, alpha, beta)
+
+
+def test_braided_draws_reach_nonzero_wedges():
+    assert not braided_wedge(P3, *NONZERO).is_zero
+    assert not braided_wedge(P3, THREE_TERMS, THREE_TERMS).is_zero
+    find(braided_operands(), lambda operands: not braided_wedge(P3, *operands).is_zero)
+
+
+# the only pipeline data whose wedges are nonzero
+@pytest.mark.parametrize(
+    "source", ["ext3", "ext3adm", str(Path(__file__).parent / "data" / "ext3_vertical_pairing.json")]
+)
+def test_pipeline_wedges_match_reference(source):
+    p = _Pipeline(load_scenario(source))
+    P, Q = p.s.P, p.potential
+    for partner in (Q, p.sigma, p.d_potential):
+        got = braided_wedge(P, Q, partner)
+        assert got == braided_wedge_reference(P, Q, partner)
+        assert not got.is_zero

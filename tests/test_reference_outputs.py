@@ -68,12 +68,31 @@ SOURCES.update(
         "ext3_vertical_pairing",
         "triv_moved_bivector",
         "rot_pairs_not_jacobi",
+        "triv_shifted_wrong_primitive",
+        "base_rot",
     )
 )
 # the check count and the failed checks of each document built to fail
 FAILING = {
     "ext3": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "triv_shifted": (24, ["adiabatic: horizontal_momentum_average"]),
+    "triv_shifted_wrong_primitive": (
+        24,
+        [
+            "adiabatic: horizontal_momentum_average",
+            "adiabatic: primitive_fix",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
+    "base_rot": (
+        23,
+        [
+            "action: leaf_tangent",
+            "premomentum: sharp_and_leafwise_closed",
+            "averaging: difference_two_routes",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
     "rot_4_4_0_perturbed": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "rot_4_4_0_late_escape": (22, ["curvature_form: admissible", "dirac: involutive"]),
     "ext3_vertical_pairing": (
@@ -128,7 +147,9 @@ def test_every_reference_has_a_source():
     assert sorted(REFERENCE) == sorted(SOURCES)
 
 
-@pytest.mark.parametrize("name", sorted(SOURCES))
+# average refuses triv_shifted_wrong_primitive (exit code 2; the message is
+# held in test_cli.py), so only the others pin an average document
+@pytest.mark.parametrize("name", sorted(n for n in SOURCES if "average" in REFERENCE[n]))
 def test_average_matches_reference(name):
     doc = averaged_scenario(load_scenario(SOURCES[name]))
     assert _text(doc) == _text(REFERENCE[name]["average"])
