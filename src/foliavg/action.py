@@ -357,7 +357,9 @@ class TorusAction:
     """Commuting circle factors acting on one chart.
 
     Two factors commute exactly when their generators' bracket vanishes,
-    as the flows of complete fields do.
+    as the flows of complete fields do.  The bracket is built only for a
+    pair whose supports meet (:func:`~foliavg.geom.supports_meet`); that of
+    any other pair is zero.
     """
 
     __slots__ = ("chart", "factors")
@@ -375,7 +377,10 @@ class TorusAction:
                     f"two factors share the angle {factor.angle!r}"
                 )
             seen.add(factor.angle)
-        for a, b in combinations(factors, 2):
+        supported = [(factor, support(factor.generator())) for factor in factors]
+        for (a, a_support), (b, b_support) in combinations(supported, 2):
+            if not supports_meet(a_support, b_support):
+                continue
             if not a.generator().bracket(b.generator()).is_zero:
                 raise InvariantViolation(
                     f"factors {a.angle!r} and {b.angle!r} do not commute"

@@ -7,7 +7,8 @@ increasing tuples of coordinate positions, and only nonzero components are
 stored, so two tensors are equal exactly when their component dictionaries
 are equal.  Vector fields are the degree-one case of the same container,
 keyed ``(i,)``.  The public constructors check every index; the library's
-own results go through :meth:`_Graded._make`, which trusts its indices.
+own results go through :meth:`_Graded._make`, which trusts its indices,
+stores no zero item and sets the slots directly.
 
 Every change of basis expands through one generator, :func:`_expansions`:
 it rewrites each basis index as a combination of others and yields each
@@ -21,15 +22,20 @@ whose indices has an image passes through it unexpanded.  Its callers are
 contraction with k degree-one arguments is a change of basis onto k
 argument slots, whose component (0, ..., k-1) is the value.
 :meth:`ChartMap.pull_linear` walks the same paths to apply a linear
-functional to a pullback without building it: the averages of
+functional L to a pullback without building it: the averages of
 :mod:`foliavg.action` use it.
 A pullback costs what the map moves: a scalar that contains no moved
 coordinate comes back as it is from
 :meth:`~foliavg.symcalc.Substitution.apply`, and a tensor none of whose
-components changes comes back as it is from its pullback.
+components changes comes back as it is from its pullback.  The same rule
+holds in :meth:`ChartMap.pull_linear`: a component none of whose indices
+(nor, in a valued form, its value's field indices) has a basis image, and
+none of whose coefficients contains a moved coordinate, comes back as L(1)
+times itself, with no expansion and no table lookup.
 
 Derivatives and pullbacks are sparse by construction.  :func:`_gradient`
-differentiates a scalar only along the coordinates it contains;
+differentiates a scalar only along the coordinates it contains, found by
+their chart indices rather than by a scan of the chart;
 :func:`exterior_derivative` and the two image builders of :class:`ChartMap`
 use it, and those builders give images only to the coordinates the map
 moves.  :meth:`VectorField.apply` differentiates only along the coordinates
@@ -70,6 +76,14 @@ Support = tuple[frozenset[int], frozenset[int]]
 
 def _sort_index(idx: Sequence[int]) -> tuple[Index, int] | None:
     """Sort an index tuple, returning (sorted, sign) or None on repeats."""
+    n = len(idx)
+    if n < 2:
+        return tuple(idx), 1
+    if n == 2:
+        a, b = idx
+        if a < b:
+            return (a, b), 1
+        return ((b, a), -1) if a > b else None
     idx = list(idx)
     if len(set(idx)) != len(idx):
         return None
@@ -105,12 +119,15 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
 def _gradient(f: Scalar) -> list[tuple[int, Scalar]]:
     """The nonzero partials (c, df/dx_c) of a scalar, in chart order.
 
-    Only the coordinates f contains are differentiated along; each of those
+    Only the coordinates f contains are differentiated along, found by
+    their chart indices, and angles and ``pi`` are skipped; each of those
     partials is nonzero, since lowering one exponent keeps distinct
     monomials distinct.
     """
-    names = f.free_symbols()
-    return [(c, f.diff(name)) for c, name in enumerate(f.chart.coords) if name in names]
+    chart = f.chart
+    coords = chart.coords
+    found = sorted(chart.coord_index(name) for name in f.free_symbols() if chart.is_coord(name))
+    return [(c, f.diff(coords[c])) for c in found]
 
 
 def support(t: _Graded) -> Support:
@@ -233,17 +250,25 @@ class _Graded:
     def _make(cls, chart: Chart, degree: int, items: Iterable[tuple[Index, object]]):
         """The tensor of the summed items; each index must be sorted and of
         length ``degree``, as nothing checks it here.  The items are summed
-        into the component dictionary itself, and the zero sums deleted
-        from it; no second dictionary is built."""
+        into the component dictionary itself: a zero item is not stored, and
+        only the indices where a sum happened are swept for zeros."""
         comps: dict[Index, object] = {}
+        summed = []
         for idx, value in items:
-            comps[idx] = comps[idx] + value if idx in comps else value
-        for idx in [idx for idx, value in comps.items() if value.is_zero]:
-            del comps[idx]
-        out = object.__new__(cls)
-        object.__setattr__(out, "chart", chart)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "comps", comps)
+            old = comps.get(idx)
+            if old is not None:
+                comps[idx] = old + value
+                summed.append(idx)
+            elif not value.is_zero:
+                comps[idx] = value
+        for idx in summed:
+            value = comps.get(idx)
+            if value is not None and value.is_zero:
+                del comps[idx]
+        out = _new_object(cls)
+        _set_chart(out, chart)
+        _set_degree(out, degree)
+        _set_comps(out, comps)
         return out
 
     @classmethod
@@ -372,6 +397,13 @@ class _Graded:
             basis = "^".join(self._basis_prefix + n for n in self._names(idx)) or "1"
             parts.append(f"({self.comps[idx]})*{basis}")
         return " + ".join(parts)
+
+
+# The slots' own setters, past the immutability guard of _Graded.__setattr__.
+_new_object = object.__new__
+_set_chart, _set_degree, _set_comps = (
+    _Graded.chart.__set__, _Graded.degree.__set__, _Graded.comps.__set__
+)
 
 
 class VectorField(_Graded):
@@ -805,29 +837,51 @@ class ChartMap:
         A coefficient that contains no moved coordinate is one group, the
         whole value with the monomial 1, so it costs one call of ``entry``
         and no split.
+
+        A component that the map leaves as it is passes through: when no
+        index of it has a basis image, none of a valued form's field indices
+        has a field image, and no coefficient contains a moved coordinate,
+        its value is L(1) times the component, read off the one unit entry
+        with no expansion, no path key and no other call of ``entry``.
+        This is the rule of :meth:`_Graded._rebase` and :func:`_untouched`.
         """
-        mapping, chart = self.mapping, self.chart
-        moved = mapping.moved
+        moved, chart = self.mapping.moved, self.chart
+        split = self.mapping.split
         one = Scalar.one(chart)
         unit = entry((), (), ())
+        # L(1) is 1 for the Haar mean, so a passed-through value stays itself
+        unit_is_one = unit == one
+
+        def fixed(value: Scalar) -> bool:
+            return not any(name in moved for powers, _ in value.nums for name, _ in powers)
+
+        def passed(value):
+            return value if unit_is_one else value * unit
 
         def mapped(value, key, factors):
-            if not any(name in moved for powers, _ in value.nums for name, _ in powers):
+            if fixed(value):
                 # the split is one group, the whole value with the monomial 1:
                 # L(value * factors) = value * L(factors)
-                mean = entry((), key, factors) if key else unit
+                if not key:
+                    return passed(value)
+                mean = entry((), key, factors)
                 if mean == one:
                     return value
                 return mean if value == one else value * mean
-            groups = mapping.split(value)
-            return recombine(value, groups, lambda hit: entry(hit, key, factors))
+            return recombine(value, split(value), lambda hit: entry(hit, key, factors))
 
         if isinstance(target, Scalar):
             return mapped(target, (), ())
         if isinstance(target, VecValuedForm):
             forms, fields = self._form_images(), self._vector_images()
             out: dict[Index, list[tuple[Index, Scalar]]] = {}
+            kept = []
             for idx, vec in target.comps.items():
+                if forms.keys().isdisjoint(idx) and all(
+                    k not in fields and fixed(value) for (k,), value in vec.comps.items()
+                ):
+                    kept.append((idx, passed(vec)))
+                    continue
                 outer = [
                     (sidx, sign, *_path_key("d", idx, path))
                     for sidx, sign, path in _expansions(idx, forms)
@@ -840,11 +894,8 @@ class ChartMap:
                             out.setdefault(sidx, []).append(
                                 (cidx, mean if sign * csign > 0 else -mean)
                             )
-            return VecValuedForm._make(
-                chart,
-                target.degree,
-                ((sidx, VectorField._make(chart, 1, parts)) for sidx, parts in out.items()),
-            )
+            kept.extend((sidx, VectorField._make(chart, 1, parts)) for sidx, parts in out.items())
+            return VecValuedForm._make(chart, target.degree, kept)
         if isinstance(target, DiffForm):
             images, name = self._form_images(), "d"
         elif isinstance(target, (VectorField, Multivector)):
@@ -853,6 +904,9 @@ class ChartMap:
             raise TypeError(f"cannot pull back {type(target).__name__}")
         items = []
         for idx, value in target.comps.items():
+            if images.keys().isdisjoint(idx) and fixed(value):
+                items.append((idx, passed(value)))
+                continue
             for sidx, sign, path in _expansions(idx, images):
                 mean = mapped(value, *_path_key(name, idx, path))
                 items.append((sidx, mean if sign > 0 else -mean))

@@ -1,6 +1,7 @@
 """Torus actions: flows, exact averaging, the averaged connection."""
 
 import json
+from itertools import combinations
 from importlib import resources
 from pathlib import Path
 
@@ -259,6 +260,43 @@ def test_commutation_agrees_with_composition(first, second):
         assert commute_reference(a, b)
 
 
+@pytest.mark.parametrize("name", SUPPORT_SOURCES)
+def test_commutation_brackets_only_the_pairs_whose_supports_meet(name, monkeypatch):
+    """Loading an action builds the generator bracket of a pair only when
+    the pair's supports meet; every pair it skips has a zero bracket."""
+    factors = support_scenario(name).action.factors
+    built = []
+    bracket = VectorField.bracket
+
+    def counted(X, Y):
+        built.append((X, Y))
+        return bracket(X, Y)
+
+    monkeypatch.setattr(VectorField, "bracket", counted)
+    TorusAction(factors[0].chart, factors)
+    monkeypatch.undo()
+    pairs = list(combinations([f.generator() for f in factors], 2))
+    met = [
+        (X, Y) for X, Y in pairs if geom.supports_meet(geom.support(X), geom.support(Y))
+    ]
+    assert built == met
+    assert all(X.bracket(Y).is_zero for X, Y in pairs if (X, Y) not in met)
+    if name.startswith("rot"):
+        # the rotations of distinct fibre pairs never meet
+        assert built == []
+
+
+def test_the_first_non_commuting_pair_is_named_past_disjoint_pairs():
+    chart = Chart(("x1",), ("q1", "p1", "q2", "p2"), ("th1", "th2", "ph"))
+    factors = (
+        rotation_factor(chart, "th1", "q1", "p1"),
+        rotation_factor(chart, "th2", "q2", "p2"),
+        rotation_factor(chart, "ph", "q2", "x1"),
+    )
+    with pytest.raises(InvariantViolation, match="factors 'th2' and 'ph' do not commute"):
+        TorusAction(chart, factors)
+
+
 def test_verify_action(rotation, bivector):
     verdict = verify_action(rotation, bivector)
     assert verdict == {
@@ -461,6 +499,27 @@ def test_the_flow_integral_skips_only_zero_brackets(name, monkeypatch):
     assert agree == (name != "base_rot")
     if name.startswith("rot"):
         assert skipped
+
+
+def test_the_flow_integral_route_on_a_base_rotation():
+    """On base_rot the generator X = -x2 d/dx1 + x1 d/dx2 is horizontal, so
+    the brackets [d/dx_b, X] of the flat lifts are horizontal too, and the
+    flow-integral route, which assumes a vertical generator, returns a
+    horizontal-valued form where direct averaging returns 0."""
+    s = support_scenario("base_rot")
+    chart = s.chart
+    (factor,) = s.action.factors
+    X = factor.generator()
+    assert X == VectorField.from_dict(chart, {"x1": parse(chart, "-x2"), "x2": parse(chart, "x1")})
+    frame = s.conn.frame
+    assert frame["x1"].bracket(X) == VectorField.basis(chart, "x2")
+    assert frame["x2"].bracket(X) == -VectorField.basis(chart, "x1")
+    expected = VecValuedForm.from_dict(chart, 1, {
+        ("x1",): -VectorField.basis(chart, "x1"),
+        ("x2",): -VectorField.basis(chart, "x2"),
+    })
+    assert difference_via_flow_integral(s.action, s.conn) == expected
+    assert connection_difference(s.action, s.conn).is_zero
 
 
 # ----------------------------------------------------------------------

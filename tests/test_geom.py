@@ -3,7 +3,7 @@
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from foliavg.geom import (
     VecValuedForm,
     VectorField,
     _det,
+    _gradient,
     _sort_index,
     exterior_derivative,
     fn_bracket,
@@ -933,3 +934,85 @@ def test_the_public_constructor_checks_every_index():
         DiffForm.from_dict(CHART, 2, {("x1", "x1"): one})
     with pytest.raises(DegreeOverflow):
         Multivector.from_dict(CHART, 5, {})
+
+
+# ----------------------------------------------------------------------
+# the container kernels: the lean constructor, sorting and gradients
+
+
+@settings(max_examples=50)
+@given(st.lists(
+    st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 3)]), polynomials(max_terms=2)),
+    max_size=6,
+))
+def test_make_drops_zero_items_and_cancelled_sums(items):
+    # a zero item, and a sum that cancels: the first item and its negative
+    items = items + [((2, 3), Scalar.zero(CHART))] + [(idx, -value) for idx, value in items[:1]]
+    made = DiffForm._make(CHART, 2, items)
+    assert made == DiffForm(CHART, 2, _summed_reference(items))
+    assert all(not value.is_zero for value in made.comps.values())
+    assert (2, 3) not in made.comps
+    with pytest.raises(AttributeError, match="immutable"):
+        made.comps = {}
+    with pytest.raises(AttributeError, match="immutable"):
+        made.degree = 1
+
+
+def _summed_reference(items):
+    acc = {}
+    for idx, value in items:
+        acc[idx] = acc.get(idx, Scalar.zero(CHART)) + value
+    return acc
+
+
+def test_make_sums_valued_components_that_cancel():
+    X = VectorField.from_dict(CHART, {"q": sc("p")})
+    K = VecValuedForm._make(CHART, 1, [((0,), X), ((1,), X), ((0,), -X), ((2,), -X + X)])
+    assert K.comps == {(1,): X}
+
+
+def sort_index_reference(idx):
+    """The sorted index and the parity of the permutation that sorts it,
+    counted as inversions; None on a repeat."""
+    if len(set(idx)) != len(idx):
+        return None
+    inversions = sum(1 for a, b in combinations(idx, 2) if a > b)
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 5), max_size=4))
+def test_sort_index_matches_the_permutation_parity(idx):
+    assert _sort_index(idx) == sort_index_reference(idx)
+    assert _sort_index(tuple(idx)) == sort_index_reference(idx)
+
+
+def test_sort_index_on_every_short_permutation():
+    for n in range(5):
+        for idx in permutations(range(n)):
+            assert _sort_index(idx) == sort_index_reference(idx)
+    assert _sort_index((3, 3)) is None and _sort_index([]) == ((), 1)
+
+
+def gradient_reference(f):
+    """The partials along every chart coordinate f contains, in chart order."""
+    names = f.free_symbols()
+    return [(c, f.diff(name)) for c, name in enumerate(f.chart.coords) if name in names]
+
+
+@given(scalars(), st.booleans())
+def test_gradient_matches_the_chart_order_enumeration(f, with_pi):
+    if with_pi:
+        f = f * Scalar.pi(CHART) + sc("x2*cos(th)")
+    grad = _gradient(f)
+    assert grad == gradient_reference(f)
+    assert [c for c, _ in grad] == sorted(c for c, _ in grad)
+
+
+def test_gradient_skips_angles_and_pi():
+    f = sc("p*x1^2*sin(2*th) + pi*q + cos(th)")
+    assert {"th", "pi"} <= f.free_symbols()
+    assert _gradient(f) == [
+        (0, sc("2*p*x1*sin(2*th)")), (2, sc("pi")), (3, sc("x1^2*sin(2*th)")),
+    ]
+    assert _gradient(sc("pi*sin(th)")) == []

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliavg.action import FlowFactor, _has_bare_angle, haar_average, record_averages
+from foliavg import geom
 from foliavg.foliation import Connection
 from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
 from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
@@ -158,6 +159,44 @@ def projections(draw, factor):
     return Connection(chart, {pair: draw(coefficients(chart)) for pair in lifts}).projection
 
 
+@st.composite
+def untouched(draw, factor, cls, degree):
+    """A tensor that the flow leaves as it is: no index with a basis image,
+    no field index of a value with a field image, and coefficients free of
+    the moved coordinates.  Zero when too few indices are left."""
+    chart = factor.chart
+    forms_moved, fields_moved = factor.flow().moved_indices()
+    names = fixed_names(factor)
+
+    def kept(cls, degree, moved):
+        free = [i for i in range(chart.dim) if i not in moved]
+        if len(free) < degree:
+            return cls(chart, degree, {})
+        comps = {}
+        for _ in range(draw(st.integers(1, 2))):
+            idx = draw(st.lists(st.sampled_from(free), min_size=degree, max_size=degree, unique=True))
+            comps[tuple(sorted(idx))] = draw(coefficients(chart, names))
+        return cls(chart, degree, comps)
+
+    if cls is VecValuedForm:
+        outer = kept(DiffForm, degree, forms_moved)
+        return VecValuedForm(chart, degree, {
+            idx: kept(VectorField, 1, fields_moved) for idx in outer.comps
+        })
+    return kept(cls, degree, forms_moved if cls is DiffForm else fields_moved)
+
+
+@st.composite
+def partly_untouched(draw, factor, cls, degree):
+    """A drawn tensor plus one that the flow leaves as it is, so that some
+    components pass through the tables and others are expanded."""
+    if cls is VecValuedForm:
+        moved = draw(valued_forms(factor.chart, degree))
+    else:
+        moved = draw(sparse(cls, factor.chart, degree))
+    return moved + draw(untouched(factor, cls, degree))
+
+
 KINDS = {
     "scalar": lambda factor: coefficients(factor.chart),
     "field": lambda factor: sparse(VectorField, factor.chart, 1),
@@ -172,7 +211,18 @@ KINDS = {
     "unmoved_bivector": lambda factor: unmoved(factor, Multivector, 2),
     "unmoved_valued_one_form": lambda factor: unmoved(factor, VecValuedForm, 1),
     "projection": projections,
+    "partly_untouched_field": lambda factor: partly_untouched(factor, VectorField, 1),
+    "partly_untouched_one_form": lambda factor: partly_untouched(factor, DiffForm, 1),
+    "partly_untouched_two_form": lambda factor: partly_untouched(factor, DiffForm, 2),
+    "partly_untouched_bivector": lambda factor: partly_untouched(factor, Multivector, 2),
+    "partly_untouched_valued_one_form": lambda factor: partly_untouched(factor, VecValuedForm, 1),
+    "partly_untouched_valued_two_form": lambda factor: partly_untouched(factor, VecValuedForm, 2),
 }
+# the tensors the flow leaves as they are, as (class, degree)
+UNTOUCHED = [
+    (VectorField, 1), (DiffForm, 1), (DiffForm, 2), (Multivector, 2),
+    (VecValuedForm, 1), (VecValuedForm, 2),
+]
 
 
 @pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
@@ -184,6 +234,50 @@ def test_table_route_equals_full_pullback(name, kind, functional, data):
     factor = FACTORS[name]
     target = data.draw(KINDS[kind](factor))
     assert table(factor, functional)(target) == reference(factor, target, functional)
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+@pytest.mark.parametrize("name", sorted(FACTORS))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_an_untouched_tensor_reads_only_the_unit_entry(name, functional, data):
+    """A tensor whose components the flow all leaves as they are is L(1)
+    times itself: the target on the Haar table, pi times it on the running
+    table.  Nothing is expanded, and no entry but the unit is read."""
+    factor = FACTORS[name]
+    cls, degree = data.draw(st.sampled_from(UNTOUCHED))
+    target = data.draw(untouched(factor, cls, degree))
+    means = table(factor, functional)
+    entries, expansions = [], []
+    expand = geom._expansions
+
+    def entry(hit, key, factors):
+        entries.append((hit, key))
+        return means._entry(hit, key, factors)
+
+    def counted(idx, images):
+        expansions.append(idx)
+        return expand(idx, images)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "_expansions", counted)
+        pulled = factor.flow().pull_linear(target, entry)
+    assert entries == [((), ())]
+    assert expansions == []
+    unit = Scalar.one(factor.chart) if functional == "haar" else Scalar.pi(factor.chart)
+    assert pulled == target * unit
+    assert pulled == reference(factor, target, functional)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_every_factor_leaves_some_tensor_as_it_is(name):
+    """The pass-through draws are not all zero: every factor keeps some
+    index of each kind free of basis images, and some coordinate fixed."""
+    factor = FACTORS[name]
+    forms_moved, fields_moved = factor.flow().moved_indices()
+    assert len(forms_moved) <= factor.chart.dim - 2
+    assert len(fields_moved) <= factor.chart.dim - 1
+    assert fixed_names(factor)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORS))
