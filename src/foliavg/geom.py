@@ -836,7 +836,8 @@ class ChartMap:
         its rest times that value, so L must be linear over those rests.
         A coefficient that contains no moved coordinate is one group, the
         whole value with the monomial 1, so it costs one call of ``entry``
-        and no split.
+        and no split.  Each coefficient is split, or compared with 1, once
+        for all the expansion paths of its component.
 
         A component that the map leaves as it is passes through: when no
         index of it has a basis image, none of a valued form's field indices
@@ -858,20 +859,29 @@ class ChartMap:
         def passed(value):
             return value if unit_is_one else value * unit
 
-        def mapped(value, key, factors):
-            if fixed(value):
-                # the split is one group, the whole value with the monomial 1:
-                # L(value * factors) = value * L(factors)
+        def functional(value):
+            """L(value * factors) as a function of an expansion path's key
+            and factors."""
+            if not fixed(value):
+                groups = split(value)
+                return lambda key, factors: recombine(
+                    value, groups, lambda hit: entry(hit, key, factors)
+                )
+            if value == one:
+                return lambda key, factors: entry((), key, factors) if key else unit
+
+            # the split is one group, the whole value with the monomial 1:
+            # L(value * factors) = value * L(factors)
+            def scaled(key, factors):
                 if not key:
                     return passed(value)
                 mean = entry((), key, factors)
-                if mean == one:
-                    return value
-                return mean if value == one else value * mean
-            return recombine(value, split(value), lambda hit: entry(hit, key, factors))
+                return value if mean == one else value * mean
+
+            return scaled
 
         if isinstance(target, Scalar):
-            return mapped(target, (), ())
+            return functional(target)((), ())
         if isinstance(target, VecValuedForm):
             forms, fields = self._form_images(), self._vector_images()
             out: dict[Index, list[tuple[Index, Scalar]]] = {}
@@ -887,10 +897,11 @@ class ChartMap:
                     for sidx, sign, path in _expansions(idx, forms)
                 ]
                 for k, value in vec.comps.items():
+                    mean_of = functional(value)
                     for cidx, csign, cpath in _expansions(k, fields):
                         ckey, cfactors = _path_key("v", k, cpath)
                         for sidx, sign, key, factors in outer:
-                            mean = mapped(value, key + ckey, factors + cfactors)
+                            mean = mean_of(key + ckey, factors + cfactors)
                             out.setdefault(sidx, []).append(
                                 (cidx, mean if sign * csign > 0 else -mean)
                             )
@@ -907,8 +918,9 @@ class ChartMap:
             if images.keys().isdisjoint(idx) and fixed(value):
                 items.append((idx, passed(value)))
                 continue
+            mean_of = functional(value)
             for sidx, sign, path in _expansions(idx, images):
-                mean = mapped(value, *_path_key(name, idx, path))
+                mean = mean_of(*_path_key(name, idx, path))
                 items.append((sidx, mean if sign > 0 else -mean))
         return type(target)._make(chart, target.degree, items)
 

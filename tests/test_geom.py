@@ -940,6 +940,13 @@ def test_the_public_constructor_checks_every_index():
 # the container kernels: the lean constructor, sorting and gradients
 
 
+def _summed_reference(items):
+    acc = {}
+    for idx, value in items:
+        acc[idx] = acc.get(idx, Scalar.zero(CHART)) + value
+    return acc
+
+
 @settings(max_examples=50)
 @given(st.lists(
     st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 3)]), polynomials(max_terms=2)),
@@ -956,13 +963,6 @@ def test_make_drops_zero_items_and_cancelled_sums(items):
         made.comps = {}
     with pytest.raises(AttributeError, match="immutable"):
         made.degree = 1
-
-
-def _summed_reference(items):
-    acc = {}
-    for idx, value in items:
-        acc[idx] = acc.get(idx, Scalar.zero(CHART)) + value
-    return acc
 
 
 def test_make_sums_valued_components_that_cancel():
