@@ -1,8 +1,8 @@
 """Torus actions: flows, exact averaging, the averaged connection."""
 
 import json
-from itertools import combinations
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -287,6 +287,8 @@ def test_commutation_brackets_only_the_pairs_whose_supports_meet(name, monkeypat
 
 
 def test_the_first_non_commuting_pair_is_named_past_disjoint_pairs():
+    """(th1, th2) and (th1, ph) are skipped by support; (th2, ph) share q2
+    and do not commute, and the message names them."""
     chart = Chart(("x1",), ("q1", "p1", "q2", "p2"), ("th1", "th2", "ph"))
     factors = (
         rotation_factor(chart, "th1", "q1", "p1"),

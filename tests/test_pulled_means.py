@@ -8,7 +8,9 @@ the route the tables replaced: pull the whole tensor back, then take the
 functional of every coefficient, the running one by its definition, the
 Haar mean of the integral from zero.  Unit rotations read their entries off
 Wallis' formula and every other flow off products of image powers, so both
-routes meet the reference.
+routes meet the reference.  A component that the flow leaves as it is
+passes through as L(1) times itself, with no table lookup; the
+``partly_untouched_*`` kinds mix such components with expanded ones.
 """
 
 import gc
@@ -191,10 +193,10 @@ def partly_untouched(draw, factor, cls, degree):
     """A drawn tensor plus one that the flow leaves as it is, so that some
     components pass through the tables and others are expanded."""
     if cls is VecValuedForm:
-        moved = draw(valued_forms(factor.chart, degree))
+        drawn = draw(valued_forms(factor.chart, degree))
     else:
-        moved = draw(sparse(cls, factor.chart, degree))
-    return moved + draw(untouched(factor, cls, degree))
+        drawn = draw(sparse(cls, factor.chart, degree))
+    return drawn + draw(untouched(factor, cls, degree))
 
 
 KINDS = {
