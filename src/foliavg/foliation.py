@@ -13,6 +13,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
+    ChartMismatch,
     NotComplementary,
     NotHorizontal,
     NotVertical,
@@ -46,118 +47,121 @@ def is_horizontal_form(form: DiffForm | VecValuedForm) -> bool:
 
 
 class Connection:
-    """An Ehresmann connection stored by its lift coefficients A_i^v.
+    """An Ehresmann connection, stored as its vertical projection gamma.
 
-    The frame, coframe, projection and curvature depend only on the
-    coefficients, so each is built from them on first use and kept; the
-    frame and coframe are handed out as read-only mappings.  A connection
-    built from a projection keeps that projection.
+    gamma = sum_v eta_v (x) d/dv is the one tensor a connection holds: it
+    takes each dv to d/dv and each dx_b to -sum_v A_b^v d/dv.  The lift
+    coefficients A_b^v, the lifted frame and the coframe are read off
+    gamma's rows when asked for; only the curvature is kept once computed.
     """
 
-    __slots__ = ("chart", "coeffs", "_frame", "_coframe", "_projection", "_curvature")
+    __slots__ = ("chart", "_projection", "_curvature")
 
     def __init__(self, chart: Chart, coeffs: Mapping[tuple[str, str], Scalar]) -> None:
-        clean: dict[tuple[str, str], Scalar] = {}
+        """The connection with lift coefficients ``coeffs[(base, fiber)]``,
+        each a scalar on ``chart``; gamma is built from them here."""
+        index = chart.coord_index
+        rows: dict[int, list[tuple[Index, Scalar]]] = {}
         for (base, vert), value in coeffs.items():
             if base not in chart.horizontal:
                 raise NotComplementary(f"{base!r} is not a base coordinate")
             if vert not in chart.vertical:
                 raise NotVertical(f"{vert!r} is not a fiber coordinate")
-            if not value.is_zero:
-                clean[(base, vert)] = value
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "coeffs", clean)
-        for name in ("_frame", "_coframe", "_projection", "_curvature"):
-            object.__setattr__(self, name, None)
+            if value.chart is not chart and value.chart != chart:
+                raise ChartMismatch(f"A[{base},{vert}]: {value.chart} vs {chart}")
+            rows.setdefault(index(base), []).append(((index(vert),), -value))
+        one = Scalar.one(chart)
+        items = [
+            ((v,), VectorField._make(chart, 1, [((v,), one)]))
+            for v in range(len(chart.horizontal), chart.dim)
+        ]
+        items += [((b,), VectorField._make(chart, 1, row)) for b, row in rows.items()]
+        self._hold(VecValuedForm._make(chart, 1, items))
+
+    def _hold(self, gamma: VecValuedForm) -> "Connection":
+        object.__setattr__(self, "chart", gamma.chart)
+        object.__setattr__(self, "_projection", gamma)
+        object.__setattr__(self, "_curvature", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
 
     @staticmethod
     def from_projection(gamma: VecValuedForm) -> "Connection":
-        """Build from a vertical projection, testing the projection laws.
+        """The connection whose projection is gamma, after testing the
+        projection laws.
 
         A projection takes vertical values and is the identity on each d/dv:
         its entry on dv is the field with the single component 1 at v, on
         the same chart.  Idempotency needs no separate test, since a
         vertical-valued gamma that fixes every d/dv fixes every vertical
-        field.  Then gamma = sum_v eta_v (x) d/dv with
-        eta_v = dv - sum_b A_b^v dx_b, so its component on dx_b is
-        -sum_v A_b^v d/dv; the coefficients are read off the stored
-        components, in chart order.  Gamma is the connection's projection,
-        so the connection keeps it.
+        field.
         """
         chart = gamma.chart
         if gamma.degree != 1:
             raise UnsupportedDegree("a projection must be a valued one-form")
         if not is_vertical_valued(gamma):
             raise NotVertical("projection takes values outside the vertical bundle")
-        coords = chart.coords
-        first_vertical = len(chart.horizontal)
         one = Scalar.one(chart)
-        for v in range(first_vertical, chart.dim):
+        for v in range(len(chart.horizontal), chart.dim):
             entry = gamma.comps.get((v,))
             if (
                 not isinstance(entry, VectorField)
                 or entry.chart != chart
                 or entry.comps != {(v,): one}
             ):
-                raise NotComplementary(f"projection is not the identity on d/d{coords[v]}")
-        coeffs = {}
-        for (b,), image in sorted(gamma.comps.items()):
-            if b < first_vertical:
-                for (v,), value in sorted(image.comps.items()):
-                    coeffs[(coords[b], coords[v])] = -value
-        conn = Connection(chart, coeffs)
-        object.__setattr__(conn, "_projection", gamma)
-        return conn
-
-    @property
-    def frame(self) -> Mapping[str, VectorField]:
-        """Lifted frame h_b = d/dx_b + sum_v A_b^v d/dv, read off coeffs in one pass."""
-        if self._frame is None:
-            chart = self.chart
-            index = chart.coord_index
-            rows = {base: [((index(base),), Scalar.one(chart))] for base in chart.horizontal}
-            for (base, vert), value in self.coeffs.items():
-                rows[base].append(((index(vert),), value))
-            out = {base: VectorField._make(chart, 1, row) for base, row in rows.items()}
-            object.__setattr__(self, "_frame", MappingProxyType(out))
-        return self._frame
-
-    @property
-    def coframe(self) -> Mapping[str, DiffForm]:
-        """Coframe eta_v = dv - sum_b A_b^v dx_b, dual to d/dv, read off coeffs in one pass."""
-        if self._coframe is None:
-            chart = self.chart
-            index = chart.coord_index
-            rows = {vert: [((index(vert),), Scalar.one(chart))] for vert in chart.vertical}
-            for (base, vert), value in self.coeffs.items():
-                rows[vert].append(((index(base),), -value))
-            out = {vert: DiffForm._make(chart, 1, row) for vert, row in rows.items()}
-            object.__setattr__(self, "_coframe", MappingProxyType(out))
-        return self._coframe
+                raise NotComplementary(f"projection is not the identity on d/d{chart.coords[v]}")
+        return object.__new__(Connection)._hold(gamma)
 
     @property
     def projection(self) -> VecValuedForm:
-        """sum_v eta_v (x) d/dv: d/dv on dv, and -sum_v A_b^v d/dv on dx_b."""
-        if self._projection is None:
-            chart = self.chart
-            index = chart.coord_index
-            columns: dict[int, list[tuple[Index, Scalar]]] = {}
-            for (base, vert), value in self.coeffs.items():
-                columns.setdefault(index(base), []).append(((index(vert),), -value))
-            one = Scalar.one(chart)
-            items = [
-                ((v,), VectorField._make(chart, 1, [((v,), one)]))
-                for v in range(len(chart.horizontal), chart.dim)
-            ]
-            items += [((b,), VectorField._make(chart, 1, column)) for b, column in columns.items()]
-            object.__setattr__(self, "_projection", VecValuedForm._make(chart, 1, items))
+        """gamma: d/dv on dv, and -sum_v A_b^v d/dv on dx_b."""
         return self._projection
 
+    @property
+    def coeffs(self) -> dict[tuple[str, str], Scalar]:
+        """The nonzero lift coefficients A_b^v, minus gamma's entries on the
+        dx_b rows, in (base, fiber) index order; a new dict on each call."""
+        coords, first_vertical = self.chart.coords, len(self.chart.horizontal)
+        return {
+            (coords[b], coords[v]): -value
+            for (b,), row in sorted(self._projection.comps.items())
+            if b < first_vertical
+            for (v,), value in sorted(row.comps.items())
+        }
+
+    @property
+    def frame(self) -> Mapping[str, VectorField]:
+        """Lifted frame h_b = d/dx_b - gamma(d/dx_b) = d/dx_b + sum_v A_b^v d/dv."""
+        chart, rows = self.chart, self._projection.comps
+        one = Scalar.one(chart)
+        out = {}
+        for b, base in enumerate(chart.horizontal):
+            row = rows.get((b,))
+            items = [((b,), one)]
+            if row is not None:
+                items += [(idx, -value) for idx, value in row.comps.items()]
+            out[base] = VectorField._make(chart, 1, items)
+        return MappingProxyType(out)
+
+    @property
+    def coframe(self) -> Mapping[str, DiffForm]:
+        """Coframe eta_v = dv - sum_b A_b^v dx_b, the d/dv component of
+        gamma, dual to d/dv: gamma's entries at v, one per row."""
+        chart = self.chart
+        columns: dict[int, list[tuple[Index, Scalar]]] = {
+            v: [] for v in range(len(chart.horizontal), chart.dim)
+        }
+        for idx, row in self._projection.comps.items():
+            for (v,), value in row.comps.items():
+                columns[v].append((idx, value))
+        return MappingProxyType(
+            {chart.coords[v]: DiffForm._make(chart, 1, column) for v, column in columns.items()}
+        )
+
     def vertical_part(self, field: VectorField) -> VectorField:
-        return self.projection.apply(field)
+        return self._projection.apply(field)
 
     def horizontal_part(self, field: VectorField) -> VectorField:
         return field - self.vertical_part(field)
@@ -165,45 +169,37 @@ class Connection:
     def shifted(self, xi: VecValuedForm) -> "Connection":
         """The connection with projection gamma - xi.
 
-        Gamma - xi takes dx_b to -sum_v (A_b^v + xi_b^v) d/dv, so xi's rows
-        are added to the coefficients, in sorted (base, fiber) index order:
-        the order :meth:`from_projection` reads them in.  A horizontal,
-        vertical-valued xi leaves the identity block on the dv untouched,
-        so gamma - xi is a projection again and is not re-tested.
+        A horizontal, vertical-valued xi leaves the identity block on the
+        dv untouched, so gamma - xi is a projection again and is not
+        re-tested.
         """
         _require_difference_shape(self.chart, xi)
-        chart = self.chart
-        coords, index = chart.coords, chart.coord_index
-        total = dict(self.coeffs)
-        for (b,), row in xi.comps.items():
-            for (v,), value in row.comps.items():
-                key = (coords[b], coords[v])
-                total[key] = total[key] + value if key in total else value
-        order = sorted(total, key=lambda key: (index(key[0]), index(key[1])))
-        return Connection(chart, {key: total[key] for key in order})
+        return object.__new__(Connection)._hold(self._projection - xi)
 
     def difference(self, other: "Connection") -> VecValuedForm:
         """The horizontal valued one-form xi with other = self shifted by xi."""
         if self.chart != other.chart:
             raise NotComplementary("connections live on different charts")
-        return self.projection - other.projection
+        return self._projection - other._projection
 
     @property
     def is_flat_frame(self) -> bool:
-        return not self.coeffs
+        """True when gamma stores no horizontal row, only the dv rows."""
+        return len(self._projection.comps) == len(self.chart.vertical)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.chart == other.chart and self.coeffs == other.coeffs
+        return self._projection == other._projection
 
     def __hash__(self) -> int:
-        return hash((self.chart, tuple(sorted(self.coeffs.items()))))
+        return hash(self._projection)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "Connection(flat)"
-        parts = [f"A[{b},{v}]={s}" for (b, v), s in sorted(self.coeffs.items())]
+        parts = [f"A[{b},{v}]={s}" for (b, v), s in sorted(coeffs.items())]
         return "Connection(" + ", ".join(parts) + ")"
 
 
@@ -264,16 +260,21 @@ def _adapted_groups(
 ) -> tuple[dict[tuple[int, int], list[tuple[Index, Scalar]]], dict[int, list[tuple[int, Scalar]]]]:
     """The components of a form in the adapted coframe, grouped by
     bidegree, and the basis images that map a group back to coordinate
-    differentials."""
+    differentials.
+
+    Gamma's entry at v on row b is -A_b^v, so dv = eta_v + sum_b A_b^v dx_b
+    reads minus the entries and eta_v = dv - sum_b A_b^v dx_b the entries.
+    """
     chart = conn.chart
     k = form.degree
+    first_vertical = len(chart.horizontal)
     forward: dict[int, list[tuple[int, Scalar | None]]] = {}
     backward: dict[int, list[tuple[int, Scalar | None]]] = {}
-    for (base, vert), value in conn.coeffs.items():
-        v, b = chart.coord_index(vert), chart.coord_index(base)
-        forward.setdefault(v, [(v, None)]).append((b, value))
-        backward.setdefault(v, [(v, None)]).append((b, -value))
-    first_vertical = len(chart.horizontal)
+    for (b,), row in conn._projection.comps.items():
+        if b < first_vertical:
+            for (v,), value in row.comps.items():
+                forward.setdefault(v, [(v, None)]).append((b, -value))
+                backward.setdefault(v, [(v, None)]).append((b, value))
     groups: dict[tuple[int, int], list[tuple[Index, Scalar]]] = {}
     sheared = DiffForm._rebase(chart, k, form.comps.items(), forward)
     for idx, value in sheared.comps.items():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from foliavg.action import hannay_berry
 from foliavg.errors import (
+    ChartMismatch,
     NotComplementary,
     NotHorizontal,
     NotVertical,
@@ -441,14 +442,13 @@ def shifted_reference(conn, xi):
 @given(data=st.data())
 def test_a_shift_adds_the_rows_of_the_difference(data):
     drawn = data.draw(connections(FIBER3))
-    # coefficients in any order: the shift reads them in chart order
     conn = Connection(FIBER3, dict(data.draw(st.permutations(list(drawn.coeffs.items())))))
     xi = data.draw(fiber3_differences())
     for shift in (xi, conn.difference(Connection(FIBER3, {})), -xi):
         got, expected = conn.shifted(shift), shifted_reference(conn, shift)
         assert got == expected
         assert list(got.coeffs.items()) == list(expected.coeffs.items())
-        assert got.projection == expected.projection
+        assert got.projection == conn.projection - shift
     assert conn.shifted(conn.difference(Connection(FIBER3, {}))).coeffs == {}
 
 
@@ -500,6 +500,56 @@ def test_a_connection_built_from_a_projection_keeps_it(gamma):
     conn = Connection.from_projection(gamma)
     assert conn.projection is gamma
     assert conn.projection == Connection(FIBER3, conn.coeffs).projection
+
+
+# ----------------------------------------------------------------------
+# one representation: the projection is the only tensor a connection holds
+
+
+@st.composite
+def sparse_fiber3_coeffs(draw):
+    """Nonzero lift coefficients on a drawn subset of the (base, fiber)
+    pairs, in drawn order."""
+    keys = [(b, v) for b in FIBER3.horizontal for v in FIBER3.vertical]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    values = FIBER3_SCALARS.filter(lambda value: not value.is_zero)
+    return {key: draw(values) for key in chosen}
+
+
+@given(data=st.data())
+def test_coefficients_in_any_order_and_their_projection_give_one_connection(data):
+    coeffs = data.draw(sparse_fiber3_coeffs())
+    shuffled = dict(data.draw(st.permutations(list(coeffs.items()))))
+    conn = Connection(FIBER3, coeffs)
+    # coeffs is read in (base, fiber) index order, whatever built the connection
+    order = sorted(coeffs, key=lambda key: (FIBER3.coord_index(key[0]), FIBER3.coord_index(key[1])))
+    for other in (conn, Connection(FIBER3, shuffled), Connection.from_projection(conn.projection)):
+        assert other == conn
+        assert hash(other) == hash(conn)
+        assert list(other.coeffs.items()) == [(key, coeffs[key]) for key in order]
+
+
+def test_mutating_the_coefficients_leaves_the_connection_unchanged(shear_conn):
+    coeffs = shear_conn.coeffs
+    coeffs[("x1", "q")] = sc("q")
+    del coeffs[("x1", "p")]
+    assert shear_conn.coeffs == {("x1", "p"): sc("x2")}
+    assert shear_conn.frame["x1"] == vf("x1") + vf("p") * sc("x2")
+    assert shear_conn.projection.apply(vf("x1")) == -vf("p") * sc("x2")
+    assert shear_conn == Connection(CHART, {("x1", "p"): sc("x2")})
+    with pytest.raises(AttributeError):
+        shear_conn.coeffs = {}
+
+
+def test_a_coefficient_on_another_chart_is_rejected():
+    """A[x1,p] = x2*q parsed on a chart with x2 is not a scalar of the
+    chart (x1; q, p; th), whose lift it would otherwise carry."""
+    narrow = Chart(("x1",), ("q", "p"), ("th",))
+    with pytest.raises(ChartMismatch):
+        Connection(narrow, {("x1", "p"): parse(CHART, "x2*q")})
+    # the same text parsed on its own chart is accepted
+    conn = Connection(narrow, {("x1", "p"): parse(narrow, "q")})
+    assert conn.frame["x1"].chart is narrow
 
 
 def _with_entry(gamma, vert, entry):

@@ -20,12 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliavg.action import FlowFactor, _has_bare_angle, haar_average, record_averages
+from foliavg.action import (
+    FlowFactor,
+    _has_bare_angle,
+    averaging_walk,
+    haar_average,
+    record_averages,
+)
 from foliavg import geom
 from foliavg.foliation import Connection
 from foliavg.geom import DiffForm, Multivector, VecValuedForm, VectorField, pullback
 from foliavg.scenarios import averaged_scenario, load_scenario, run_checks
 from foliavg.symcalc import Scalar, mean_of_product, parse, render
+
+from conftest import SUPPORT_SOURCES, support_scenario
 
 HERE = Path(__file__).parent
 HB4D = load_scenario("hb4d").action.chart
@@ -413,3 +421,49 @@ def test_a_run_leaves_no_reference_cycle():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# the homological equation, an exact oracle for both tables
+#
+# With T_s the pullback of T along the flow to angle s, d/ds T_s = L_X T_s
+# for the generator X, so the running mean R(T) = mean over th of the
+# integral of T_s from 0 to th satisfies L_X R(T) = H(T) - T, where H(T) is
+# the Haar mean.  H(T) is invariant, L_X H(T) = 0, and averaging it again
+# changes nothing, H(H(T)) = H(T).  None of the three reads the reference
+# route above.
+
+ORACLE_KINDS = ("scalar", "field", "one_form", "two_form", "bivector", "valued_one_form", "projection")
+
+
+def assert_homological_equation(factor, target):
+    X = factor.generator()
+    haar, running = factor._haar_means(target), factor._running_means(target)
+    assert geom.lie_derivative(X, running) == haar - target
+    assert geom.lie_derivative(X, haar).is_zero
+    assert factor._haar_means(haar) == haar
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("name", sorted(FACTORS))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_the_tables_solve_the_homological_equation(name, kind, data):
+    factor = FACTORS[name]
+    assert_homological_equation(factor, data.draw(KINDS[kind](factor)))
+
+
+# rot(24,24,1) is left out for time
+@pytest.mark.parametrize("name", [n for n in SUPPORT_SOURCES if n != "rot_24_24_1"])
+def test_the_homological_equation_on_the_pipeline_inputs(name):
+    """On each scenario: the projection each factor averages along the
+    walk, and the bracket of each lift of that connection with the
+    factor's generator where their supports meet, the pairs the
+    flow-integral route brackets."""
+    s = support_scenario(name)
+    for factor, conn in zip(s.action.factors, averaging_walk(s.action, s.conn)):
+        assert_homological_equation(factor, conn.projection)
+        gen = factor.generator()
+        for lift in conn.frame.values():
+            if geom.supports_meet(geom.support(lift), geom.support(gen)):
+                assert_homological_equation(factor, lift.bracket(gen))

@@ -22,7 +22,11 @@ momentum: two frame pairs fail the Hamiltonian curvature checks at once,
 and the momentum is not leafwise closed), and of
 ``data/triv_moved_bivector.json`` (triv with its bivector scaled by 1 + q^2:
 the rotation moves the bivector and keeps the pairing form, so ``canonical``
-and ``g_invariant`` fail), and of ``data/rot_pairs_not_jacobi.json`` (two
+and ``g_invariant`` fail), and of ``data/t2pairs_moved_bivector.json``
+(t2pairs with its second bivector pair scaled by 1 + q2^2: th1 keeps the
+pairing form and the bivector, th2 moves the bivector, so ``canonical``
+and ``g_invariant`` fail, and the ``g_invariant`` cross-check pulls back
+the averaged projection once), and of ``data/rot_pairs_not_jacobi.json`` (two
 base coordinates and two rotating fibre pairs whose bivector fails Jacobi
 and is moved by the lift of x1, so both Schouten checks, ``jacobi`` and
 ``frame_preserves_bivector``, fail with a witness).  The bundled and rot(4,4,0) entries were written before
@@ -70,6 +74,7 @@ SOURCES.update(
         "rot_pairs_not_jacobi",
         "triv_shifted_wrong_primitive",
         "base_rot",
+        "t2pairs_moved_bivector",
     )
 )
 # the check count and the failed checks of each document built to fail
@@ -111,6 +116,15 @@ FAILING = {
         ],
     ),
     "triv_moved_bivector": (
+        23,
+        [
+            "action: canonical",
+            "premomentum: sharp_and_leafwise_closed",
+            "dirac: g_invariant",
+            "dirac: hamiltonian_generators",
+        ],
+    ),
+    "t2pairs_moved_bivector": (
         23,
         [
             "action: canonical",

@@ -119,6 +119,29 @@ def test_a_passing_run_pulls_no_valued_form_back(name, monkeypatch):
     assert calls == {"pull_valued_form": 0, "pull_multivector": len(s.action.factors)}
 
 
+def test_the_g_invariant_cross_check_pulls_the_averaged_projection_back_once(monkeypatch):
+    """On t2pairs_moved_bivector, th1 keeps the pairing form and the
+    bivector and th2 moves the bivector: the cross-check pulls the averaged
+    projection back under th1 alone, and gets it back unchanged, since every
+    flow keeps the averaged connection."""
+    pulled = []
+    original = geom.ChartMap.pull_valued_form
+
+    def recorded(self, a):
+        out = original(self, a)
+        pulled.append((a, out))
+        return out
+
+    monkeypatch.setattr(geom.ChartMap, "pull_valued_form", recorded)
+    s = load_scenario(DATA / "t2pairs_moved_bivector.json")
+    report = run_checks(s)
+    assert [c.check for c in report.checks if not c.passed] == [
+        "canonical", "sharp_and_leafwise_closed", "g_invariant", "hamiltonian_generators"
+    ]
+    averaged = action.hannay_berry(s.action, s.conn).projection
+    assert pulled == [(averaged, averaged)]
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_curvature_is_built_once_per_connection(name, monkeypatch):
     built = []
