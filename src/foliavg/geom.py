@@ -226,6 +226,8 @@ class _Graded:
     _zero_value = staticmethod(Scalar.zero)
     # written before each coordinate name of a basis element in the repr
     _basis_prefix = "d"
+    # the repr of one component, from its value and its basis element
+    _term_layout = "({value})*{basis}"
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Index, object]) -> None:
         if degree < 0:
@@ -395,7 +397,7 @@ class _Graded:
         parts = []
         for idx in sorted(self.comps):
             basis = "^".join(self._basis_prefix + n for n in self._names(idx)) or "1"
-            parts.append(f"({self.comps[idx]})*{basis}")
+            parts.append(self._term_layout.format(value=self.comps[idx], basis=basis))
         return " + ".join(parts)
 
 
@@ -496,6 +498,7 @@ class VecValuedForm(_Graded):
     """A k-form with vector-field values, stored per coordinate wedge."""
 
     _zero_value = staticmethod(VectorField.zero)
+    _term_layout = "{basis} (x) [{value!r}]"
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "VecValuedForm":
@@ -512,15 +515,6 @@ class VecValuedForm(_Graded):
     @staticmethod
     def vector(chart: Chart, field: VectorField) -> "VecValuedForm":
         return VecValuedForm(chart, 0, {(): field})
-
-    def __repr__(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for idx in sorted(self.comps):
-            basis = "^".join(f"d{n}" for n in self._names(idx)) or "1"
-            parts.append(f"{basis} (x) [{self.comps[idx]!r}]")
-        return " + ".join(parts)
 
     def evaluate(self, *fields: VectorField) -> VectorField:
         if len(fields) != self.degree:
@@ -590,15 +584,6 @@ def interior_product(field: VectorField, a: DiffForm) -> DiffForm:
     return DiffForm._make(a.chart, a.degree - 1, items)
 
 
-def _lie_of_basis_form(field: VectorField, idx: Index) -> DiffForm:
-    """Lie derivative of a closed coordinate wedge dx^idx along a field."""
-    chart = field.chart
-    if not idx:
-        return DiffForm.zero(chart, 0)
-    basis = DiffForm(chart, len(idx), {idx: Scalar.one(chart)})
-    return exterior_derivative(interior_product(field, basis))
-
-
 def lie_derivative(field: VectorField, target):
     """Lie derivative along a vector field, for any tensor kind here."""
     if isinstance(target, Scalar):
@@ -615,22 +600,16 @@ def lie_derivative(field: VectorField, target):
     if isinstance(target, Multivector):
         return schouten_bracket(Multivector(field.chart, 1, field.comps), target)
     if isinstance(target, VecValuedForm):
+        # L_X(dx^I (x) V) = L_X(dx^I) (x) V + dx^I (x) [X, V]
         chart = target.chart
-        result = VecValuedForm.zero(chart, target.degree)
+        one = Scalar.one(chart)
+        items = []
         for idx, vec in target.comps.items():
-            moved = _lie_of_basis_form(field, idx)
-            result = result + _tensor(moved, vec)
-            result = result + VecValuedForm(
-                chart, target.degree, {idx: field.bracket(vec)}
-            )
-        return result
+            moved = lie_derivative(field, DiffForm(chart, target.degree, {idx: one}))
+            items += [(jdx, vec * value) for jdx, value in moved.comps.items()]
+            items.append((idx, field.bracket(vec)))
+        return VecValuedForm._make(chart, target.degree, items)
     raise TypeError(f"cannot Lie-derive {type(target).__name__}")
-
-
-def _tensor(form: DiffForm, vec: VectorField) -> VecValuedForm:
-    """Distribute (form) ⊗ (vector field) over canonical components."""
-    comps = {idx: vec * value for idx, value in form.comps.items()}
-    return VecValuedForm._make(form.chart, form.degree, list(comps.items()))
 
 
 # ----------------------------------------------------------------------

@@ -115,12 +115,23 @@ def _wedge_key(chart: Chart, key: str, degree: int, where: str) -> tuple[str, ..
     return names
 
 
-def _form(chart: Chart, degree: int, obj, where: str) -> DiffForm:
+def _wedge_table(chart: Chart, degree: int, obj, where: str) -> dict[tuple[str, ...], Scalar]:
+    """The coefficients of a table keyed by wedges of ``degree`` coordinates.
+    Two keys that name the same component, such as ``"q^p"`` and ``"p^q"``,
+    are an input error, not a sum."""
     _expect(isinstance(obj, dict), f"{where}: expected a coefficient table")
     comps = {}
+    keys: dict[frozenset[str], str] = {}
     for key, text in obj.items():
-        comps[_wedge_key(chart, key, degree, where)] = _expr(chart, text, f"{where}.{key}")
-    return DiffForm.from_dict(chart, degree, comps)
+        names = _wedge_key(chart, key, degree, where)
+        first = keys.setdefault(frozenset(names), key)
+        _expect(first == key, f"{where}: keys {first!r} and {key!r} name the same component")
+        comps[names] = _expr(chart, text, f"{where}.{key}")
+    return comps
+
+
+def _form(chart: Chart, degree: int, obj, where: str) -> DiffForm:
+    return DiffForm.from_dict(chart, degree, _wedge_table(chart, degree, obj, where))
 
 
 def _horizontal_form(chart: Chart, degree: int, raw: dict, key: str) -> DiffForm | None:
@@ -256,10 +267,7 @@ def scenario_from_dict(raw) -> Scenario:
     chart = _chart(raw["chart"])
 
     _expect(isinstance(raw["poisson"], dict), "poisson: expected an object")
-    pair_comps = {}
-    for key, text in raw["poisson"].items():
-        pair_comps[_wedge_key(chart, key, 2, "poisson")] = _expr(chart, text, f"poisson.{key}")
-    P = PoissonBivector.from_dict(chart, pair_comps)
+    P = PoissonBivector.from_dict(chart, _wedge_table(chart, 2, raw["poisson"], "poisson"))
 
     conn = _connection(chart, raw["connection"])
     action = _torus_action(chart, raw["action"])

@@ -12,9 +12,10 @@ product-to-sum identities.  No floating point enters any operation here;
 coefficients live in Q adjoined the symbol ``pi``, which only appears
 through exact averages of bare angle powers.
 
-Bare (polynomial) angle powers are not produced by the input grammar, but
-they arise internally as antiderivatives of constant Fourier terms and are
-fully supported by differentiation, substitution and exact averaging.
+Bare (polynomial) angle powers come only from :func:`parse` and from the
+public :meth:`Scalar.antiderivative_from_zero` of a scalar with a constant
+Fourier term; differentiation, substitution and exact averaging fully
+support them.
 
 Coefficients follow the layout of FLINT's ``fmpq_poly``: a scalar keeps one
 integer numerator per monomial and one positive denominator shared by all
@@ -348,7 +349,7 @@ class Scalar:
     as fractions, in a fresh dict.
     """
 
-    __slots__ = ("chart", "nums", "den", "_hash")
+    __slots__ = ("chart", "nums", "den")
 
     def __init__(
         self,
@@ -531,12 +532,7 @@ class Scalar:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.chart, tuple(sorted(self.nums.items())), self.den))
-            object.__setattr__(self, "_hash", value)
-            return value
+        return hash((self.chart, tuple(sorted(self.nums.items())), self.den))
 
     @property
     def is_zero(self) -> bool:
@@ -1034,12 +1030,12 @@ class Substitution(Mapping):
     coordinates a rule moves to their images (read it, never change it);
     :meth:`apply` and the pullbacks of :mod:`foliavg.geom` read only those.
     For each moved coordinate it keeps the powers of the image built so far
-    (a ladder grown on first use), and for each monomial in them that it
-    meets, that monomial's image, so one substitution applied to many
-    scalars builds each power and each product once.
+    (a ladder grown on first use), so one substitution applied to many
+    scalars builds each power once; the image of a monomial in two or more
+    moved coordinates is the product of their powers, formed at each use.
     """
 
-    __slots__ = ("chart", "moved", "_ladders", "_images")
+    __slots__ = ("chart", "moved", "_ladders")
 
     def __init__(self, chart: Chart, rules: Mapping[str, "Scalar | Number"]) -> None:
         moved: dict[str, Scalar] = {}
@@ -1057,7 +1053,6 @@ class Substitution(Mapping):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "moved", moved)
         object.__setattr__(self, "_ladders", {})
-        object.__setattr__(self, "_images", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Substitution is immutable")
@@ -1091,16 +1086,14 @@ class Substitution(Mapping):
         return ladder[exponent - 1]
 
     def image(self, hit: Powers) -> Scalar | None:
-        """The image of a monomial in the moved coordinates, kept; None for
-        the empty monomial, which every substitution leaves as it is."""
+        """The image of a monomial in the moved coordinates, the product of
+        the kept powers of its coordinates' images; None for the empty
+        monomial, which every substitution leaves as it is."""
         if not hit:
             return None
-        image = self._images.get(hit)
-        if image is None:
-            image = self.power(*hit[0])
-            for name, e in hit[1:]:
-                image = image * self.power(name, e)
-            self._images[hit] = image
+        image = self.power(*hit[0])
+        for name, e in hit[1:]:
+            image = image * self.power(name, e)
         return image
 
     def split(self, f: Scalar) -> dict[Powers, list[tuple[Key, int]]]:

@@ -335,6 +335,36 @@ def test_an_angle_dependent_frame_is_an_input_error_for_every_verb(capsys):
         )
 
 
+def test_a_component_named_twice_is_an_input_error_for_every_verb(capsys):
+    # q^p and p^q used to be summed into the zero bivector: check failed
+    # five checks, and average and dirac passed
+    path = Path(__file__).parent / "data" / "hb4d_repeated_component.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: poisson: keys 'q^p' and 'p^q' name the same component\n"
+        )
+
+
+@pytest.mark.parametrize("sign", ["1", "-1"])
+@pytest.mark.parametrize("key", ["poisson", "pairing_form", "casimir_form"])
+def test_every_wedge_table_refuses_a_component_named_twice(tmp_path, capsys, key, sign):
+    # the second entry would cancel the first, or with the opposite sign
+    # double it
+    a, b = ("q", "p") if key == "poisson" else ("x1", "x2")
+    raw = dict(load_scenario("hb4d").raw)
+    raw[key] = {f"{a}^{b}": "1", f"{b}^{a}": sign}
+    message = f"{key}: keys '{a}^{b}' and '{b}^{a}' name the same component"
+    with pytest.raises(SchemaError) as info:
+        scenario_from_dict(raw)
+    assert str(info.value) == message
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(raw))
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"foliavg: error: {message}\n"
+
+
 def test_a_wrong_primitive_fails_check_and_stops_average(capsys):
     path = Path(__file__).parent / "data" / "triv_shifted_wrong_primitive.json"
     assert main(["check", str(path), "--witness"]) == 1

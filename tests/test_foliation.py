@@ -29,7 +29,6 @@ from foliavg.geom import (
     DiffForm,
     VecValuedForm,
     VectorField,
-    _tensor,
     exterior_derivative,
     lie_derivative,
     wedge,
@@ -163,6 +162,12 @@ def test_curvature_on_three_base_coordinates():
     assert curv == half_self_bracket(conn)
 
 
+def tensor(form, vec):
+    """The valued form form (x) vec, by components."""
+    comps = {idx: vec * value for idx, value in form.comps.items()}
+    return VecValuedForm(form.chart, form.degree, comps)
+
+
 def fn_bracket_reference(K, L):
     """The Froelicher-Nijenhuis bracket of two valued forms, by components.
 
@@ -176,9 +181,9 @@ def fn_bracket_reference(K, L):
         phi = DiffForm(chart, K.degree, {ia: Scalar.one(chart)})
         for ib, y in L.comps.items():
             psi = DiffForm(chart, L.degree, {ib: Scalar.one(chart)})
-            result = result + _tensor(wedge(phi, psi), x.bracket(y))
-            result = result + _tensor(wedge(phi, lie_derivative(x, psi)), y)
-            result = result - _tensor(wedge(lie_derivative(y, phi), psi), x)
+            result = result + tensor(wedge(phi, psi), x.bracket(y))
+            result = result + tensor(wedge(phi, lie_derivative(x, psi)), y)
+            result = result - tensor(wedge(lie_derivative(y, phi), psi), x)
     return result
 
 
@@ -221,7 +226,7 @@ def projection_reference(conn):
     eta_v (x) d/dv, one whole-form addition each."""
     total = VecValuedForm.zero(conn.chart, 1)
     for vert, eta in conn.coframe.items():
-        total = total + _tensor(eta, VectorField.basis(conn.chart, vert))
+        total = total + tensor(eta, VectorField.basis(conn.chart, vert))
     return total
 
 

@@ -465,13 +465,14 @@ def test_fn_bracket_of_wrapped_fields(X, Y):
 
 
 @st.composite
-def valued_one_forms(draw):
+def valued_forms(draw, degree):
     return VecValuedForm.from_dict(
-        CHART, 1, {(name,): draw(vector_fields()) for name in CHART.coords}
+        CHART, degree,
+        {names: draw(vector_fields()) for names in combinations(CHART.coords, degree)},
     )
 
 
-@given(valued_one_forms(), vector_fields())
+@given(st.integers(0, 2).flatmap(valued_forms), vector_fields())
 def test_fn_bracket_with_a_field_matches_the_reference(K, X):
     assert fn_bracket(K, X) == fn_bracket_reference(K, VecValuedForm.vector(CHART, X))
 
@@ -679,7 +680,7 @@ def trig_forms(draw, degree):
 
 
 @given(shears(), vector_fields(), st.integers(0, 4).flatmap(trig_forms),
-       st.integers(1, 3).flatmap(multivectors), valued_one_forms())
+       st.integers(1, 3).flatmap(multivectors), valued_forms(1))
 def test_pullbacks_match_the_dense_reference_on_shears(phi, X, a, m, K):
     for target in (X, a, m, K):
         assert pullback(phi, target) == pullback_reference(phi, target)
