@@ -18,9 +18,9 @@ times basis factors that it has met (:class:`_PulledMeans`), and a
 coefficient contributes its angle-free rest times a table entry.  An
 entry builds neither its integrand nor the image of a mixed monomial: it
 reads the functional of one ladder power times the rest of its parts off
-:func:`~foliavg.symcalc.mean_of_product`.  Full pullbacks remain where a
-check compares them, in :func:`verify_action` and
-:func:`foliavg.dirac.verify_g_invariance`.
+:func:`~foliavg.symcalc.mean_of_product`.  Nor does deciding whether a
+flow keeps a tensor T: the flow solves d/dth phi = X o phi, so it keeps T
+for every angle exactly when L_X T = 0 (:func:`verify_action`).
 
 Every bundled flow is a unit rotation of one coordinate pair.  There an
 entry's integrand is a binomial sum of coordinate monomials times
@@ -45,7 +45,7 @@ from .errors import (
     NotHorizontal,
     UnsupportedDegree,
 )
-from .foliation import Connection, bigrade_component, is_horizontal_form
+from .foliation import Connection, bigrade_component, is_horizontal_form, is_vertical_valued
 from .geom import (
     ChartMap,
     DiffForm,
@@ -54,12 +54,12 @@ from .geom import (
     exterior_derivative,
     fn_bracket,
     interior_product,
-    pullback,
+    lie_derivative,
     support,
     supports_meet,
 )
 from .poisson import PoissonBivector
-from .symcalc import COS, SIN, Chart, Scalar, mean_of_product, rotation_mean
+from .symcalc import COS, SIN, Chart, Scalar, _Frozen, mean_of_product, rotation_mean
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +249,7 @@ def _trig_path(factors: Sequence[Scalar], angle: str) -> tuple[int, int, int] | 
 # the action
 
 
-class FlowFactor:
+class FlowFactor(_Frozen):
     """One circle factor, given as a flow in a single angle symbol.
 
     The flow enters the theory through its generator X, the angle
@@ -327,9 +327,6 @@ class FlowFactor:
         object.__setattr__(self, "_haar_means", _PulledMeans(flow, angle, False, rotation))
         object.__setattr__(self, "_running_means", _PulledMeans(flow, angle, True, rotation))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowFactor is immutable")
-
     def flow(self) -> ChartMap:
         """The flow at the symbolic angle; the inverse negates the angle."""
         return self._flow
@@ -353,7 +350,7 @@ class FlowFactor:
         return f"FlowFactor({self.angle}: {parts})"
 
 
-class TorusAction:
+class TorusAction(_Frozen):
     """Commuting circle factors acting on one chart.
 
     Two factors commute exactly when their generators' bracket vanishes,
@@ -388,9 +385,6 @@ class TorusAction:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusAction is immutable")
-
     @property
     def angles(self) -> tuple[str, ...]:
         return tuple(factor.angle for factor in self.factors)
@@ -400,7 +394,8 @@ class TorusAction:
 
 
 def verify_action(action: TorusAction, P: PoissonBivector) -> dict[str, str | None]:
-    """Per-property witnesses: leaves preserved, base fixed, bivector kept."""
+    """Per-property witnesses: leaves preserved, base fixed, and bivector
+    kept, which a flow does exactly when L_X P = [X, P] vanishes."""
     verdict: dict[str, str | None] = {
         "foliation_preserving": None,
         "leaf_tangent": None,
@@ -413,11 +408,8 @@ def verify_action(action: TorusAction, P: PoissonBivector) -> dict[str, str | No
         moved = next((n for n in action.chart.horizontal if n in factor.mapping), None)
         if verdict["leaf_tangent"] is None and moved is not None:
             verdict["leaf_tangent"] = f"{factor.angle} flow moves the base point {moved}"
-        if verdict["canonical"] is None:
-            if pullback(factor.flow(), P.mv) != P.mv:
-                verdict["canonical"] = (
-                    f"{factor.angle} flow does not preserve the bivector"
-                )
+        if verdict["canonical"] is None and not lie_derivative(factor.generator(), P.mv).is_zero:
+            verdict["canonical"] = f"{factor.angle} flow does not preserve the bivector"
     return verdict
 
 
@@ -493,6 +485,9 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
     bracket of the frame field with the generator.  The frame is shifted
     by each factor's piece before the next factor, so the walk ends at its
     last piece; a zero piece leaves the frame as it is and is not applied.
+    A piece that is not vertical-valued, from a generator that moves the
+    base, shifts no frame and ends the walk: the direct difference is
+    vertical-valued, so the two routes already disagree.
 
     A bracket that is zero by support is neither built nor averaged: when
     the lift stores no index that the generator's entries depend on, and
@@ -517,6 +512,8 @@ def difference_via_flow_integral(action: TorusAction, conn: Connection) -> VecVa
                 items.append(((chart.coord_index(base),), value))
         piece = VecValuedForm._make(chart, 1, items)
         total = total + piece
+        if not is_vertical_valued(piece):
+            break
     return total
 
 

@@ -26,7 +26,7 @@ from .geom import (
     VectorField,
     exterior_derivative,
 )
-from .symcalc import Chart, Scalar
+from .symcalc import Chart, Scalar, _Frozen
 
 
 # Chart.coords lists the horizontal coordinates first, so an index is
@@ -46,7 +46,7 @@ def is_horizontal_form(form: DiffForm | VecValuedForm) -> bool:
     return all(i < first_vertical for idx in form.comps for i in idx)
 
 
-class Connection:
+class Connection(_Frozen):
     """An Ehresmann connection, stored as its vertical projection gamma.
 
     gamma = sum_v eta_v (x) d/dv is the one tensor a connection holds: it
@@ -83,9 +83,6 @@ class Connection:
         object.__setattr__(self, "_projection", gamma)
         object.__setattr__(self, "_curvature", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Connection is immutable")
 
     @staticmethod
     def from_projection(gamma: VecValuedForm) -> "Connection":

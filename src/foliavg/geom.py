@@ -67,7 +67,7 @@ from .errors import (
     MissingInverse,
     UnsupportedDegree,
 )
-from .symcalc import Chart, Powers, Scalar, Substitution, recombine
+from .symcalc import Chart, Powers, Scalar, Substitution, _Frozen, recombine
 
 Index = tuple[int, ...]
 # (the indices a tensor stores, the coordinates its components depend on)
@@ -217,7 +217,7 @@ def _expansions(
         yield sidx, sign, path
 
 
-class _Graded:
+class _Graded(_Frozen):
     """Shared container behaviour of fields, forms, multivectors and valued
     forms."""
 
@@ -244,9 +244,6 @@ class _Graded:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "comps", {i: v for i, v in comps.items() if not v.is_zero})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _make(cls, chart: Chart, degree: int, items: Iterable[tuple[Index, object]]):
@@ -684,7 +681,7 @@ def fn_bracket(K: VecValuedForm, X: VectorField) -> VecValuedForm:
 # pullback along chart maps
 
 
-class ChartMap:
+class ChartMap(_Frozen):
     """A polynomial coordinate map of the chart into itself.
 
     ``mapping`` and ``inverse_mapping`` are
@@ -722,9 +719,6 @@ class ChartMap:
         object.__setattr__(self, "inverse_mapping", inverse)
         object.__setattr__(self, "_field_images", None)
         object.__setattr__(self, "_images", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChartMap is immutable")
 
     def inverse(self) -> "ChartMap":
         if self.inverse_mapping is None:

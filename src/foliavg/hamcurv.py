@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .action import (
     TorusAction,
+    _require_momenta,
     average_tensor,
     averaging_walk,
     difference_from_potential,
@@ -246,6 +247,7 @@ def adiabatic_witness(
 ) -> str | None:
     """The check of :func:`adiabatic_check`, given the averaged connection
     ``averaged`` of ``conn``."""
+    _require_momenta(action, moments)
     for factor, mu in zip(action.factors, moments):
         # Two independent routes: the defect averages the base-degree part
         # itself and must never read ``averaged``, or agreement proves nothing.
@@ -275,6 +277,7 @@ def adiabatic_fix(
     primitive must be a Casimir whose derivative is exactly the defect.
     Primitives are verified, never solved for.
     """
+    _require_momenta(action, moments)
     if len(primitives) != len(moments):
         raise InvariantViolation("expected one primitive per momentum one-form")
     chart = conn.chart
@@ -322,6 +325,7 @@ def axiomatic_verify(
         "averaged_potential_casimir": None,
         "averaged_pairing_vanishes": None,
     }
+    _require_momenta(action, moments)
     frame = conn.frame
     for factor, mu in zip(action.factors, moments):
         for base, lift in frame.items():

@@ -29,7 +29,7 @@ from .geom import (
     lie_derivative,
     schouten_bracket,
 )
-from .symcalc import Chart, Scalar
+from .symcalc import Chart, Scalar, _Frozen
 
 # Orientation of the musical map.  sharp and braided_wedge read it; pairing
 # and bracket never do, so flipping it breaks sharp against them on purpose.
@@ -40,7 +40,7 @@ def differential(f: Scalar) -> DiffForm:
     return exterior_derivative(DiffForm.function(f.chart, f))
 
 
-class PoissonBivector:
+class PoissonBivector(_Frozen):
     """A fiber-tangent bivector field with exact polynomial coefficients."""
 
     __slots__ = ("chart", "mv")
@@ -58,9 +58,6 @@ class PoissonBivector:
                 )
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "mv", mv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonBivector is immutable")
 
     @staticmethod
     def from_dict(chart: Chart, comps: Mapping[Sequence[str], Scalar]) -> "PoissonBivector":

@@ -243,12 +243,22 @@ def load_scenario(source: str | Path) -> Scenario:
             )
         text = entry.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and the decoder's own limits, as
         # on the digits of an integer; RecursionError, nesting too deep
         raise ParseError(f"{source}: not valid JSON: {exc}") from None
     return scenario_from_dict(raw)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its pairs; a key named twice is refused, where the
+    decoder would keep the last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        _expect(key not in obj, f"scenario: key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
 
 
 def scenario_from_dict(raw) -> Scenario:

@@ -127,7 +127,21 @@ Harmonic = Union[tuple[str, int], None]
 _EMPTY_KEY: Key = ((), ())
 
 
-class Chart:
+class _Frozen:
+    """Base of the immutable classes: attributes are set once, through
+    ``object.__setattr__`` or a slot descriptor, and never reassigned or
+    deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Chart(_Frozen):
     """Distinguished coordinates of one foliated chart plus torus angles.
 
     Horizontal coordinates label the leaves of the foliation, vertical
@@ -163,9 +177,6 @@ class Chart:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", len(coords))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(coords)})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Chart is immutable")
 
     def is_coord(self, name: str) -> bool:
         return name in self._index
@@ -340,7 +351,7 @@ def _over_lcm(
     return items, den
 
 
-class Scalar:
+class Scalar(_Frozen):
     """An exact scalar function on a chart, kept in canonical form.
 
     ``nums`` maps each monomial key to a nonzero integer numerator, and
@@ -366,9 +377,6 @@ class Scalar:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "nums", f.nums)
         object.__setattr__(self, "den", f.den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Scalar is immutable")
 
     @property
     def terms(self) -> dict[Key, Fraction]:
@@ -1022,7 +1030,7 @@ def _wallis(alpha: int, beta: int) -> Fraction:
     return Fraction(odd, math.prod(range(alpha + beta, 0, -2)))
 
 
-class Substitution(Mapping):
+class Substitution(_Frozen, Mapping):
     """A simultaneous substitution of chart coordinates, validated once.
 
     As a mapping it sends every coordinate of the chart to its image, the
@@ -1053,9 +1061,6 @@ class Substitution(Mapping):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "moved", moved)
         object.__setattr__(self, "_ladders", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Substitution is immutable")
 
     def __getitem__(self, name: str) -> Scalar:
         image = self.moved.get(name)

@@ -168,7 +168,7 @@ SUPPORT_SOURCES = (
     "ext3_vertical_pairing", "hb4d_sheared", "rot_3_1_12", "rot_3_2_1", "rot_3_2_2",
     "rot_4_2_40", "rot_4_4_0", "rot_4_4_0_late_escape", "rot_4_4_0_perturbed",
     "rot_6_6_1", "rot_pairs_not_jacobi", "triv_moved_bivector", "triv_shifted_wrong_primitive",
-    "base_rot", "t2pairs_moved_bivector", "rot_24_24_1",
+    "base_rot", "base_rot_two_factors", "t2pairs_moved_bivector", "rot_24_24_1",
 )
 
 

@@ -346,6 +346,36 @@ def test_a_component_named_twice_is_an_input_error_for_every_verb(capsys):
         )
 
 
+def test_a_key_written_twice_is_an_input_error_for_every_verb(capsys):
+    # a decoder that keeps the last of "q^p": "0" and "q^p": "1" reads hb4d,
+    # on which every verb passes
+    path = Path(__file__).parent / "data" / "hb4d_repeated_key.json"
+    for verb in ("check", "average", "dirac"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "foliavg: error: scenario: key 'q^p' appears twice in one object\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('"name": "a", "name": "b"', "name"),
+        ('"action": [{"angle": "th", "angle": "th", "flow": {}}]', "angle"),
+        ('"connection": {"frame": {"x1": {"p": "x2", "p": "0"}}}', "p"),
+    ],
+    ids=["top", "in_a_list", "nested"],
+)
+def test_a_key_written_twice_is_refused_at_any_depth(tmp_path, capsys, text, key):
+    raw = json.dumps(load_scenario("hb4d").raw)
+    path = tmp_path / "twice.json"
+    path.write_text("{" + text + ", " + raw[1:])
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"foliavg: error: scenario: key {key!r} appears twice in one object\n"
+    )
+
+
 @pytest.mark.parametrize("sign", ["1", "-1"])
 @pytest.mark.parametrize("key", ["poisson", "pairing_form", "casimir_form"])
 def test_every_wedge_table_refuses_a_component_named_twice(tmp_path, capsys, key, sign):

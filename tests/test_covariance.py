@@ -177,3 +177,29 @@ def test_committed_sheared_document_is_hb4d_moved():
     assert committed == doc
     assert "2*th" in json.dumps(doc["action"])
     assert any("x1" in text for text in doc["action"][0]["flow"].values())
+
+
+def test_committed_composite_is_t2pairs_moved_by_two_degree_4_shears():
+    """t2pairs moved by p1 -> p1 + p2^2 - q2^2 and then
+    q2 -> q2 + 3*p1^2 - p2^2*q1^2.  Its flows are not affine in the moved
+    coordinates: their images reach degree 4 in them."""
+    s = load_scenario("t2pairs")
+    chart = s.chart
+
+    def shear(target, g):
+        y = Scalar.var(chart, target)
+        return Substitution(chart, {target: y + g}), Substitution(chart, {target: y - g})
+
+    q1, p1, q2, p2 = (Scalar.var(chart, name) for name in ("q1", "p1", "q2", "p2"))
+    psi = (Substitution(chart, {}), Substitution(chart, {}))
+    for step in (shear("p1", p2**2 - q2**2), shear("q2", 3 * p1**2 - p2**2 * q1**2)):
+        psi = compose(psi, step)
+    forward, backward = psi
+    doc = transform(s, forward.moved, backward.moved).raw
+    doc["name"] = "t2pairs_composite"
+    doc["description"] = (
+        "t2pairs moved by p1 -> p1 + p2^2 - q2^2 and then q2 -> q2 + 3*p1^2 - p2^2*q1^2: "
+        "degree-4 flows that are not affine in the moved coordinates"
+    )
+    committed = json.loads((HERE / "data" / "t2pairs_composite.json").read_text())
+    assert committed == doc

@@ -17,6 +17,7 @@ from foliavg.hamcurv import (
     adiabatic_check,
     adiabatic_defect,
     adiabatic_fix,
+    adiabatic_witness,
     averaged_curvature_check,
     averaged_hamiltonian_form,
     averaging_correction,
@@ -29,6 +30,7 @@ from foliavg.hamcurv import (
     verify_hamiltonian_curvature,
 )
 from foliavg.poisson import differential
+from foliavg.scenarios import load_scenario
 from foliavg.symcalc import Chart, Scalar, parse
 
 from conftest import CHART, polynomials, sc
@@ -302,3 +304,41 @@ def test_invariant_pairing_casimir(rotation, shear_conn, bivector, quadratic_mom
     averaged = hannay_berry(rotation, shear_conn)
     for lift in averaged.frame.values():
         assert bivector.is_casimir(quadratic_momentum.evaluate(lift))
+
+
+# ----------------------------------------------------------------------
+# one momentum per circle factor
+#
+# Each consumer zips the factors with the momenta, so a short or long list
+# would be truncated in silence; each refuses it instead.
+
+TRIV_SHIFTED = load_scenario("triv_shifted")
+WRONG_COUNTS = pytest.mark.parametrize(
+    "moments", [(), TRIV_SHIFTED.momenta * 2], ids=["none", "two"]
+)
+ONE_PER_FACTOR = "expected one momentum one-form per circle factor"
+
+
+@WRONG_COUNTS
+def test_adiabatic_witness_needs_one_momentum_per_factor(moments):
+    s = TRIV_SHIFTED
+    with pytest.raises(InvariantViolation, match=ONE_PER_FACTOR):
+        adiabatic_witness(s.action, s.conn, hannay_berry(s.action, s.conn), moments)
+    with pytest.raises(InvariantViolation, match=ONE_PER_FACTOR):
+        adiabatic_check(s.action, s.conn, moments)
+
+
+@WRONG_COUNTS
+def test_adiabatic_fix_needs_one_momentum_per_factor(moments):
+    s = TRIV_SHIFTED
+    with pytest.raises(InvariantViolation, match=ONE_PER_FACTOR):
+        adiabatic_fix(s.action, s.conn, s.P, moments, s.primitives[: len(moments)])
+
+
+@WRONG_COUNTS
+def test_axiomatic_verify_needs_one_momentum_per_factor(moments):
+    s = TRIV_SHIFTED
+    averaged = hannay_berry(s.action, s.conn)
+    potential = hamiltonian_potential(s.action, s.conn, s.momenta)
+    with pytest.raises(InvariantViolation, match=ONE_PER_FACTOR):
+        axiomatic_verify(s.action, s.conn, averaged, s.P, moments, potential)

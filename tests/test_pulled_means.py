@@ -17,7 +17,7 @@ import gc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from foliavg.action import (
@@ -451,6 +451,52 @@ def assert_homological_equation(factor, target):
 def test_the_tables_solve_the_homological_equation(name, kind, data):
     factor = FACTORS[name]
     assert_homological_equation(factor, data.draw(KINDS[kind](factor)))
+
+
+# ----------------------------------------------------------------------
+# invariance through the generator
+#
+# Each flow solves d/dth phi = X o phi, so it keeps a tensor T for every
+# angle exactly when L_X T = 0.  The pipeline decides ``canonical`` and the
+# g_invariant cross-check that way; the full pullback is the reference.
+
+UNMOVED_KINDS = ("unmoved_bivector", "unmoved_valued_one_form")
+
+
+@st.composite
+def invariance_targets(draw, factor):
+    """A drawn bivector or valued one-form, or the Haar mean of one whose
+    coefficients are free of the moved coordinates, which the flow keeps.
+    The reference pullback of the Haar mean of a generic one takes seconds
+    on the sheared flow."""
+    if draw(st.booleans()):
+        return factor._haar_means(draw(KINDS[draw(st.sampled_from(UNMOVED_KINDS))](factor)))
+    kind = draw(st.sampled_from(("bivector", "valued_one_form", *UNMOVED_KINDS)))
+    return draw(KINDS[kind](factor))
+
+
+def kept_by_pullback(factor, target):
+    return pullback(factor.flow(), target) == target
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_the_generator_decides_invariance_as_the_pullback_does(name, data):
+    factor = FACTORS[name]
+    target = data.draw(invariance_targets(factor))
+    kept = geom.lie_derivative(factor.generator(), target).is_zero
+    assert kept == kept_by_pullback(factor, target)
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "moved"])
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_the_invariance_draws_reach_both_outcomes(name, kept):
+    factor = FACTORS[name]
+    find(
+        invariance_targets(factor),
+        lambda target: not target.is_zero and kept_by_pullback(factor, target) == kept,
+    )
 
 
 # rot(24,24,1) is left out for time

@@ -100,11 +100,9 @@ def test_shared_objects_match_the_standalone_functions(name):
     assert p.potential == action.hamiltonian_potential(s.action, s.conn, s.momenta)
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_a_passing_run_pulls_no_valued_form_back(name, monkeypatch):
-    # the g_invariant cross-check pulls the projection back only for a
-    # failing witness whose pairing form is kept; the bivector pullbacks
-    # left are the canonical check's, one per circle factor
+@pytest.fixture
+def tensor_pullbacks(monkeypatch):
+    """Count the pullbacks of bivectors and valued forms."""
     calls = {"pull_valued_form": 0, "pull_multivector": 0}
     for method in calls:
         original = getattr(geom.ChartMap, method)
@@ -114,32 +112,63 @@ def test_a_passing_run_pulls_no_valued_form_back(name, monkeypatch):
             return original(self, a)
 
         monkeypatch.setattr(geom.ChartMap, method, counted)
-    s = load_scenario(name)
-    run_checks(s)
-    assert calls == {"pull_valued_form": 0, "pull_multivector": len(s.action.factors)}
+    return calls
 
 
-def test_the_g_invariant_cross_check_pulls_the_averaged_projection_back_once(monkeypatch):
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_passing_run_pulls_no_valued_form_back(name, tensor_pullbacks):
+    # canonical and the g_invariant cross-check decide through the
+    # generator's Lie derivative, so no bivector or projection is pulled back
+    run_checks(load_scenario(name))
+    assert tensor_pullbacks == {"pull_valued_form": 0, "pull_multivector": 0}
+
+
+def test_the_g_invariant_cross_check_pulls_no_projection_back(tensor_pullbacks):
     """On t2pairs_moved_bivector, th1 keeps the pairing form and the
-    bivector and th2 moves the bivector: the cross-check pulls the averaged
-    projection back under th1 alone, and gets it back unchanged, since every
-    flow keeps the averaged connection."""
-    pulled = []
-    original = geom.ChartMap.pull_valued_form
-
-    def recorded(self, a):
-        out = original(self, a)
-        pulled.append((a, out))
-        return out
-
-    monkeypatch.setattr(geom.ChartMap, "pull_valued_form", recorded)
+    bivector and th2 moves the bivector: the cross-check tests the averaged
+    projection under th1 through L_X, and pulls nothing back."""
     s = load_scenario(DATA / "t2pairs_moved_bivector.json")
     report = run_checks(s)
     assert [c.check for c in report.checks if not c.passed] == [
         "canonical", "sharp_and_leafwise_closed", "g_invariant", "hamiltonian_generators"
     ]
-    averaged = action.hannay_berry(s.action, s.conn).projection
-    assert pulled == [(averaged, averaged)]
+    assert tensor_pullbacks == {"pull_valued_form": 0, "pull_multivector": 0}
+
+
+COMPOSITE = DATA / "t2pairs_composite.json"
+COMPOSITE_STAGES = ("connection", "poisson", "action", "premomentum", "curvature_form")
+
+
+@pytest.fixture(scope="module")
+def composite():
+    return load_scenario(COMPOSITE)
+
+
+@pytest.mark.parametrize("stage", COMPOSITE_STAGES)
+def test_the_degree_4_composite_passes_its_stages(stage, composite, tensor_pullbacks):
+    """t2pairs moved by two degree-4 shears: its flows are not affine in the
+    moved coordinates, and each of these stages passes without a pullback of
+    the bivector."""
+    report = run_checks(composite, [stage])
+    assert report.checks and report.all_passed
+    assert tensor_pullbacks == {"pull_valued_form": 0, "pull_multivector": 0}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["base_first", "fiber_first"])
+def test_a_factor_that_moves_the_base_fails_the_checks_of_base_rot(order):
+    """base_rot with a second factor rotating (q, p), in either order, fails
+    exactly base_rot's four checks with its witnesses, and averages."""
+    raw = json.loads((DATA / "base_rot_two_factors.json").read_text())
+    raw["action"], raw["momenta"] = raw["action"][::order], raw["momenta"][::order]
+    s = scenario_from_dict(raw)
+
+    def failures(report):
+        return [(c.stage, c.check, c.witness) for c in report.checks if not c.passed]
+
+    failed = failures(run_checks(s))
+    assert len(failed) == 4
+    assert failed == failures(run_checks(load_scenario(DATA / "base_rot.json")))
+    assert averaged_scenario(s)["action"] == raw["action"]
 
 
 @pytest.mark.parametrize("name", BUNDLED)

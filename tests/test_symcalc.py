@@ -756,3 +756,53 @@ def test_cross_chart_arithmetic_rejected():
     other = Chart(("y",), ("u",), ("s",))
     with pytest.raises(ChartMismatch):
         Scalar.one(CHART) + Scalar.one(other)
+
+
+# ----------------------------------------------------------------------
+# immutability
+
+
+def _frozen_instances():
+    """One instance of each immutable class, read off hb4d, with the name of
+    an attribute it holds."""
+    from foliavg.dirac import build_coupling_dirac
+    from foliavg.scenarios import load_scenario
+
+    s = load_scenario("hb4d")
+    factor = s.action.factors[0]
+    flow = factor.flow()
+    D = build_coupling_dirac(s.conn, s.sigma, s.P)
+    return {
+        "Chart": (s.chart, "dim"),
+        "Scalar": (Scalar.var(s.chart, "q"), "nums"),
+        "Substitution": (flow.mapping, "moved"),
+        "VectorField": (factor.generator(), "comps"),
+        "DiffForm": (s.sigma, "comps"),
+        "Multivector": (s.P.mv, "comps"),
+        "VecValuedForm": (s.conn.projection, "comps"),
+        "ChartMap": (flow, "mapping"),
+        "Connection": (s.conn, "chart"),
+        "PoissonBivector": (s.P, "mv"),
+        "FlowFactor": (factor, "angle"),
+        "TorusAction": (s.action, "factors"),
+        "Section": (D.generators[0], "alpha"),
+        "DiracData": (D, "sigma"),
+    }
+
+
+FROZEN = _frozen_instances()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_immutable_objects_refuse_assignment_and_deletion(name):
+    obj, attr = FROZEN[name]
+    assert type(obj).__name__ == name
+    assert isinstance(obj, symcalc._Frozen)
+    held = getattr(obj, attr)
+    message = f"{name} is immutable"
+    for target in (attr, "extra"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, target, held)
+    with pytest.raises(AttributeError, match=message):
+        delattr(obj, attr)
+    assert getattr(obj, attr) is held
